@@ -1,9 +1,9 @@
 """Balanced dataset generation, stratified splits, and CSV persistence.
 
 Records carry only features and labels; density matrices are regenerated
-on demand from the seed plus each record's draw index. Draws happen in
-fixed-size chunks (one RNG stream per draw index), so any record's state
-can be rebuilt bit-identically by replaying its chunk.
+on demand from the seed plus each record's draw index. Every draw index is
+its own RNG stream, so any set of records' states can be rebuilt
+bit-identically by sampling exactly their streams.
 """
 from __future__ import annotations
 
@@ -13,12 +13,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import DegenerateLabels, EmptyDataset, FormatError
+from .errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
 from .measure import DENOM_TOL, MeasurementPreset, feature_traces_stack
-from .states import ENTANGLE_EPS, SystemKind, collective_state_stack, negativity_stack, sample_density_stack
+from .states import (ENTANGLE_EPS, SystemKind, collective_state_stack, negativity_stack,
+                     sample_density_stack, sample_density_streams)
 
-#: Draws per generation chunk. Fixed: changing it changes which (bitwise
-#: identical) eigensolver batches produce each record, hence file bytes.
+#: Draws per generation chunk, and streams per regeneration slice. Batch
+#: composition does not change any record's bytes (each stream and each
+#: eigensolve is independent of its batch), so CHUNK only bounds transient
+#: memory and, through generate's chunk budget, the draws spent on a quota.
 CHUNK = 1024
 
 _HEADER_TAIL = ("negativity", "label")
@@ -79,7 +82,7 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     max_chunks = (8 * n) // CHUNK + 16
     while len(labs) < n:
         if chunk_index >= max_chunks:
-            raise RuntimeError("class quota not reached within the draw budget")
+            raise DrawBudgetExhausted(f"class quota not reached within {max_chunks * CHUNK} draws")
         values, neg, entangled, valid = _draw_chunk(kind, preset, seed, chunk_index)
         for k in range(CHUNK):
             if not valid[k]:
@@ -110,13 +113,14 @@ def generate_balanced(kind: SystemKind, preset: MeasurementPreset, n: int, seed:
 
 
 def regenerate_states(ds: Dataset) -> np.ndarray:
-    """Density matrices of every record, shape (n, d, d), bit-identical to generation."""
+    """Density matrices of every record, shape (n, d, d), bit-identical to generation.
+
+    Samples exactly the records' own streams, CHUNK of them at a time.
+    """
     states = np.empty((ds.count, ds.kind.dim, ds.kind.dim), dtype=np.complex128)
-    streams = ds.stream_indices
-    for chunk_index in np.unique(streams // CHUNK):
-        mats = sample_density_stack(ds.kind, ds.seed, int(chunk_index) * CHUNK, CHUNK)
-        mask = streams // CHUNK == chunk_index
-        states[mask] = mats[streams[mask] % CHUNK]
+    for start in range(0, ds.count, CHUNK):
+        states[start:start + CHUNK] = sample_density_streams(
+            ds.kind, ds.seed, ds.stream_indices[start:start + CHUNK])
     return states
 
 
@@ -197,7 +201,14 @@ def load(path: str) -> Dataset:
                                    tuple(tuple(p) for p in meta["preset"]["pairs"]))
         seed = int(meta["seed"])
         count = int(meta["count"])
-        streams = np.array(meta["stream_indices"], dtype=np.int64)
+        streams = meta["stream_indices"]
+        # generate writes distinct non-negative int64 draw indices; regeneration
+        # would silently sample the wrong stream for anything else
+        if not isinstance(streams, list) or not all(type(v) is int and 0 <= v < 2**63 for v in streams):
+            raise ValueError("stream_indices must be non-negative 64-bit integers")
+        streams = np.array(streams, dtype=np.int64)
+        if len(np.unique(streams)) != len(streams):
+            raise ValueError("stream_indices repeat a draw index")
     except FileNotFoundError:
         raise
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:

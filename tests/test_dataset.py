@@ -1,12 +1,14 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from cewlab.dataset import generate, load, regenerate_states, restrict, save, split
-from cewlab.errors import DegenerateLabels, EmptyDataset, FormatError
+from cewlab import dataset
+from cewlab.dataset import CHUNK, generate, load, regenerate_states, restrict, save, split
+from cewlab.errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
 from cewlab.measure import MeasurementPreset, preset_by_name
-from cewlab.states import SystemKind, negativity_stack
+from cewlab.states import SystemKind, negativity_stack, sample_density_stack
 
 KIND = SystemKind.TWO_QUBIT
 B1 = preset_by_name(KIND, "B1")
@@ -36,13 +38,29 @@ def test_generate_argument_checks():
 
 
 def test_labels_match_regenerated_states():
-    # regeneration replays the exact eigensolver batches, so stored
-    # negativities are reproduced bit for bit, not just within tolerance
+    # every stream and every eigensolve is independent of its batch, so
+    # stored negativities are reproduced bit for bit, not just within tolerance
     for kind in SystemKind:
         ds = generate(kind, preset_by_name(kind, "B1"), 600, seed=52)
         neg = negativity_stack(regenerate_states(ds), kind)
         assert np.array_equal(neg, ds.negativities)
         assert np.array_equal(neg > 1e-7, ds.labels)
+
+
+def test_regeneration_samples_only_the_records_streams():
+    # distinct, unsorted streams spread over six chunks, more than two slices of them
+    streams = np.random.default_rng(0).choice(6 * CHUNK, 2 * CHUNK + 9, replace=False)
+    ds = dataclasses.replace(generate(KIND, B1, 10, seed=62), stream_indices=streams,
+                             labels=np.zeros(len(streams), dtype=bool))
+    expected = sample_density_stack(KIND, 62, 0, 6 * CHUNK)[streams]
+    assert np.array_equal(regenerate_states(ds), expected)
+
+
+def test_quota_exhaustion_raises_a_package_error(monkeypatch):
+    # a sampler that never yields an entangled state cannot fill its quota
+    monkeypatch.setattr(dataset, "negativity_stack", lambda mats, kind: np.zeros(len(mats)))
+    with pytest.raises(DrawBudgetExhausted, match="quota"):
+        generate(KIND, B1, 10, seed=63)
 
 
 def test_unbalanced_keeps_natural_prevalence():
@@ -153,6 +171,25 @@ def test_load_reports_bad_lines(tmp_path):
 
     rewrite(lines[:-1])
     with pytest.raises(FormatError, match="count"):
+        load(path)
+
+
+@pytest.mark.parametrize("streams, message", [
+    ([0, 1, 2, -4], "non-negative"),
+    ([0, 2, 2, 5], "repeat"),
+    ([0, 1, 2, 2**63], "non-negative"),
+    ([0, 1, 1.5, 3], "non-negative"),
+])
+def test_load_rejects_streams_generate_cannot_write(tmp_path, streams, message):
+    ds = generate(KIND, B1, 4, seed=64)
+    path = str(tmp_path / "d.csv")
+    save(ds, path)
+    with open(path + ".meta") as fh:
+        meta = json.load(fh)
+    meta["stream_indices"] = streams
+    with open(path + ".meta", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(FormatError, match=message):
         load(path)
 
 

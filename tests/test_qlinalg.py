@@ -3,8 +3,11 @@ import pytest
 
 from cewlab.errors import NotHermitian
 from cewlab.qlinalg import (complex_normals, haar_unitary, hermitian_eigenvalues,
-                            jacobi_eigenvalues_stack, make_rng, standard_normals,
-                            swap_operator)
+                            jacobi_eigenvalues_stack, make_rng, philox_raw,
+                            philox_uniforms, standard_normals, swap_operator)
+
+#: The model's init and shuffle streams sit at 2**62 and 2**62 + 1.
+EDGE_STREAMS = [0, 1, 2**62, 2**62 + 1, 2**63, 2**64 - 1]
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -32,6 +35,44 @@ def test_make_rng_range_checks():
         make_rng(-1)
     with pytest.raises(ValueError):
         make_rng(0, 2**64)
+
+
+def test_philox_raw_matches_numpy_at_edge_keys():
+    for seed in (0, 7919, 2**64 - 1):
+        raw = philox_raw(seed, EDGE_STREAMS, 78)
+        assert raw.shape == (len(EDGE_STREAMS), 78) and raw.dtype == np.uint64
+        for row, stream in zip(raw, EDGE_STREAMS):
+            key = np.array([seed, stream], dtype=np.uint64)
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(78))
+
+
+def test_philox_raw_word_counts():
+    full = philox_raw(3, [5, 6], 12)
+    for words in (0, 1, 4, 5, 11):
+        assert np.array_equal(philox_raw(3, [5, 6], words), full[:, :words])
+    assert philox_raw(3, [], 7).shape == (0, 7)
+
+
+def test_philox_uniforms_match_generator():
+    u = philox_uniforms(2**64 - 1, EDGE_STREAMS, 37)
+    for row, stream in zip(u, EDGE_STREAMS):
+        assert np.array_equal(row, make_rng(2**64 - 1, stream).random(37))
+
+
+@pytest.mark.parametrize("seed, streams, name, bad", [
+    (-1, [0], "seed", -1),
+    (2**64, [0], "seed", 2**64),
+    (0, [3, -1], "stream", -1),
+    (0, np.array([-5], dtype=np.int64), "stream", -5),
+    (0, [2**64], "stream", 2**64),
+    (0, [-1, 2**63], "stream", -1),
+])
+def test_philox_range_checks_match_make_rng(seed, streams, name, bad):
+    message = f"{name} must fit in an unsigned 64-bit integer"
+    with pytest.raises(ValueError, match=message):
+        philox_raw(seed, streams, 4)
+    with pytest.raises(ValueError, match=message):
+        make_rng(bad, 0) if name == "seed" else make_rng(seed, bad)
 
 
 def test_standard_normals_moments():

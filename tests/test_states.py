@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cewlab.qlinalg import haar_unitary, hermitian_eigenvalues, make_rng
+from cewlab.dataset import CHUNK
+from cewlab.qlinalg import (complex_normals, haar_from_ginibre, haar_unitary,
+                            hermitian_eigenvalues, make_rng)
 from cewlab.states import (DensityMatrix, SystemKind, collective_state,
                            collective_state_stack, is_entangled, negativity,
-                           partial_transpose, sample_density, sample_density_stack)
+                           partial_transpose, sample_density, sample_density_stack,
+                           sample_density_streams)
 from cewlab.states import _draw_state_inputs
 
 
@@ -50,6 +55,55 @@ def test_sample_stack_matches_scalar_bitwise():
         for k in range(6):
             solo = sample_density(kind, make_rng(12, 40 + k))
             assert np.array_equal(stack[k], solo.mat)
+
+
+def per_draw_stack(kind, seed, start_stream, count):
+    """Oracle: one numpy Generator per draw, as the sampler once worked."""
+    dim = kind.dim
+    diags = np.empty((count, dim))
+    ginibre = np.empty((count, dim, dim), dtype=np.complex128)
+    for k in range(count):
+        rng = make_rng(seed, start_stream + k)
+        w = -np.log1p(-rng.random(dim))
+        diags[k] = w / w.sum()
+        ginibre[k] = complex_normals(rng, (dim, dim))
+    u = haar_from_ginibre(ginibre)
+    return np.einsum('mji,mj,mjk->mik', u.conj(), diags, u)
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_sample_stack_matches_per_draw_generators_over_a_chunk(kind):
+    for seed, start in ((1, 0), (7919, 3 * CHUNK)):
+        stack = sample_density_stack(kind, seed, start, CHUNK)
+        assert np.array_equal(stack, per_draw_stack(kind, seed, start, CHUNK))
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_stream_lists_match_slices_of_a_contiguous_stack(kind):
+    stack = sample_density_stack(kind, seed=20, start_stream=0, count=64)
+    for streams in ([37, 3, 60, 0, 12], [5, 5, 9, 5], [63], [], list(range(63, -1, -1))):
+        got = sample_density_streams(kind, 20, np.array(streams, dtype=np.int64))
+        assert got.shape == (len(streams), kind.dim, kind.dim)
+        assert np.array_equal(got, stack[streams])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       kind=st.sampled_from(list(SystemKind)))
+def test_stream_sampling_matches_scalar_generator(seed, streams, kind):
+    got = sample_density_streams(kind, seed, streams)
+    for row, stream in zip(got, streams):
+        assert np.array_equal(row, sample_density(kind, make_rng(seed, stream)).mat)
+
+
+def test_sampler_range_checks():
+    with pytest.raises(ValueError, match="seed must fit"):
+        sample_density_stack(SystemKind.TWO_QUBIT, -1, 0, 4)
+    with pytest.raises(ValueError, match="stream must fit"):
+        sample_density_stack(SystemKind.TWO_QUBIT, 0, 2**64 - 2, 4)
+    with pytest.raises(ValueError, match="stream must fit"):
+        sample_density_streams(SystemKind.QUBIT_QUTRIT, 0, np.array([4, -1]))
 
 
 def test_partial_transpose_is_involution():
