@@ -8,11 +8,11 @@ witness with ROC curves against analytic baselines.
 
 __version__ = "0.1.0"
 
-from .dataset import (CHUNK, Dataset, generate, generate_balanced, load,
-                      regenerate_states, restrict, save, split)
+from .dataset import (CHUNK, Dataset, generate, load, regenerate_states,
+                      restrict, save, split)
 from .errors import (CewlabError, DegenerateConditioning, DegenerateLabels,
-                     DimensionMismatch, DivergedTraining, EigenNoConvergence,
-                     EmptyDataset, FormatError, NotHermitian, UnknownPreset)
+                     DimensionMismatch, DivergedTraining, EmptyDataset,
+                     FormatError, NotHermitian, UnknownPreset)
 from .evaluate import (RocCurve, Witness, baseline_rates, baseline_sensitivity,
                        chsh_violation, fef, roc_curve, tpr_at_fpr, witness_scores,
                        write_roc)
@@ -28,14 +28,14 @@ from .states import (ENTANGLE_EPS, CollectiveState, DensityMatrix, SystemKind,
                      partial_transpose, sample_density)
 
 __all__ = [
-    "CHUNK", "CewlabError", "CollectiveState", "Dataset", "DegenerateConditioning",
-    "DegenerateLabels", "DensityMatrix", "DimensionMismatch", "DivergedTraining",
-    "ENTANGLE_EPS", "EigenNoConvergence", "EmptyDataset", "FeatureVector",
-    "FormatError", "LocalEffect", "MeasurementPreset", "Mlp", "NotHermitian",
-    "RocCurve", "SystemKind", "TrainConfig", "TrainResult", "UnknownPreset",
-    "Witness", "baseline_rates", "baseline_sensitivity", "bell_singlet",
-    "builtin_presets", "chsh_violation", "collective_state", "features", "fef",
-    "forward", "generate", "generate_balanced", "gradient", "haar_unitary",
+    "CHUNK", "CewlabError", "CollectiveState", "Dataset",
+    "DegenerateConditioning", "DegenerateLabels", "DensityMatrix",
+    "DimensionMismatch", "DivergedTraining", "ENTANGLE_EPS", "EmptyDataset",
+    "FeatureVector", "FormatError", "LocalEffect", "MeasurementPreset", "Mlp",
+    "NotHermitian", "RocCurve", "SystemKind", "TrainConfig", "TrainResult",
+    "UnknownPreset", "Witness", "baseline_rates", "baseline_sensitivity",
+    "bell_singlet", "builtin_presets", "chsh_violation", "collective_state",
+    "features", "fef", "forward", "generate", "gradient", "haar_unitary",
     "hermitian_eigenvalues", "init_mlp", "is_entangled", "load", "load_model",
     "local_effects", "make_rng", "negativity", "p_xy", "partial_transpose",
     "predict_negativity", "preset_by_name", "qubit_tetrahedron", "qutrit_nine",

@@ -14,7 +14,7 @@ import time
 
 from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
-from .errors import CewlabError, UnknownPreset
+from .errors import CewlabError, ModelMismatch, UnknownPreset
 from .evaluate import (RocCurve, Witness, baseline_rates, roc_curve,
                        tpr_at_fpr, write_roc)
 from .measure import preset_by_name
@@ -120,6 +120,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     started = time.monotonic()
     model = load_model(args.model)
     test_ds = load(args.test)
+    meta = model.meta
+    if (meta.get("kind"), meta.get("pairs")) != (test_ds.kind.value,
+                                                 [list(p) for p in test_ds.preset.pairs]):
+        trained = f"{meta['kind']} {meta.get('preset')}" if meta.get("kind") else "no recorded kind"
+        raise ModelMismatch(
+            f"{args.model} ({trained}) does not match {args.test} ({test_ds.kind.value} "
+            f"{test_ds.preset.name}): a model scores only its training kind and preset pairs")
     scores = predict_negativity(model, test_ds.features)
     curve = roc_curve(scores, test_ds.labels)
     write_roc(curve, args.out)
@@ -303,7 +310,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CewlabError, OSError, AssertionError) as exc:
+    except (CewlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -108,10 +108,6 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
                    seed, np.array(streams, dtype=np.int64), created)
 
 
-def generate_balanced(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int) -> Dataset:
-    return generate(kind, preset, n, seed, balanced=True)
-
-
 def regenerate_states(ds: Dataset) -> np.ndarray:
     """Density matrices of every record, shape (n, d, d), bit-identical to generation.
 

@@ -9,10 +9,6 @@ class NotHermitian(CewlabError):
     """Matrix fails the Hermiticity tolerance required by an eigensolve."""
 
 
-class EigenNoConvergence(CewlabError):
-    """Jacobi sweeps exhausted before the off-diagonal norm target was met."""
-
-
 class DimensionMismatch(CewlabError):
     """Operands have incompatible shapes for the requested operation."""
 
@@ -43,3 +39,11 @@ class FormatError(CewlabError):
 
 class DivergedTraining(CewlabError):
     """Training loss became non-finite."""
+
+
+class WitnessFalsePositive(CewlabError):
+    """An analytic witness flagged a separable state, which its criterion forbids."""
+
+
+class ModelMismatch(CewlabError):
+    """A model was trained on another system kind or preset than the data it is given."""

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, regenerate_states
-from .errors import DegenerateLabels, DimensionMismatch, EmptyDataset
+from .errors import DegenerateLabels, DimensionMismatch, EmptyDataset, WitnessFalsePositive
 from .measure import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .qlinalg import hermitian_eigenvalues, jacobi_eigenvalues_stack
+from .qlinalg import hermitian_eigenvalues_stack
 from .states import ENTANGLE_EPS, DensityMatrix, SystemKind
 
 
@@ -102,7 +102,7 @@ def chsh_m_value_stack(mats: np.ndarray) -> np.ndarray:
     t = _pauli_correlations(mats)
     m = np.einsum("kji,kjl->kil", t, t)
     m = 0.5 * (m + m.transpose(0, 2, 1))
-    eigs = jacobi_eigenvalues_stack(m.astype(complex))
+    eigs = hermitian_eigenvalues_stack(m)
     return eigs[:, -1] + eigs[:, -2]
 
 
@@ -127,15 +127,12 @@ _MAGIC = np.array([
 def fef_stack(mats: np.ndarray) -> np.ndarray:
     m = np.einsum("ab,kbc,cd->kad", _MAGIC.conj().T, mats, _MAGIC).real
     m = 0.5 * (m + m.transpose(0, 2, 1))
-    eigs = jacobi_eigenvalues_stack(m.astype(complex))
-    return eigs[:, -1]
+    return hermitian_eigenvalues_stack(m)[:, -1]
 
 
 def fef(rho) -> float:
     """Fully entangled fraction: largest overlap with any maximally entangled state."""
-    mat = _two_qubit_matrix(rho, "the fully entangled fraction")
-    m = (_MAGIC.conj().T @ mat @ _MAGIC).real
-    return float(hermitian_eigenvalues((0.5 * (m + m.T)).astype(complex))[-1])
+    return float(fef_stack(_two_qubit_matrix(rho, "the fully entangled fraction")[None])[0])
 
 
 def witness_scores(ds: Dataset, witness: Witness) -> np.ndarray:
@@ -164,24 +161,19 @@ def witness_threshold(witness: Witness) -> float:
     return 0.5
 
 
-def baseline_sensitivity(test: Dataset, witness: Witness, rng_seed: int | None = None) -> float:
+def baseline_sensitivity(test: Dataset, witness: Witness) -> float:
     """TPR of a witness at its own threshold; the analytic criteria admit no
     false positives, so a nonzero FPR is raised as an error, not returned.
-
-    `rng_seed`, when given, must match the seed the dataset records; state
-    regeneration follows the dataset itself.
     """
-    sensitivity, fpr = baseline_rates(test, witness, rng_seed)
+    sensitivity, fpr = baseline_rates(test, witness)
     if fpr != 0.0:
-        raise AssertionError(
+        raise WitnessFalsePositive(
             f"the {witness.value} witness flagged separable states (FPR {fpr})")
     return sensitivity
 
 
-def baseline_rates(ds: Dataset, witness: Witness, rng_seed: int | None = None) -> tuple[float, float]:
+def baseline_rates(ds: Dataset, witness: Witness) -> tuple[float, float]:
     """(sensitivity, false positive rate) of a witness at its own threshold."""
-    if rng_seed is not None and rng_seed != ds.seed:
-        raise ValueError(f"rng_seed {rng_seed} does not match the dataset seed {ds.seed}")
     if len(ds.labels) == 0:
         raise EmptyDataset("baseline rates need a non-empty dataset")
     scores = witness_scores(ds, witness)

@@ -239,9 +239,12 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
 
     m.weights = best_weights
     m.biases = best_biases
-    preset = getattr(getattr(train_data, "preset", None), "name", None)
+    # eval refuses test data whose kind or pairs differ from these
+    preset = getattr(train_data, "preset", None)
     m.meta.update({
-        "preset": preset,
+        "kind": preset.kind.value if preset else None,
+        "preset": preset.name if preset else None,
+        "pairs": [list(p) for p in preset.pairs] if preset else None,
         "seed": cfg.seed,
         "epochs_run": epochs_run,
         "val_mse": stopper.best,

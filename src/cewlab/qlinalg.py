@@ -8,20 +8,23 @@ once in plain uint64 numpy, so a stack of samples costs one vectorized pass
 and any subset of streams can be drawn alone, bit for bit.
 
 Matrices are plain complex numpy arrays (nothing here exceeds 36 x 36).
-Eigenvalues come from a cyclic Jacobi solver that operates on stacks of
-matrices; a converged matrix in a stack is frozen, so the result for any
-single matrix is bit-identical whether it is solved alone or batched with
-others. Dataset regeneration relies on that.
+Every eigenvalue in the package comes from `hermitian_eigenvalues_stack`,
+LAPACK's symmetric/Hermitian solver through `np.linalg.eigvalsh`. numpy's
+linalg gufuncs copy each matrix of a stack into a work buffer and solve it
+alone, so a matrix's eigenvalues are bit-identical whether it is solved by
+itself, in any slice or in any order of a stack. Dataset regeneration
+relies on that, as it already does for the QR in `haar_from_ginibre`, and
+a test checks it on a full chunk of each system kind. Bytes are promised
+on one machine only: on another CPU, OpenBLAS's DYNAMIC_ARCH kernels (and
+numpy's exp and log) may differ in the last bits.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenNoConvergence, NotHermitian
+from .errors import DimensionMismatch, NotHermitian
 
 HERMITICITY_TOL = 1e-10
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 # Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -150,80 +153,35 @@ def swap_operator(dim_a: int, dim_b: int) -> np.ndarray:
     return s
 
 
+def require_hermitian(mats: np.ndarray) -> None:
+    """Raise NotHermitian when max|M - M^dag| over a stack exceeds 1e-10."""
+    deviation = np.abs(mats - mats.conj().swapaxes(-1, -2)).max() if mats.size else 0.0
+    if deviation > HERMITICITY_TOL:
+        raise NotHermitian(f"max|M - M^dag| = {deviation:.3e} exceeds {HERMITICITY_TOL:.0e}")
+
+
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Raises NotHermitian when max|M - M^dag| exceeds 1e-10 and
-    EigenNoConvergence if the sweep budget runs out.
+    Raises NotHermitian when max|M - M^dag| exceeds 1e-10.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    deviation = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if deviation > HERMITICITY_TOL:
-        raise NotHermitian(f"max|M - M^dag| = {deviation:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    require_hermitian(m)
     # exact identity for exactly-Hermitian input, regularizes borderline ones
     sym = 0.5 * (m + m.conj().T)
-    return jacobi_eigenvalues_stack(sym[None])[0]
+    return hermitian_eigenvalues_stack(sym[None])[0]
 
 
-def _offdiag_sq(a: np.ndarray) -> np.ndarray:
-    # summed directly, not total minus trace: that subtraction cancels to
-    # ~1e-16 even when every off-diagonal entry is exactly zero
-    sq = a.real**2 + a.imag**2
-    idx = np.arange(a.shape[1])
-    sq[:, idx, idx] = 0.0
-    return sq.sum(axis=(1, 2))
-
-
-def jacobi_eigenvalues_stack(mats: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi eigenvalues for a stack of Hermitian matrices.
+def hermitian_eigenvalues_stack(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of real symmetric or complex Hermitian matrices.
 
     Input shape (m, n, n), output shape (m, n) with each row ascending.
-    Inputs are trusted to be Hermitian; use hermitian_eigenvalues for the
-    checked single-matrix form. Frozen-when-converged semantics make each
-    row independent of the rest of the stack, bit for bit.
+    Inputs are trusted to be Hermitian (only the lower triangle is read);
+    use hermitian_eigenvalues for the checked single-matrix form.
     """
-    a = np.array(mats, dtype=np.complex128)
+    a = np.asarray(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
-    m, n, _ = a.shape
-    if n == 1:
-        return a[:, :, 0].real.copy()
-
-    tol_sq = JACOBI_OFF_TOL**2
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        active = _offdiag_sq(a) >= tol_sq
-        if not active.any():
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                mag = np.abs(apq)
-                rot = active & (mag > 0.0)
-                safe_mag = np.where(rot, mag, 1.0)
-                u = np.where(rot, apq / safe_mag, 1.0)  # pivot phase e^{i phi}
-                tau = np.where(rot, (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe_mag), 0.0)
-                # smaller root of t^2 + 2 tau t - 1 = 0 for a bounded rotation angle
-                t = np.where(rot, np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(tau * tau + 1.0)), 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                su_conj = s * u.conj()
-                su = s * u
-
-                colp = a[:, :, p].copy()
-                colq = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * colp - su_conj[:, None] * colq
-                a[:, :, q] = s[:, None] * colp + (c * u.conj())[:, None] * colq
-                rowp = a[:, p, :].copy()
-                rowq = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * rowp - su[:, None] * rowq
-                a[:, q, :] = s[:, None] * rowp + (c * u)[:, None] * rowq
-                # the rotation is constructed to null the pivot exactly
-                a[:, p, q] = np.where(rot, 0.0, a[:, p, q])
-                a[:, q, p] = np.where(rot, 0.0, a[:, q, p])
-    if not converged and (_offdiag_sq(a) >= tol_sq).any():
-        raise EigenNoConvergence(f"off-diagonal norm above {JACOBI_OFF_TOL:.0e} after {JACOBI_MAX_SWEEPS} sweeps")
-    return np.sort(np.einsum('mii->mi', a).real, axis=1)
+    return np.linalg.eigvalsh(a)

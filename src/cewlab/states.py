@@ -18,15 +18,15 @@ import numpy as np
 from .qlinalg import (  # noqa: F401
     complex_normals_from_uniforms,
     haar_from_ginibre,
-    hermitian_eigenvalues,
-    jacobi_eigenvalues_stack,
+    hermitian_eigenvalues_stack,
     make_rng,
     philox_uniforms,
+    require_hermitian,
     swap_operator,
 )
 
 #: Negativity above this labels a state entangled. Far above eigensolver
-#: noise (~1e-12), far below any physically meaningful negativity.
+#: noise (~1e-15), far below any physically meaningful negativity.
 ENTANGLE_EPS = 1e-7
 
 
@@ -129,13 +129,13 @@ def partial_transpose_stack(mats: np.ndarray, d1: int, d2: int, subsystem: int =
 
 def negativity(rho: DensityMatrix) -> float:
     """Absolute sum of the negative partial-transpose eigenvalues, in [0, 0.5]."""
-    ev = hermitian_eigenvalues(partial_transpose(rho))
-    return float(-np.minimum(ev, 0.0).sum())
+    require_hermitian(rho.mat)
+    return float(negativity_stack(rho.mat[None], rho.kind)[0])
 
 
 def negativity_stack(mats: np.ndarray, kind: SystemKind) -> np.ndarray:
     d1, d2 = kind.dims
-    ev = jacobi_eigenvalues_stack(partial_transpose_stack(mats, d1, d2))
+    ev = hermitian_eigenvalues_stack(partial_transpose_stack(mats, d1, d2))
     return -np.minimum(ev, 0.0).sum(axis=1)
 
 

@@ -118,6 +118,39 @@ def test_eval_rerun_is_byte_identical(workspace):
     assert a == b
 
 
+def test_eval_refuses_a_model_of_another_kind(workspace, tmp_path, capsys):
+    with open(workspace["model"]) as fh:
+        meta = json.load(fh)["meta"]
+    assert (meta["kind"], meta["preset"]) == ("two-qubit", "B3")
+    assert meta["pairs"] == [[1, 1], [2, 2], [3, 3]]
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("qq", "qq_val", "tq")}
+    assert main(gen_args(paths["qq"], preset="B5", n=200, seed=93, kind="qubit-qutrit")) == 0
+    assert main(gen_args(paths["qq_val"], preset="B5", n=100, seed=94, kind="qubit-qutrit")) == 0
+    assert main(gen_args(paths["tq"], preset="B5", n=100, seed=95)) == 0
+    qq_model = str(tmp_path / "qq.mlp.json")
+    assert main(["train", "--train", paths["qq"], "--val", paths["qq_val"], "--out", qq_model,
+                 "--max-epochs", "2", "--batch-size", "64"]) == 0
+    capsys.readouterr()
+
+    out = str(tmp_path / "x.roc.csv")
+    assert main(["eval", "--model", qq_model, "--test", paths["tq"], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "(qubit-qutrit B5) does not match" in err and "(two-qubit B5)" in err
+    assert main(["eval", "--model", qq_model, "--test", paths["qq_val"], "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("AUC=")
+
+    # a model file that records no training kind is refused too
+    with open(qq_model) as fh:
+        doc = json.load(fh)
+    del doc["meta"]["kind"], doc["meta"]["pairs"]
+    bare = str(tmp_path / "bare.mlp.json")
+    with open(bare, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["eval", "--model", bare, "--test", paths["qq_val"], "--out", out]) == 1
+    assert "(no recorded kind) does not match" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "d.csv")
     assert main(gen_args(out, preset="B99")) == 2

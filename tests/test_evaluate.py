@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cewlab.dataset import generate, restrict, split
-from cewlab.errors import DegenerateLabels, DimensionMismatch, EmptyDataset
+from cewlab.errors import (DegenerateLabels, DimensionMismatch, EmptyDataset,
+                           WitnessFalsePositive)
 from cewlab.evaluate import (
     Witness,
     baseline_rates,
@@ -222,6 +223,12 @@ def test_baseline_negativity_is_exact(balanced_ds):
     assert baseline_sensitivity(balanced_ds, Witness.NEGATIVITY) == 1.0
 
 
+def test_baseline_sensitivity_raises_on_a_false_positive(balanced_ds):
+    swapped = dataclasses.replace(balanced_ds, labels=~balanced_ds.labels)
+    with pytest.raises(WitnessFalsePositive, match="negativity witness flagged"):
+        baseline_sensitivity(swapped, Witness.NEGATIVITY)
+
+
 def test_baseline_witness_ordering(balanced_ds):
     sens_chsh, fpr_chsh = baseline_rates(balanced_ds, Witness.CHSH)
     sens_fef, fpr_fef = baseline_rates(balanced_ds, Witness.FEF)
@@ -231,9 +238,6 @@ def test_baseline_witness_ordering(balanced_ds):
 
 
 def test_baseline_argument_checks(balanced_ds):
-    with pytest.raises(ValueError):
-        baseline_rates(balanced_ds, Witness.NEGATIVITY, rng_seed=81)
-    assert baseline_rates(balanced_ds, Witness.CHSH, rng_seed=80)[1] == 0.0
     empty = dataclasses.replace(
         balanced_ds,
         features=balanced_ds.features[:0],

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from cewlab.errors import NotHermitian
+from cewlab.dataset import CHUNK
+from cewlab.errors import DimensionMismatch, NotHermitian
 from cewlab.qlinalg import (complex_normals, haar_unitary, hermitian_eigenvalues,
-                            jacobi_eigenvalues_stack, make_rng, philox_raw,
+                            hermitian_eigenvalues_stack, make_rng, philox_raw,
                             philox_uniforms, standard_normals, swap_operator)
+from cewlab.states import SystemKind, partial_transpose_stack, sample_density_stack
 
 #: The model's init and shuffle streams sit at 2**62 and 2**62 + 1.
 EDGE_STREAMS = [0, 1, 2**62, 2**62 + 1, 2**63, 2**64 - 1]
@@ -139,12 +141,23 @@ def test_non_hermitian_rejected():
 
 
 def test_stack_result_independent_of_batching():
-    rng = make_rng(6)
-    mats = [random_hermitian(rng, 4) for _ in range(8)]
-    batched = jacobi_eigenvalues_stack(np.stack(mats))
-    for k, m in enumerate(mats):
-        solo = jacobi_eigenvalues_stack(m[None])[0]
-        assert np.array_equal(batched[k], solo)
+    # dataset regeneration solves a record's matrix in another batch than
+    # generate did, so its eigenvalues must not depend on the batch
+    perm = make_rng(6).permutation(CHUNK)
+    for kind in SystemKind:
+        pt = partial_transpose_stack(sample_density_stack(kind, 6, 0, CHUNK), *kind.dims)
+        whole = hermitian_eigenvalues_stack(pt)
+        for k in range(CHUNK):
+            assert np.array_equal(hermitian_eigenvalues_stack(pt[k:k + 1])[0], whole[k])
+        assert np.array_equal(hermitian_eigenvalues_stack(pt[100:357]), whole[100:357])
+        assert np.array_equal(hermitian_eigenvalues_stack(pt[perm]), whole[perm])
+
+
+def test_stack_shape_checked():
+    with pytest.raises(DimensionMismatch):
+        hermitian_eigenvalues_stack(np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        hermitian_eigenvalues_stack(np.zeros((2, 3, 4)))
 
 
 def test_haar_unitary_is_unitary():

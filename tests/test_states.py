@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cewlab.dataset import CHUNK
+from cewlab.errors import NotHermitian
 from cewlab.qlinalg import (complex_normals, haar_from_ginibre, haar_unitary,
                             hermitian_eigenvalues, make_rng)
 from cewlab.states import (DensityMatrix, SystemKind, collective_state,
                            collective_state_stack, is_entangled, negativity,
-                           partial_transpose, sample_density, sample_density_stack,
-                           sample_density_streams)
+                           negativity_stack, partial_transpose, sample_density,
+                           sample_density_stack, sample_density_streams)
 from cewlab.states import _draw_state_inputs
 
 
@@ -164,13 +165,24 @@ def test_negativity_same_for_either_subsystem():
             assert abs(n1 - negativity(rho)) < 1e-10
 
 
-def test_negativity_local_unitary_invariant():
-    rng = make_rng(16)
-    for _ in range(10):
-        rho = sample_density(SystemKind.TWO_QUBIT, rng)
-        u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-        rotated = DensityMatrix(SystemKind.TWO_QUBIT, u @ rho.mat @ u.conj().T)
-        assert abs(negativity(rotated) - negativity(rho)) < 1e-9
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**62 - 1),
+       kind=st.sampled_from(list(SystemKind)))
+def test_negativity_local_unitary_invariant(seed, stream, kind):
+    mats = sample_density_streams(kind, seed, [stream])
+    rho = DensityMatrix(kind, mats[0])
+    assert negativity(rho) == negativity_stack(mats, kind)[0]
+    d1, d2 = kind.dims
+    # the local unitaries come from a stream no sampled state uses
+    rng = make_rng(seed, stream + 2**62)
+    u = np.kron(haar_unitary(d1, rng), haar_unitary(d2, rng))
+    rotated = DensityMatrix(kind, u @ rho.mat @ u.conj().T)
+    assert abs(negativity(rotated) - negativity(rho)) < 1e-12
+
+
+def test_negativity_rejects_non_hermitian_input():
+    with pytest.raises(NotHermitian):
+        negativity(two_qubit(np.triu(singlet_matrix())))
 
 
 def test_is_entangled():
