@@ -15,8 +15,8 @@ import time
 from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
 from .errors import CewlabError, ModelMismatch, UnknownPreset
-from .evaluate import (RocCurve, Witness, baseline_rates, roc_curve,
-                       tpr_at_fpr, write_roc)
+from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr,
+                       write_roc, write_roc_svg)
 from .measure import preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
                     save_model, train)
@@ -43,39 +43,6 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
     with open(out_path + ".manifest.json", "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def write_roc_svg(curve: RocCurve, path: str, title: str = "") -> None:
-    """Self-contained SVG: the ROC polyline over a unit box with a chance diagonal."""
-    size, margin = 360, 40
-    scale = size - 2 * margin
-
-    def sx(v: float) -> float:
-        return margin + v * scale
-
-    def sy(v: float) -> float:
-        return size - margin - v * scale
-
-    pts = " ".join(f"{sx(f):.2f},{sy(t):.2f}" for f, t in zip(curve.fpr, curve.tpr))
-    label = f"{title} AUC={curve.auc:.4f}".strip()
-    body = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect x="{margin}" y="{margin}" width="{scale}" height="{scale}" '
-        'fill="white" stroke="black" stroke-width="1"/>',
-        f'<line x1="{sx(0):.2f}" y1="{sy(0):.2f}" x2="{sx(1):.2f}" y2="{sy(1):.2f}" '
-        'stroke="gray" stroke-dasharray="4 4" stroke-width="1"/>',
-        f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>',
-        f'<text x="{size / 2:.0f}" y="{size - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">FPR</text>',
-        f'<text x="12" y="{size / 2:.0f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 12 {size / 2:.0f})">TPR</text>',
-        f'<text x="{sx(0.97):.2f}" y="{sy(0.03):.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{label}</text>',
-        "</svg>",
-    ]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(body) + "\n")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -14,14 +14,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
-from .measure import DENOM_TOL, MeasurementPreset, feature_traces_stack
-from .states import (ENTANGLE_EPS, SystemKind, collective_state_stack, negativity_stack,
-                     sample_density_stack, sample_density_streams)
+from .measure import MeasurementPreset, conditional_probabilities, feature_traces_stack
+from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_stack,
+                     sample_density_streams)
 
 #: Draws per generation chunk, and streams per regeneration slice. Batch
-#: composition does not change any record's bytes (each stream and each
-#: eigensolve is independent of its batch), so CHUNK only bounds transient
-#: memory and, through generate's chunk budget, the draws spent on a quota.
+#: composition does not change any record's bytes (each stream, each
+#: eigensolve and each state's feature traces are independent of the batch),
+#: so CHUNK only bounds transient memory and, through generate's chunk
+#: budget, the draws spent on a quota.
 CHUNK = 1024
 
 _HEADER_TAIL = ("negativity", "label")
@@ -51,10 +52,7 @@ def _draw_chunk(kind: SystemKind, preset: MeasurementPreset, seed: int, chunk_in
     """Features, labels, and validity for draw indices in one chunk."""
     mats = sample_density_stack(kind, seed, chunk_index * CHUNK, CHUNK)
     neg = negativity_stack(mats, kind)
-    d1, d2 = kind.dims
-    num, den = feature_traces_stack(collective_state_stack(mats, d1, d2), kind, preset.pairs)
-    valid = (den >= DENOM_TOL).all(axis=1)
-    values = np.clip(num / np.where(den >= DENOM_TOL, den, 1.0), 0.0, 1.0)
+    values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, preset.pairs))
     return values, neg, neg > ENTANGLE_EPS, valid
 
 
@@ -234,4 +232,14 @@ def load(path: str) -> Dataset:
             labs[ln - 2] = label == "1"
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: {exc}") from exc
+    # generate writes nothing else; the 1e-12 leaves room for eigensolver noise
+    checks = (
+        ("a feature is NaN or outside [0, 1]", ~((feats >= 0.0) & (feats <= 1.0)).any(axis=1)),
+        ("negativity is NaN or outside [0, 0.5]", ~((negs >= 0.0) & (negs <= 0.5 + 1e-12))),
+        (f"label disagrees with negativity > {ENTANGLE_EPS:g}", labs != (negs > ENTANGLE_EPS)),
+    )
+    bad = np.array([rows for _, rows in checks])
+    if bad.any():
+        row = int(bad.any(axis=0).argmax())
+        raise FormatError(f"{path}:{row + 2}: {checks[int(bad[:, row].argmax())][0]}")
     return Dataset(kind, preset, feats, negs, labs, seed, streams)

@@ -3,6 +3,16 @@
 A feature is the conditional probability of projecting the two middle
 qubits of the collective state onto the singlet, given that both local
 measurements succeeded. A preset names which (x, y) local pairs to use.
+
+The singlet projector is (I - SWAP)/2, so the two-copy state is never
+needed. With the conditional qubit states sigma_x = Tr_2[rho (I x E_x)],
+
+    P_xy = (1/2) (Tr sigma_x Tr sigma_y - Tr[sigma_x sigma_y]) / (Tr sigma_x Tr sigma_y),
+
+the denominator being the probability of the local outcomes x and y.
+`feature_traces_stack` computes the features this way for a stack of
+states; `p_xy` keeps the literal trace against the collective state as the
+reference form.
 """
 from __future__ import annotations
 
@@ -17,7 +27,6 @@ from .states import (
     CollectiveState,
     DensityMatrix,
     SystemKind,
-    collective_state,
     negativity,
 )
 
@@ -157,32 +166,43 @@ def p_xy(rho_t: CollectiveState, x: LocalEffect, y: LocalEffect) -> float:
     return float(np.clip(numerator / denominator, 0.0, 1.0))
 
 
-@lru_cache(maxsize=None)
-def _preset_operators(kind: SystemKind, pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened trace kernels for every pair: rows are op.T.ravel().
-
-    With these, Tr[rho_T . op] for a whole stack of collective states is a
-    single matrix product.
-    """
-    effects = {e.index: e.mat for e in local_effects(kind)}
-    bell = bell_singlet()
-    eye4 = np.eye(4)
-    num_rows = []
-    den_rows = []
-    for ix, iy in pairs:
-        if ix not in effects or iy not in effects:
-            raise DimensionMismatch(f"effect index pair ({ix},{iy}) invalid for {kind.value}")
-        num_rows.append(np.kron(effects[ix], np.kron(bell, effects[iy])).T.ravel())
-        den_rows.append(np.kron(effects[ix], np.kron(eye4, effects[iy])).T.ravel())
-    return np.array(num_rows), np.array(den_rows)
-
-
-def feature_traces_stack(collective_mats: np.ndarray, kind: SystemKind,
+def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
                          pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator traces, shapes (m, B) each."""
-    num_ops, den_ops = _preset_operators(kind, pairs)
-    flat = collective_mats.reshape(collective_mats.shape[0], -1)
-    return (flat @ num_ops.T).real, (flat @ den_ops.T).real
+    """Numerator and denominator traces of every pair for a stack of density
+    matrices (m, d, d); shapes (m, B) each.
+
+    The K conditional qubit states come from one matmul, each row of the
+    stack on its own, so a record's traces do not depend on its batch.
+    """
+    effects = local_effects(kind)
+    position = {e.index: k for k, e in enumerate(effects)}
+    for ix, iy in pairs:
+        if ix not in position or iy not in position:
+            raise DimensionMismatch(f"effect index pair ({ix},{iy}) invalid for {kind.value}")
+    m = mats.shape[0]
+    d1, d2 = kind.dims
+    # sigma[m, (a, b), x] = sum_ij rho[m, (a, i), (b, j)] E_x[j, i]
+    rho = mats.reshape(m, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(m, d1 * d1, d2 * d2)
+    sigma = rho @ np.array([e.mat.T.ravel() for e in effects]).T
+    ix = [position[x] for x, _ in pairs]
+    iy = [position[y] for _, y in pairs]
+    trace = sigma[:, 0].real + sigma[:, d1 * d1 - 1].real
+    den = trace[:, ix] * trace[:, iy]
+    # Re Tr[sigma_x sigma_y] of Hermitian sigmas is the dot product of their
+    # entries' real and imaginary parts; summing it in one fixed order makes
+    # the pair (y, x) give the same bits as (x, y)
+    gram = np.zeros(den.shape)
+    for part in (sigma.real, sigma.imag):
+        for ab in range(d1 * d1):
+            gram += part[:, ab, ix] * part[:, ab, iy]
+    return 0.5 * (den - gram), den
+
+
+def conditional_probabilities(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_xy = num / den clipped to [0, 1], and whether every pair of a row is
+    conditioned on a local probability of at least DENOM_TOL."""
+    ok = den >= DENOM_TOL
+    return np.clip(num / np.where(ok, den, 1.0), 0.0, 1.0), ok.all(axis=1)
 
 
 def features(rho: DensityMatrix, preset: MeasurementPreset) -> FeatureVector:
@@ -190,10 +210,9 @@ def features(rho: DensityMatrix, preset: MeasurementPreset) -> FeatureVector:
     if preset.kind is not rho.kind:
         raise DimensionMismatch(
             f"preset is for {preset.kind.value}, state is {rho.kind.value}")
-    state = collective_state(rho)
-    num, den = feature_traces_stack(state.mat[None], rho.kind, preset.pairs)
-    if (den < DENOM_TOL).any():
+    values, valid = conditional_probabilities(
+        *feature_traces_stack(rho.mat[None], rho.kind, preset.pairs))
+    if not valid[0]:
         raise DegenerateConditioning("a local projection probability vanished")
-    values = np.clip(num[0] / den[0], 0.0, 1.0)
     neg = negativity(rho)
-    return FeatureVector(preset, values, neg, neg > ENTANGLE_EPS)
+    return FeatureVector(preset, values[0], neg, neg > ENTANGLE_EPS)

@@ -1,5 +1,9 @@
 """Random density matrices, negativity, and the two-copy collective state.
 
+The collective state is the reference form of the features: `measure.p_xy`
+traces against it, while the features themselves are computed from
+conditional qubit states without building it.
+
 A sampled state belongs to one counter-RNG stream: stream s of a seed
 yields the same matrix whether it is drawn alone, in a contiguous stack or
 among any other streams, and `sample_density(kind, make_rng(seed, s))`
@@ -80,18 +84,17 @@ def _state_inputs(u: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return diags, complex_normals_from_uniforms(u1, u2)
 
 
-def _draw_state_inputs(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum and Ginibre matrix for one sample drawn from a Generator."""
-    diags, ginibre = _state_inputs(rng.random((1, _state_uniforms(dim))), dim)
-    return diags[0], ginibre[0]
+def _density_from_uniforms(u: np.ndarray, dim: int) -> np.ndarray:
+    """States from rows of uniforms: flat simplex spectra conjugated by Haar unitaries."""
+    diags, ginibre = _state_inputs(u, dim)
+    v = haar_from_ginibre(ginibre)
+    return np.einsum('mji,mj,mjk->mik', v.conj(), diags, v)
 
 
 def sample_density(kind: SystemKind, rng: np.random.Generator) -> DensityMatrix:
-    """Random state: flat simplex spectrum conjugated by a Haar unitary."""
-    diag, ginibre = _draw_state_inputs(rng, kind.dim)
-    u = haar_from_ginibre(ginibre[None])[0]
-    mat = np.einsum('ji,j,jk->ik', u.conj(), diag, u)
-    return DensityMatrix(kind, mat)
+    """One random state drawn from a Generator, in the draw order of one stream."""
+    dim = kind.dim
+    return DensityMatrix(kind, _density_from_uniforms(rng.random((1, _state_uniforms(dim))), dim)[0])
 
 
 def sample_density_streams(kind: SystemKind, seed: int, streams) -> np.ndarray:
@@ -102,9 +105,7 @@ def sample_density_streams(kind: SystemKind, seed: int, streams) -> np.ndarray:
     state can be regenerated independently of the rest of a run.
     """
     dim = kind.dim
-    diags, ginibre = _state_inputs(philox_uniforms(seed, streams, _state_uniforms(dim)), dim)
-    u = haar_from_ginibre(ginibre)
-    return np.einsum('mji,mj,mjk->mik', u.conj(), diags, u)
+    return _density_from_uniforms(philox_uniforms(seed, streams, _state_uniforms(dim)), dim)
 
 
 def sample_density_stack(kind: SystemKind, seed: int, start_stream: int, count: int) -> np.ndarray:

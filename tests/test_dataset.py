@@ -173,6 +173,26 @@ def test_load_reports_bad_lines(tmp_path):
     with pytest.raises(FormatError, match="count"):
         load(path)
 
+    # cells that parse but that generate cannot write
+    entangled = next(i for i, lab in enumerate(ds.labels, start=1) if lab)
+    separable = next(i for i, lab in enumerate(ds.labels, start=1) if not lab)
+    for row, column, value, message in [
+        (4, 0, "nan", "feature"),
+        (5, 0, "1.0000001", "feature"),
+        (6, 0, "-1e-300", "feature"),
+        (entangled, -2, "0.50001", "negativity"),
+        (separable, -2, "-1e-09", "negativity"),
+        (entangled, -2, "5e-08", "label"),
+        (separable, -1, "1", "label"),
+    ]:
+        cells = lines[row].split(",")
+        cells[column] = value
+        rewrite(lines[:row] + [",".join(cells)] + lines[row + 1:])
+        with pytest.raises(FormatError, match=f":{row + 1}: .*{message}"):
+            load(path)
+    rewrite(lines)
+    assert load(path).count == ds.count
+
 
 @pytest.mark.parametrize("streams, message", [
     ([0, 1, 2, -4], "non-negative"),

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cewlab.dataset import CHUNK, generate, regenerate_states
 from cewlab.errors import (DegenerateConditioning, DimensionMismatch,
                            UnknownPreset)
 from cewlab.measure import (MeasurementPreset, bell_singlet, builtin_presets,
+                            conditional_probabilities, feature_traces_stack,
                             features, local_effects, p_xy, preset_by_name,
                             qubit_tetrahedron, qutrit_nine)
 from cewlab.qlinalg import haar_unitary, make_rng
 from cewlab.states import (CollectiveState, DensityMatrix, SystemKind,
-                           collective_state, sample_density)
+                           collective_state, sample_density,
+                           sample_density_stack, sample_density_streams)
 
 
 def singlet_state():
@@ -198,3 +203,51 @@ def test_features_reject_kind_mismatch():
     preset = preset_by_name(SystemKind.QUBIT_QUTRIT, "B5")
     with pytest.raises(DimensionMismatch):
         features(rho, preset)
+
+
+def test_features_equal_the_generated_rows():
+    # a record's features, recomputed from its regenerated state alone, are
+    # the bytes generate stored from the record's whole chunk
+    for kind in SystemKind:
+        ds = generate(kind, builtin_presets(kind)[-1], 200, seed=1)
+        for mat, row in zip(regenerate_states(ds), ds.features):
+            assert np.array_equal(features(DensityMatrix(kind, mat), ds.preset).values, row)
+
+
+def test_feature_traces_independent_of_batching():
+    perm = make_rng(37).permutation(CHUNK)
+    for kind in SystemKind:
+        pairs = builtin_presets(kind)[-1].pairs
+        mats = sample_density_stack(kind, 37, 0, CHUNK)
+        num, den = feature_traces_stack(mats, kind, pairs)
+        for k in range(CHUNK):
+            solo_num, solo_den = feature_traces_stack(mats[k:k + 1], kind, pairs)
+            assert np.array_equal(solo_num[0], num[k]) and np.array_equal(solo_den[0], den[k])
+        sub_num, sub_den = feature_traces_stack(mats[100:357], kind, pairs)
+        assert np.array_equal(sub_num, num[100:357]) and np.array_equal(sub_den, den[100:357])
+        perm_num, perm_den = feature_traces_stack(mats[perm], kind, pairs)
+        assert np.array_equal(perm_num, num[perm]) and np.array_equal(perm_den, den[perm])
+
+
+def test_feature_traces_reject_unknown_effects():
+    mats = sample_density_stack(SystemKind.TWO_QUBIT, 38, 0, 2)
+    with pytest.raises(DimensionMismatch):
+        feature_traces_stack(mats, SystemKind.TWO_QUBIT, ((1, 5),))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**62 - 1),
+       kind=st.sampled_from(list(SystemKind)))
+def test_feature_traces_match_the_collective_state_oracle(seed, stream, kind):
+    mats = sample_density_streams(kind, seed, [stream])
+    pairs = builtin_presets(kind)[-1].pairs
+    values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, pairs))
+    assert valid[0]
+    state = collective_state(DensityMatrix(kind, mats[0]))
+    effects = {e.index: e for e in local_effects(kind)}
+    expected = [p_xy(state, effects[ix], effects[iy]) for ix, iy in pairs]
+    np.testing.assert_allclose(values[0], expected, rtol=0, atol=1e-13)
+    assert ((values >= 0.0) & (values <= 1.0)).all()
+    swapped = tuple((iy, ix) for ix, iy in pairs)
+    assert np.array_equal(conditional_probabilities(*feature_traces_stack(mats, kind, swapped))[0],
+                          values)

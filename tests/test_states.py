@@ -11,7 +11,7 @@ from cewlab.states import (DensityMatrix, SystemKind, collective_state,
                            collective_state_stack, is_entangled, negativity,
                            negativity_stack, partial_transpose, sample_density,
                            sample_density_stack, sample_density_streams)
-from cewlab.states import _draw_state_inputs
+from cewlab.states import _state_inputs, _state_uniforms
 
 
 def singlet_matrix():
@@ -44,7 +44,8 @@ def test_sampled_spectrum_matches_drawn_simplex_point():
     # conjugation by the Haar unitary must not move the eigenvalues
     kind = SystemKind.QUBIT_QUTRIT
     rng = make_rng(11, 5)
-    diag, _ = _draw_state_inputs(make_rng(11, 5), kind.dim)
+    diags, _ = _state_inputs(make_rng(11, 5).random((1, _state_uniforms(kind.dim))), kind.dim)
+    diag = diags[0]
     rho = sample_density(kind, rng)
     np.testing.assert_allclose(hermitian_eigenvalues(rho.mat), np.sort(diag), atol=1e-10)
     assert abs(diag.sum() - 1.0) < 1e-12
