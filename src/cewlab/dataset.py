@@ -234,7 +234,7 @@ def load(path: str) -> Dataset:
             raise FormatError(f"{path}:{ln}: {exc}") from exc
     # generate writes nothing else; the 1e-12 leaves room for eigensolver noise
     checks = (
-        ("a feature is NaN or outside [0, 1]", ~((feats >= 0.0) & (feats <= 1.0)).any(axis=1)),
+        ("a feature is NaN or outside [0, 1]", ~((feats >= 0.0) & (feats <= 1.0)).all(axis=1)),
         ("negativity is NaN or outside [0, 0.5]", ~((negs >= 0.0) & (negs <= 0.5 + 1e-12))),
         (f"label disagrees with negativity > {ENTANGLE_EPS:g}", labs != (negs > ENTANGLE_EPS)),
     )

@@ -186,7 +186,7 @@ def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
     sigma = rho @ np.array([e.mat.T.ravel() for e in effects]).T
     ix = [position[x] for x, _ in pairs]
     iy = [position[y] for _, y in pairs]
-    trace = sigma[:, 0].real + sigma[:, d1 * d1 - 1].real
+    trace = sigma[:, ::d1 + 1].real.sum(axis=1)
     den = trace[:, ix] * trace[:, iy]
     # Re Tr[sigma_x sigma_y] of Hermitian sigmas is the dot product of their
     # entries' real and imaginary parts; summing it in one fixed order makes

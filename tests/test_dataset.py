@@ -139,7 +139,8 @@ def test_save_is_byte_stable(tmp_path):
 
 
 def test_load_reports_bad_lines(tmp_path):
-    ds = generate(KIND, B1, 10, seed=61)
+    # several features per row, so a bad cell must be caught beside good ones
+    ds = generate(KIND, preset_by_name(KIND, "B5"), 10, seed=61)
     path = str(tmp_path / "d.csv")
     save(ds, path)
     with open(path) as fh:
@@ -177,9 +178,9 @@ def test_load_reports_bad_lines(tmp_path):
     entangled = next(i for i, lab in enumerate(ds.labels, start=1) if lab)
     separable = next(i for i, lab in enumerate(ds.labels, start=1) if not lab)
     for row, column, value, message in [
-        (4, 0, "nan", "feature"),
-        (5, 0, "1.0000001", "feature"),
-        (6, 0, "-1e-300", "feature"),
+        (4, 1, "nan", "feature"),
+        (5, 2, "1.0000001", "feature"),
+        (6, 4, "-1e-300", "feature"),
         (entangled, -2, "0.50001", "negativity"),
         (separable, -2, "-1e-09", "negativity"),
         (entangled, -2, "5e-08", "label"),
