@@ -69,41 +69,39 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     if balanced and n % 2:
         raise ValueError("balanced generation needs an even n")
     quota = n // 2
-    taken_pos = taken_neg = 0
+    taken = taken_pos = taken_neg = 0
     rows: list[np.ndarray] = []
-    negs: list[float] = []
-    labs: list[bool] = []
-    streams: list[int] = []
+    negs: list[np.ndarray] = []
+    labs: list[np.ndarray] = []
+    streams: list[np.ndarray] = []
     chunk_index = 0
     # natural prevalences are >= 0.37 for both classes; this bound is never
     # approached unless the sampler itself is broken
     max_chunks = (8 * n) // CHUNK + 16
-    while len(labs) < n:
+    while taken < n:
         if chunk_index >= max_chunks:
             raise DrawBudgetExhausted(f"class quota not reached within {max_chunks * CHUNK} draws")
         values, neg, entangled, valid = _draw_chunk(kind, preset, seed, chunk_index)
-        for k in range(CHUNK):
-            if not valid[k]:
-                continue
-            if balanced:
-                if entangled[k]:
-                    if taken_pos >= quota:
-                        continue
-                    taken_pos += 1
-                else:
-                    if taken_neg >= quota:
-                        continue
-                    taken_neg += 1
-            rows.append(values[k])
-            negs.append(float(neg[k]))
-            labs.append(bool(entangled[k]))
-            streams.append(chunk_index * CHUNK + k)
-            if len(labs) == n:
-                break
+        # in draw order, a valid record is kept while its class quota (balanced
+        # mode) and the n-record total are unfilled
+        keep = valid
+        if balanced:
+            pos = valid & entangled
+            other = valid & ~entangled
+            keep = ((pos & (taken_pos + np.cumsum(pos) <= quota))
+                    | (other & (taken_neg + np.cumsum(other) <= quota)))
+        idx = np.flatnonzero(keep & (taken + np.cumsum(keep) <= n))
+        rows.append(values[idx])
+        negs.append(neg[idx])
+        labs.append(entangled[idx])
+        streams.append(chunk_index * CHUNK + idx)
+        taken += len(idx)
+        taken_pos += int(np.count_nonzero(entangled[idx]))
+        taken_neg = taken - taken_pos
         chunk_index += 1
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return Dataset(kind, preset, np.array(rows), np.array(negs), np.array(labs),
-                   seed, np.array(streams, dtype=np.int64), created)
+    return Dataset(kind, preset, np.concatenate(rows), np.concatenate(negs), np.concatenate(labs),
+                   seed, np.concatenate(streams).astype(np.int64), created)
 
 
 def regenerate_states(ds: Dataset) -> np.ndarray:
@@ -166,11 +164,14 @@ def save(ds: Dataset, path: str) -> None:
     b = ds.preset.b
     header = ",".join([f"f{i}" for i in range(1, b + 1)] + list(_HEADER_TAIL))
     lines = [header]
-    for row, neg, lab in zip(ds.features, ds.negativities, ds.labels):
-        cells = [repr(float(v)) for v in row]
-        cells.append(repr(float(neg)))
-        cells.append(str(int(lab)))
-        lines.append(",".join(cells))
+    # repr per cell is the floor: numpy's float-to-string casts
+    # (astype(StringDType) or "U32") give the same strings but measured slower,
+    # about 1.1-1.2 s against 0.55-0.7 s for the 900k feature cells of a
+    # qubit-qutrit B45 dataset of 20000 records. Rows are converted one at a
+    # time: features.tolist() would hold all 900k floats as objects at once,
+    # which raised that dataset's save-and-load peak RSS from 106 to 134 MB.
+    for row, neg, lab in zip(ds.features, ds.negativities.tolist(), ds.labels.tolist()):
+        lines.append(f"{','.join(map(repr, row.tolist()))},{neg!r},{int(lab)}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     meta = {

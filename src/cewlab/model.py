@@ -169,6 +169,14 @@ def _dataset_xy(data) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
+def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weights and biases as reshaped views of `flat`, in the order of `shapes`."""
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    half = len(shapes) // 2
+    return views[:half], views[half:]
+
+
 def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> TrainResult:
     """Mini-batch Adam on MSE; returns the best-validation-epoch snapshot.
 
@@ -190,14 +198,18 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
         raise ValueError("max_epochs must be at least 1")
 
     rng = make_rng(cfg.seed, _SHUFFLE_STREAM)
-    adam_mw = [np.zeros_like(w) for w in m.weights]
-    adam_vw = [np.zeros_like(w) for w in m.weights]
-    adam_mb = [np.zeros_like(b) for b in m.biases]
-    adam_vb = [np.zeros_like(b) for b in m.biases]
+    # weights then biases, in layer order, as views of one flat buffer: an
+    # Adam step is then one elementwise update, with the same bits per entry
+    # as a per-array update
+    arrays = (*m.weights, *m.biases)
+    shapes = [a.shape for a in arrays]
+    params = np.concatenate([a.ravel() for a in arrays], dtype=float)
+    m.weights, m.biases = _layer_views(params, shapes)
+    mom1 = np.zeros_like(params)
+    mom2 = np.zeros_like(params)
     step = 0
     stopper = EarlyStopper(cfg.patience)
-    best_weights = [w.copy() for w in m.weights]
-    best_biases = [b.copy() for b in m.biases]
+    best_params = params.copy()
     history: list[tuple[float, float]] = []
     epochs_run = 0
 
@@ -214,14 +226,10 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
             step += 1
             corr1 = 1.0 - cfg.beta1**step
             corr2 = 1.0 - cfg.beta2**step
-            for params, grads, mom1, mom2 in (
-                (m.weights, grads_w, adam_mw, adam_vw),
-                (m.biases, grads_b, adam_mb, adam_vb),
-            ):
-                for i, g in enumerate(grads):
-                    mom1[i] = cfg.beta1 * mom1[i] + (1.0 - cfg.beta1) * g
-                    mom2[i] = cfg.beta2 * mom2[i] + (1.0 - cfg.beta2) * g * g
-                    params[i] -= cfg.learning_rate * (mom1[i] / corr1) / (np.sqrt(mom2[i] / corr2) + cfg.epsilon)
+            g = np.concatenate([a.ravel() for a in (*grads_w, *grads_b)])
+            mom1 = cfg.beta1 * mom1 + (1.0 - cfg.beta1) * g
+            mom2 = cfg.beta2 * mom2 + (1.0 - cfg.beta2) * g * g
+            params -= cfg.learning_rate * (mom1 / corr1) / (np.sqrt(mom2 / corr2) + cfg.epsilon)
         train_mse = sq_err_sum / n
         val_mse = float(np.mean((_forward_batch(m, x_val) - y_val) ** 2))
         if not np.isfinite(val_mse):
@@ -230,15 +238,13 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
         improved = val_mse < stopper.best
         should_stop = stopper.update(val_mse)
         if improved:
-            best_weights = [w.copy() for w in m.weights]
-            best_biases = [b.copy() for b in m.biases]
+            best_params = params.copy()
         if on_epoch is not None:
             on_epoch(epoch, train_mse, val_mse)
         if should_stop:
             break
 
-    m.weights = best_weights
-    m.biases = best_biases
+    m.weights, m.biases = _layer_views(best_params, shapes)
     # eval refuses test data whose kind or pairs differ from these
     preset = getattr(train_data, "preset", None)
     m.meta.update({

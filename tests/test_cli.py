@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cewlab
 from cewlab import dataset
 from cewlab.cli import main, run_sweep
 from cewlab.states import SystemKind
@@ -41,6 +45,22 @@ def workspace(tmp_path_factory):
 def test_version(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.startswith("cewlab ")
+
+
+@pytest.mark.parametrize("module", ["cewlab", "cewlab.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    # the same command line without the installed console script
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cewlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    version = subprocess.run([sys.executable, "-m", module, "--version"],
+                             env=env, capture_output=True, text=True, timeout=60)
+    assert version.returncode == 0
+    assert version.stdout == f"cewlab {cewlab.__version__}\n"
+    unknown = subprocess.run([sys.executable, "-m", module, "frobnicate"],
+                             env=env, capture_output=True, text=True, timeout=60)
+    assert unknown.returncode == 2
+    assert "invalid choice" in unknown.stderr
 
 
 def test_gen_reports_shape_and_prevalence(tmp_path, capsys):

@@ -63,6 +63,59 @@ def test_quota_exhaustion_raises_a_package_error(monkeypatch):
         generate(KIND, B1, 10, seed=63)
 
 
+def per_record_selection(kind, preset, n, seed, balanced):
+    """Test-only oracle: generate()'s selection as a loop over each record of a chunk."""
+    quota = n // 2
+    taken_pos = taken_neg = 0
+    rows, negs, labs, streams = [], [], [], []
+    chunk_index = 0
+    while len(labs) < n:
+        values, neg, entangled, valid = dataset._draw_chunk(kind, preset, seed, chunk_index)
+        for k in range(CHUNK):
+            if not valid[k]:
+                continue
+            if balanced:
+                if entangled[k]:
+                    if taken_pos >= quota:
+                        continue
+                    taken_pos += 1
+                else:
+                    if taken_neg >= quota:
+                        continue
+                    taken_neg += 1
+            rows.append(values[k])
+            negs.append(float(neg[k]))
+            labs.append(bool(entangled[k]))
+            streams.append(chunk_index * CHUNK + k)
+            if len(labs) == n:
+                break
+        chunk_index += 1
+    return np.array(rows), np.array(negs), np.array(labs), np.array(streams, dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("balanced", [True, False])
+@pytest.mark.parametrize("n", [200, 3000])  # ends inside chunk 0; spans several chunks
+@pytest.mark.parametrize("invalid_every", [None, 7])
+def test_selection_matches_the_per_record_oracle(monkeypatch, kind, balanced, n, invalid_every):
+    if invalid_every:
+        # degenerate conditioning is too rare to show up at these sizes, so mark some draws
+        draw = dataset._draw_chunk
+
+        def draw_with_invalid(*args):
+            values, neg, entangled, valid = draw(*args)
+            return values, neg, entangled, valid & (np.arange(CHUNK) % invalid_every != 3)
+        monkeypatch.setattr(dataset, "_draw_chunk", draw_with_invalid)
+    preset = preset_by_name(kind, "B10" if kind is SystemKind.TWO_QUBIT else "B45")
+    ds = generate(kind, preset, n, seed=64, balanced=balanced)
+    expected = per_record_selection(kind, preset, n, 64, balanced)
+    for got, want in zip((ds.features, ds.negativities, ds.labels, ds.stream_indices), expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    if invalid_every:
+        assert not np.any(ds.stream_indices % CHUNK % invalid_every == 3)
+
+
 def test_unbalanced_keeps_natural_prevalence():
     ds = generate(KIND, B1, 2000, seed=53, balanced=False)
     assert np.array_equal(ds.stream_indices, np.arange(2000))
@@ -125,10 +178,17 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_is_byte_stable(tmp_path):
-    ds = generate(KIND, B1, 100, seed=60)
+    ds = generate(KIND, preset_by_name(KIND, "B3"), 100, seed=60)
+    # extremes of repr: exact 0 and 1, exponent notation, the smallest subnormal
+    ds.features[:4, 1] = [0.0, 1.0, 1e-05, 5e-324]
     p1 = str(tmp_path / "a.csv")
     p2 = str(tmp_path / "b.csv")
     save(ds, p1)
+    lines = ["f1,f2,f3,negativity,label"] + [
+        ",".join([repr(float(v)) for v in row] + [repr(float(neg)), str(int(lab))])
+        for row, neg, lab in zip(ds.features, ds.negativities, ds.labels)]
+    with open(p1, "rb") as fh:
+        assert fh.read() == ("\n".join(lines) + "\n").encode()
     save(load(p1), p2)
     for suffix in ("", ".meta"):
         with open(p1 + suffix, "rb") as fh:

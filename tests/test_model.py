@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cewlab import model
+
 from cewlab.dataset import generate, split
 from cewlab.errors import DimensionMismatch, DivergedTraining, EmptyDataset, FormatError
 from cewlab.measure import preset_by_name
@@ -16,6 +18,7 @@ from cewlab.model import (
     save_model,
     train,
 )
+from cewlab.qlinalg import make_rng
 from cewlab.states import SystemKind
 
 
@@ -201,6 +204,89 @@ def test_train_restores_best_epoch_snapshot():
     assert recomputed == pytest.approx(result.best_val_mse, rel=1e-12)
     assert result.best_val_mse == pytest.approx(min(v for _, v in result.history), rel=0)
     assert result.best_epoch <= result.epochs_run
+
+
+def per_array_adam_train(m, train_data, val_data, cfg):
+    """Test-only oracle: train() as it was with one Adam update per array."""
+    x_train, y_train = model._dataset_xy(train_data)
+    x_val, y_val = model._dataset_xy(val_data)
+    n = len(x_train)
+    rng = make_rng(cfg.seed, model._SHUFFLE_STREAM)
+    adam_mw = [np.zeros_like(w) for w in m.weights]
+    adam_vw = [np.zeros_like(w) for w in m.weights]
+    adam_mb = [np.zeros_like(b) for b in m.biases]
+    adam_vb = [np.zeros_like(b) for b in m.biases]
+    step = 0
+    stopper = EarlyStopper(cfg.patience)
+    best_weights = [w.copy() for w in m.weights]
+    best_biases = [b.copy() for b in m.biases]
+    history = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        perm = rng.permutation(n)
+        sq_err_sum = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            batch = perm[lo: lo + cfg.batch_size]
+            grads_w, grads_b, mse = gradient(m, x_train[batch], y_train[batch])
+            sq_err_sum += mse * len(batch)
+            step += 1
+            corr1 = 1.0 - cfg.beta1**step
+            corr2 = 1.0 - cfg.beta2**step
+            for params, grads, mom1, mom2 in (
+                (m.weights, grads_w, adam_mw, adam_vw),
+                (m.biases, grads_b, adam_mb, adam_vb),
+            ):
+                for i, g in enumerate(grads):
+                    mom1[i] = cfg.beta1 * mom1[i] + (1.0 - cfg.beta1) * g
+                    mom2[i] = cfg.beta2 * mom2[i] + (1.0 - cfg.beta2) * g * g
+                    params[i] -= cfg.learning_rate * (mom1[i] / corr1) / (np.sqrt(mom2[i] / corr2) + cfg.epsilon)
+        val_mse = float(np.mean((forward(m, x_val) - y_val) ** 2))
+        history.append((sq_err_sum / n, val_mse))
+        improved = val_mse < stopper.best
+        should_stop = stopper.update(val_mse)
+        if improved:
+            best_weights = [w.copy() for w in m.weights]
+            best_biases = [b.copy() for b in m.biases]
+        if should_stop:
+            break
+    return Mlp(best_weights, best_biases), history
+
+
+def b10_split():
+    kind = SystemKind.TWO_QUBIT
+    ds = generate(kind, preset_by_name(kind, "B10"), 800, seed=71)
+    tr, va, _ = split(ds, (0.6, 0.2, 0.2))
+    return tr, va, TrainConfig(batch_size=64, max_epochs=15, seed=13)
+
+
+def one_feature_problem():
+    rng = np.random.default_rng(19)
+    x = rng.random((300, 1))
+    xv = rng.random((60, 1))
+    data = (x, 0.5 * x[:, 0] ** 2), (xv, 0.5 * xv[:, 0] ** 2)
+    return (*data, TrainConfig(learning_rate=3e-2, batch_size=32, max_epochs=200,
+                               patience=2, seed=21))
+
+
+@pytest.mark.parametrize("problem", [b10_split, one_feature_problem])
+def test_train_matches_the_per_array_adam_oracle(problem, tmp_path):
+    train_data, val_data, cfg = problem()
+    input_dim = model._dataset_xy(train_data)[0].shape[1]
+    result = train(init_mlp(input_dim, cfg), train_data, val_data, cfg)
+    expected, history = per_array_adam_train(init_mlp(input_dim, cfg), train_data, val_data, cfg)
+
+    assert result.history == history
+    if problem is one_feature_problem:
+        # early stopping fired and an earlier epoch's snapshot was restored
+        assert result.epochs_run < cfg.max_epochs
+        assert result.best_epoch < result.epochs_run
+    for got, want in zip(result.model.weights + result.model.biases,
+                         expected.weights + expected.biases):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    expected.meta = dict(result.model.meta)  # meta is not what the oracle checks
+    save_model(result.model, str(tmp_path / "flat.json"))
+    save_model(expected, str(tmp_path / "oracle.json"))
+    assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
 
 def test_train_diverges_on_absurd_learning_rate():
