@@ -1,0 +1,97 @@
+"""Byte fingerprint of the pipeline: gen CSV and sidecar, a trained model, its ROC table.
+
+A refactor must leave these digests unchanged, or re-pin them and record
+the deviation in CHANGES.md. Bytes are promised on one machine only (see
+the `qlinalg` docstring): on another CPU, BLAS kernels and numpy's exp and
+log may differ in the last bits. So a mismatch is reported with the largest
+feature and negativity deviation and the number of label flips, measured
+against the reference CSV under `tests/fingerprint/`, which is the pinned
+CSV itself. Deviations of order 1e-15 with no label flip point to such a
+platform difference; anything larger, or any flip, is a change of behaviour.
+The digests were pinned on the machine named in the README.
+"""
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from cewlab.dataset import generate, save, split
+from cewlab.evaluate import roc_curve, write_roc
+from cewlab.measure import preset_by_name
+from cewlab.model import TrainConfig, init_mlp, predict_negativity, save_model, train
+from cewlab.states import SystemKind
+
+REFERENCE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fingerprint")
+N = 200
+SEED = 1
+PRESET = {SystemKind.TWO_QUBIT: "B10", SystemKind.QUBIT_QUTRIT: "B13"}
+PINNED = {
+    SystemKind.TWO_QUBIT: {
+        "csv": "a2946ef9c0368addfc92ac8e29293ecc7f19604bf49ba058bc422856450789ea",
+        "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
+        "model": "9098d58cb1964b0e89afcb119bdd6fbca7f7cb52b9a1aaae2a2eed1ce0561ea7",
+        "roc": "454c0dcc623b879e071bfee267f5942bc888c1075fde019c0c462406b8c28d11",
+    },
+    SystemKind.QUBIT_QUTRIT: {
+        "csv": "48f6f89a2159d10207b43a170bcb912a1c46c68178ed2e9ce7595cfe89982c08",
+        "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
+        "model": "a9fdfb1439144481cc6ee41b8ea3de4723d71165244e10b43e9f05e20b5f215a",
+        "roc": "41be2f2e695661704369d5b58200cf725633b1563386e22af90d066b061109a2",
+    },
+}
+
+
+def sha256_file(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def reference_path(kind):
+    return os.path.join(REFERENCE_DIR, f"{kind.value}-{PRESET[kind]}.csv")
+
+
+def pipeline_digests(kind, out_dir):
+    """gen, then a three-epoch model on a split of it and the model's ROC table."""
+    preset = preset_by_name(kind, PRESET[kind])
+    ds = generate(kind, preset, N, SEED)
+    csv = os.path.join(out_dir, "gen.csv")
+    save(ds, csv)
+    train_ds, val_ds, test_ds = split(ds, (0.6, 0.2, 0.2))
+    cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=SEED)
+    result = train(init_mlp(preset.b, cfg), train_ds, val_ds, cfg)
+    model_path = os.path.join(out_dir, "model.mlp.json")
+    roc_path = os.path.join(out_dir, "roc.csv")
+    save_model(result.model, model_path)
+    write_roc(roc_curve(predict_negativity(result.model, test_ds.features), test_ds.labels),
+              roc_path)
+    digests = {"csv": sha256_file(csv), "meta": sha256_file(csv + ".meta"),
+               "model": sha256_file(model_path), "roc": sha256_file(roc_path)}
+    return ds, digests
+
+
+def deviation_report(ds, kind):
+    """Largest feature and negativity deviation and label flips against the reference."""
+    ref = np.loadtxt(reference_path(kind), delimiter=",", skiprows=1, ndmin=2)
+    b = ds.preset.b
+    if ref.shape != (ds.count, b + 2):
+        return f"reference shape {ref.shape} differs from ({ds.count}, {b + 2})"
+    feature_dev = np.abs(ds.features - ref[:, :b]).max()
+    negativity_dev = np.abs(ds.negativities - ref[:, b]).max()
+    flips = int(np.count_nonzero(ds.labels != (ref[:, b + 1] == 1.0)))
+    return (f"largest feature deviation {feature_dev:.3e}, largest negativity deviation "
+            f"{negativity_dev:.3e}, {flips} label flips of {ds.count}")
+
+
+@pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
+def test_reference_csv_is_the_pinned_one(kind):
+    assert sha256_file(reference_path(kind)) == PINNED[kind]["csv"]
+
+
+@pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
+def test_artifact_digests_are_pinned(kind, tmp_path):
+    ds, digests = pipeline_digests(kind, str(tmp_path))
+    changed = [name for name, digest in digests.items() if digest != PINNED[kind][name]]
+    assert not changed, (
+        f"{kind.value} {PRESET[kind]} fingerprint differs in {', '.join(changed)}: "
+        f"{deviation_report(ds, kind)} against {reference_path(kind)}; got {digests}")
