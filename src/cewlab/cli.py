@@ -70,9 +70,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                       max_epochs=args.max_epochs, patience=args.patience,
                       seed=args.seed)
     model = init_mlp(train_ds.features.shape[1], cfg)
-    print("epoch  train_mse     val_mse")
 
     def report(epoch: int, train_mse: float, val_mse: float) -> None:
+        # the header waits for the first epoch, so a refused run prints only its error
+        if epoch == 1:
+            print("epoch  train_mse     val_mse")
         print(f"{epoch:5d}  {train_mse:.6e}  {val_mse:.6e}")
 
     result = train(model, train_ds, val_ds, cfg, on_epoch=report)

@@ -194,8 +194,14 @@ def load(path: str) -> Dataset:
         kind = SystemKind(meta["kind"])
         preset = MeasurementPreset(kind, meta["preset"]["name"],
                                    tuple(tuple(p) for p in meta["preset"]["pairs"]))
-        seed = int(meta["seed"])
-        count = int(meta["count"])
+        seed = meta["seed"]
+        count = meta["count"]
+        # save writes the seed and count as JSON integers, and generate takes
+        # seeds in [0, 2**64) only; a float would otherwise be truncated
+        if type(seed) is not int or not 0 <= seed < 2**64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
+        if type(count) is not int or count < 0:
+            raise ValueError("count must be a non-negative integer")
         streams = meta["stream_indices"]
         # generate writes distinct non-negative int64 draw indices; regeneration
         # would silently sample the wrong stream for anything else

@@ -5,16 +5,8 @@ class CewlabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitian(CewlabError):
-    """Matrix fails the Hermiticity tolerance required by an eigensolve."""
-
-
 class DimensionMismatch(CewlabError):
     """Operands have incompatible shapes for the requested operation."""
-
-
-class DegenerateConditioning(CewlabError):
-    """Conditional probability undefined: local projections have vanishing weight."""
 
 
 class UnknownPreset(CewlabError):
@@ -27,6 +19,10 @@ class EmptyDataset(CewlabError):
 
 class DegenerateLabels(CewlabError):
     """Both classes are required but only one is present."""
+
+
+class TooFewRecords(CewlabError):
+    """A dataset holds fewer records than an operation needs."""
 
 
 class DrawBudgetExhausted(CewlabError):

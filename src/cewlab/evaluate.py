@@ -10,7 +10,7 @@ from .dataset import Dataset, regenerate_states
 from .errors import DegenerateLabels, DimensionMismatch, EmptyDataset, WitnessFalsePositive
 from .measure import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .qlinalg import hermitian_eigenvalues_stack
-from .states import ENTANGLE_EPS, DensityMatrix, SystemKind
+from .states import ENTANGLE_EPS, SystemKind
 
 
 @dataclass(frozen=True)
@@ -112,17 +112,6 @@ class Witness(enum.Enum):
     FEF = "fef"
 
 
-def _two_qubit_matrix(rho, what: str) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        if rho.kind is not SystemKind.TWO_QUBIT:
-            raise DimensionMismatch(f"{what} is defined for two-qubit states only")
-        return rho.mat
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (4, 4):
-        raise DimensionMismatch(f"{what} is defined for two-qubit states only")
-    return mat
-
-
 def _pauli_correlations(mats: np.ndarray) -> np.ndarray:
     """T[k, i, j] = Tr[rho_k sigma_i x sigma_j] for a stack of 4x4 states."""
     paulis = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -139,13 +128,6 @@ def chsh_m_value_stack(mats: np.ndarray) -> np.ndarray:
     return eigs[:, -1] + eigs[:, -2]
 
 
-def chsh_violation(rho) -> tuple[bool, float]:
-    """(violated, M) where M > 1 certifies a CHSH violation."""
-    mat = _two_qubit_matrix(rho, "the CHSH criterion")
-    m_value = float(chsh_m_value_stack(mat[None])[0])
-    return m_value > 1.0, m_value
-
-
 # Magic basis columns; the real part of rho in this basis carries the
 # maximal overlap with maximally entangled states as its top eigenvalue.
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -158,14 +140,10 @@ _MAGIC = np.array([
 
 
 def fef_stack(mats: np.ndarray) -> np.ndarray:
+    """Fully entangled fraction: largest overlap with any maximally entangled state."""
     m = np.einsum("ab,kbc,cd->kad", _MAGIC.conj().T, mats, _MAGIC).real
     m = 0.5 * (m + m.transpose(0, 2, 1))
     return hermitian_eigenvalues_stack(m)[:, -1]
-
-
-def fef(rho) -> float:
-    """Fully entangled fraction: largest overlap with any maximally entangled state."""
-    return float(fef_stack(_two_qubit_matrix(rho, "the fully entangled fraction")[None])[0])
 
 
 def witness_scores(ds: Dataset, witness: Witness) -> np.ndarray:

@@ -11,8 +11,8 @@ needed. With the conditional qubit states sigma_x = Tr_2[rho (I x E_x)],
 
 the denominator being the probability of the local outcomes x and y.
 `feature_traces_stack` computes the features this way for a stack of
-states; `p_xy` keeps the literal trace against the collective state as the
-reference form.
+states; the tests check it against the literal trace of the singlet
+projector over the collective state.
 """
 from __future__ import annotations
 
@@ -21,14 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateConditioning, DimensionMismatch, UnknownPreset
-from .states import (
-    ENTANGLE_EPS,
-    CollectiveState,
-    DensityMatrix,
-    SystemKind,
-    negativity,
-)
+from .errors import DimensionMismatch, UnknownPreset
+from .states import SystemKind
 
 #: Denominators below this mean the local projections almost never fire.
 DENOM_TOL = 1e-12
@@ -55,14 +49,6 @@ class MeasurementPreset:
     @property
     def b(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    preset: MeasurementPreset
-    values: np.ndarray
-    negativity: float
-    entangled: bool
 
 
 def qubit_tetrahedron() -> tuple[LocalEffect, ...]:
@@ -98,14 +84,6 @@ def qutrit_nine() -> tuple[LocalEffect, ...]:
             effects.append(LocalEffect(index, np.outer(ket, ket.conj())))
             index += 1
     return tuple(effects)
-
-
-def bell_singlet() -> np.ndarray:
-    """Projector onto (|01> - |10>)/sqrt(2)."""
-    ket = np.zeros(4, dtype=np.complex128)
-    ket[1] = 1.0 / np.sqrt(2.0)
-    ket[2] = -1.0 / np.sqrt(2.0)
-    return np.outer(ket, ket.conj())
 
 
 @lru_cache(maxsize=None)
@@ -146,26 +124,6 @@ def preset_by_name(kind: SystemKind, name: str) -> MeasurementPreset:
     raise UnknownPreset(f"unknown preset {name!r} for {kind.value}")
 
 
-def p_xy(rho_t: CollectiveState, x: LocalEffect, y: LocalEffect) -> float:
-    """Conditional singlet probability for one local pair.
-
-    Numerator projects the middle qubit pair onto the singlet; the
-    denominator conditions on the local outcomes alone.
-    """
-    d2 = rho_t.kind.dims[1]
-    if x.mat.shape != (d2, d2) or y.mat.shape != (d2, d2):
-        raise DimensionMismatch(
-            f"local effects must be {d2}x{d2} for {rho_t.kind.value}")
-    numerator_op = np.kron(x.mat, np.kron(bell_singlet(), y.mat))
-    denominator_op = np.kron(x.mat, np.kron(np.eye(4), y.mat))
-    numerator = np.einsum('ij,ji->', rho_t.mat, numerator_op).real
-    denominator = np.einsum('ij,ji->', rho_t.mat, denominator_op).real
-    if denominator < DENOM_TOL:
-        raise DegenerateConditioning(
-            f"local projection probability {denominator:.3e} below {DENOM_TOL:.0e}")
-    return float(np.clip(numerator / denominator, 0.0, 1.0))
-
-
 def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
                          pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator traces of every pair for a stack of density
@@ -203,16 +161,3 @@ def conditional_probabilities(num: np.ndarray, den: np.ndarray) -> tuple[np.ndar
     conditioned on a local probability of at least DENOM_TOL."""
     ok = den >= DENOM_TOL
     return np.clip(num / np.where(ok, den, 1.0), 0.0, 1.0), ok.all(axis=1)
-
-
-def features(rho: DensityMatrix, preset: MeasurementPreset) -> FeatureVector:
-    """Feature vector plus negativity labels for one state."""
-    if preset.kind is not rho.kind:
-        raise DimensionMismatch(
-            f"preset is for {preset.kind.value}, state is {rho.kind.value}")
-    values, valid = conditional_probabilities(
-        *feature_traces_stack(rho.mat[None], rho.kind, preset.pairs))
-    if not valid[0]:
-        raise DegenerateConditioning("a local projection probability vanished")
-    neg = negativity(rho)
-    return FeatureVector(preset, values[0], neg, neg > ENTANGLE_EPS)

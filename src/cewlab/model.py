@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergedTraining, EmptyDataset, FormatError
+from .errors import DimensionMismatch, DivergedTraining, EmptyDataset, FormatError, TooFewRecords
 from .qlinalg import make_rng, standard_normals
 
 HIDDEN_SIZES = (32, 16)
@@ -21,13 +21,15 @@ HIDDEN_SIZES = (32, 16)
 _INIT_STREAM = 1 << 62
 _SHUFFLE_STREAM = (1 << 62) + 1
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 256
     max_epochs: int = 200
     patience: int = 5
@@ -120,13 +122,10 @@ def forward(m: Mlp, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def predict_negativity(m: Mlp, x, clamp: bool = True):
-    """Forward pass, optionally clamped to the physical range [0, 0.5]."""
-    out = forward(m, x)
-    if clamp:
-        out = np.clip(out, 0.0, 0.5)
-        return float(out) if np.ndim(out) == 0 else out
-    return out
+def predict_negativity(m: Mlp, x):
+    """Forward pass clamped to the physical range [0, 0.5]."""
+    out = np.clip(forward(m, x), 0.0, 0.5)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
@@ -192,8 +191,10 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
     if x_train.shape[1] != m.input_dim or x_val.shape[1] != m.input_dim:
         raise DimensionMismatch(
             f"model expects {m.input_dim} features, got {x_train.shape[1]} train / {x_val.shape[1]} val")
-    if cfg.batch_size < 1 or cfg.batch_size > n:
-        raise ValueError("batch_size must be in [1, training-set size]")
+    if cfg.batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    if cfg.batch_size > n:
+        raise TooFewRecords(f"batch_size {cfg.batch_size} exceeds the {n} training records")
     if cfg.max_epochs < 1:
         raise ValueError("max_epochs must be at least 1")
 
@@ -224,12 +225,12 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
                 raise DivergedTraining(f"training loss became non-finite at epoch {epoch}")
             sq_err_sum += mse * len(batch)
             step += 1
-            corr1 = 1.0 - cfg.beta1**step
-            corr2 = 1.0 - cfg.beta2**step
+            corr1 = 1.0 - BETA1**step
+            corr2 = 1.0 - BETA2**step
             g = np.concatenate([a.ravel() for a in (*grads_w, *grads_b)])
-            mom1 = cfg.beta1 * mom1 + (1.0 - cfg.beta1) * g
-            mom2 = cfg.beta2 * mom2 + (1.0 - cfg.beta2) * g * g
-            params -= cfg.learning_rate * (mom1 / corr1) / (np.sqrt(mom2 / corr2) + cfg.epsilon)
+            mom1 = BETA1 * mom1 + (1.0 - BETA1) * g
+            mom2 = BETA2 * mom2 + (1.0 - BETA2) * g * g
+            params -= cfg.learning_rate * (mom1 / corr1) / (np.sqrt(mom2 / corr2) + EPSILON)
         train_mse = sq_err_sum / n
         val_mse = float(np.mean((_forward_batch(m, x_val) - y_val) ** 2))
         if not np.isfinite(val_mse):

@@ -7,7 +7,7 @@ wraps numpy's implementation in a Generator for sequential draws;
 once in plain uint64 numpy, so a stack of samples costs one vectorized pass
 and any subset of streams can be drawn alone, bit for bit.
 
-Matrices are plain complex numpy arrays (nothing here exceeds 36 x 36).
+Matrices are plain complex numpy arrays (nothing here exceeds 6 x 6).
 Every eigenvalue in the package comes from `hermitian_eigenvalues_stack`,
 LAPACK's symmetric/Hermitian solver through `np.linalg.eigvalsh`. numpy's
 linalg gufuncs copy each matrix of a stack into a work buffer and solve it
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
-
-HERMITICITY_TOL = 1e-10
+from .errors import DimensionMismatch
 
 # Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -120,19 +118,6 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian draws (E|z|^2 = 1), polar Box-Muller form."""
-    return complex_normals_from_uniforms(rng.random(shape), rng.random(shape))  # u1 drawn first
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    z = complex_normals(rng, (dim, dim))
-    return haar_from_ginibre(z[None])[0]
-
-
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """QR-orthonormalize a stack of Ginibre matrices with phase correction.
 
@@ -144,42 +129,11 @@ def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def swap_operator(dim_a: int, dim_b: int) -> np.ndarray:
-    """Permutation matrix S with S(|a> tensor |b>) = |b> tensor |a>."""
-    s = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    for a in range(dim_a):
-        for b in range(dim_b):
-            s[b * dim_a + a, a * dim_b + b] = 1.0
-    return s
-
-
-def require_hermitian(mats: np.ndarray) -> None:
-    """Raise NotHermitian when max|M - M^dag| over a stack exceeds 1e-10."""
-    deviation = np.abs(mats - mats.conj().swapaxes(-1, -2)).max() if mats.size else 0.0
-    if deviation > HERMITICITY_TOL:
-        raise NotHermitian(f"max|M - M^dag| = {deviation:.3e} exceeds {HERMITICITY_TOL:.0e}")
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    Raises NotHermitian when max|M - M^dag| exceeds 1e-10.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    require_hermitian(m)
-    # exact identity for exactly-Hermitian input, regularizes borderline ones
-    sym = 0.5 * (m + m.conj().T)
-    return hermitian_eigenvalues_stack(sym[None])[0]
-
-
 def hermitian_eigenvalues_stack(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of real symmetric or complex Hermitian matrices.
 
     Input shape (m, n, n), output shape (m, n) with each row ascending.
-    Inputs are trusted to be Hermitian (only the lower triangle is read);
-    use hermitian_eigenvalues for the checked single-matrix form.
+    Inputs are trusted to be Hermitian (only the lower triangle is read).
     """
     a = np.asarray(mats)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:

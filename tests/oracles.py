@@ -1,0 +1,218 @@
+"""Reference forms the tests check the package against.
+
+The package computes every quantity as a stack, the form its command line
+runs. These are the one-state forms: the Generator-path sampler, checked
+scalar wrappers, and the literal two-copy collective state with the
+singlet projector, against which the conditional-state features are
+checked. Nothing under `src/` imports this module.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from cewlab.errors import CewlabError, DimensionMismatch
+from cewlab.evaluate import chsh_m_value_stack, fef_stack
+from cewlab.measure import (DENOM_TOL, LocalEffect, MeasurementPreset,
+                            conditional_probabilities, feature_traces_stack)
+from cewlab.qlinalg import (complex_normals_from_uniforms, haar_from_ginibre,
+                            hermitian_eigenvalues_stack)
+from cewlab.states import (ENTANGLE_EPS, SystemKind, _density_from_uniforms, _state_uniforms,
+                           negativity_stack, partial_transpose_stack)
+
+# --- linear algebra and randomness -------------------------------------------
+
+HERMITICITY_TOL = 1e-10
+
+
+class NotHermitian(CewlabError):
+    """Matrix fails the Hermiticity tolerance required by an eigensolve."""
+
+
+class DegenerateConditioning(CewlabError):
+    """Conditional probability undefined: local projections have vanishing weight."""
+
+
+def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian draws (E|z|^2 = 1), polar Box-Muller form."""
+    return complex_normals_from_uniforms(rng.random(shape), rng.random(shape))  # u1 drawn first
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    z = complex_normals(rng, (dim, dim))
+    return haar_from_ginibre(z[None])[0]
+
+
+def swap_operator(dim_a: int, dim_b: int) -> np.ndarray:
+    """Permutation matrix S with S(|a> tensor |b>) = |b> tensor |a>."""
+    s = np.zeros((dim_a * dim_b, dim_a * dim_b))
+    for a in range(dim_a):
+        for b in range(dim_b):
+            s[b * dim_a + a, a * dim_b + b] = 1.0
+    return s
+
+
+def require_hermitian(mats: np.ndarray) -> None:
+    """Raise NotHermitian when max|M - M^dag| over a stack exceeds 1e-10."""
+    deviation = np.abs(mats - mats.conj().swapaxes(-1, -2)).max() if mats.size else 0.0
+    if deviation > HERMITICITY_TOL:
+        raise NotHermitian(f"max|M - M^dag| = {deviation:.3e} exceeds {HERMITICITY_TOL:.0e}")
+
+
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending.
+
+    Raises NotHermitian when max|M - M^dag| exceeds 1e-10.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    require_hermitian(m)
+    # exact identity for exactly-Hermitian input, regularizes borderline ones
+    sym = 0.5 * (m + m.conj().T)
+    return hermitian_eigenvalues_stack(sym[None])[0]
+
+
+# --- states ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    kind: SystemKind
+    mat: np.ndarray
+
+
+@dataclass(frozen=True)
+class CollectiveState:
+    """Two-copy state with subsystems ordered (local, Bell, Bell, local).
+
+    Positions 2 and 3 are the qubits of the two copies, adjacent so the
+    singlet projection acts on a contiguous 4-dimensional block.
+    """
+
+    kind: SystemKind
+    mat: np.ndarray
+
+
+def sample_density(kind: SystemKind, rng: np.random.Generator) -> DensityMatrix:
+    """One random state drawn from a Generator, in the draw order of one stream."""
+    dim = kind.dim
+    return DensityMatrix(kind, _density_from_uniforms(rng.random((1, _state_uniforms(dim))), dim)[0])
+
+
+def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:
+    """Transpose the indices of one subsystem only."""
+    d1, d2 = rho.kind.dims
+    if subsystem == 2:
+        return partial_transpose_stack(rho.mat[None], d1, d2)[0]
+    if subsystem != 1:
+        raise ValueError("subsystem must be 1 or 2")
+    return rho.mat.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
+
+
+def negativity(rho: DensityMatrix) -> float:
+    """Absolute sum of the negative partial-transpose eigenvalues, in [0, 0.5]."""
+    require_hermitian(rho.mat)
+    return float(negativity_stack(rho.mat[None], rho.kind)[0])
+
+
+def is_entangled(rho: DensityMatrix, eps: float = ENTANGLE_EPS) -> bool:
+    """Exact for these dimensions: positivity of the partial transpose decides."""
+    return negativity(rho) > eps
+
+
+def collective_state(rho: DensityMatrix) -> CollectiveState:
+    """Two copies with the first copy's subsystems interchanged.
+
+    The swap puts both qubits destined for the Bell projection in the
+    middle of the tensor-product ordering.
+    """
+    d1, d2 = rho.kind.dims
+    return CollectiveState(rho.kind, collective_state_stack(rho.mat[None], d1, d2)[0])
+
+
+def collective_state_stack(mats: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    m = mats.shape[0]
+    d = d1 * d2
+    w = swap_operator(d1, d2)
+    swapped = np.matmul(np.matmul(w, mats), w.T)
+    return np.einsum('mab,mcd->macbd', swapped, mats).reshape(m, d * d, d * d)
+
+
+# --- measurement -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FeatureVector:
+    preset: MeasurementPreset
+    values: np.ndarray
+    negativity: float
+    entangled: bool
+
+
+def bell_singlet() -> np.ndarray:
+    """Projector onto (|01> - |10>)/sqrt(2)."""
+    ket = np.zeros(4, dtype=np.complex128)
+    ket[1] = 1.0 / np.sqrt(2.0)
+    ket[2] = -1.0 / np.sqrt(2.0)
+    return np.outer(ket, ket.conj())
+
+
+def p_xy(rho_t: CollectiveState, x: LocalEffect, y: LocalEffect) -> float:
+    """Conditional singlet probability for one local pair.
+
+    Numerator projects the middle qubit pair onto the singlet; the
+    denominator conditions on the local outcomes alone.
+    """
+    d2 = rho_t.kind.dims[1]
+    if x.mat.shape != (d2, d2) or y.mat.shape != (d2, d2):
+        raise DimensionMismatch(
+            f"local effects must be {d2}x{d2} for {rho_t.kind.value}")
+    numerator_op = np.kron(x.mat, np.kron(bell_singlet(), y.mat))
+    denominator_op = np.kron(x.mat, np.kron(np.eye(4), y.mat))
+    numerator = np.einsum('ij,ji->', rho_t.mat, numerator_op).real
+    denominator = np.einsum('ij,ji->', rho_t.mat, denominator_op).real
+    if denominator < DENOM_TOL:
+        raise DegenerateConditioning(
+            f"local projection probability {denominator:.3e} below {DENOM_TOL:.0e}")
+    return float(np.clip(numerator / denominator, 0.0, 1.0))
+
+
+def features(rho: DensityMatrix, preset: MeasurementPreset) -> FeatureVector:
+    """Feature vector plus negativity labels for one state."""
+    if preset.kind is not rho.kind:
+        raise DimensionMismatch(
+            f"preset is for {preset.kind.value}, state is {rho.kind.value}")
+    values, valid = conditional_probabilities(
+        *feature_traces_stack(rho.mat[None], rho.kind, preset.pairs))
+    if not valid[0]:
+        raise DegenerateConditioning("a local projection probability vanished")
+    neg = negativity(rho)
+    return FeatureVector(preset, values[0], neg, neg > ENTANGLE_EPS)
+
+
+# --- witnesses ---------------------------------------------------------------
+
+def _two_qubit_matrix(rho, what: str) -> np.ndarray:
+    if isinstance(rho, DensityMatrix):
+        if rho.kind is not SystemKind.TWO_QUBIT:
+            raise DimensionMismatch(f"{what} is defined for two-qubit states only")
+        return rho.mat
+    mat = np.asarray(rho, dtype=complex)
+    if mat.shape != (4, 4):
+        raise DimensionMismatch(f"{what} is defined for two-qubit states only")
+    return mat
+
+
+def chsh_violation(rho) -> tuple[bool, float]:
+    """(violated, M) where M > 1 certifies a CHSH violation."""
+    mat = _two_qubit_matrix(rho, "the CHSH criterion")
+    m_value = float(chsh_m_value_stack(mat[None])[0])
+    return m_value > 1.0, m_value
+
+
+def fef(rho) -> float:
+    """Fully entangled fraction: largest overlap with any maximally entangled state."""
+    return float(fef_stack(_two_qubit_matrix(rho, "the fully entangled fraction")[None])[0])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cewlab
-from cewlab import dataset
+from cewlab import dataset, evaluate
 from cewlab.cli import main, run_sweep
 from cewlab.states import SystemKind
 
@@ -205,6 +205,19 @@ def test_quota_exhaustion_exits_1(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: class quota not reached") and err.count("\n") == 1
 
 
+def test_train_on_fewer_records_than_a_batch_exits_1(tmp_path, capsys):
+    small = str(tmp_path / "small.csv")
+    assert main(gen_args(small, n=40, seed=4)) == 0
+    capsys.readouterr()
+    rc = main(["train", "--train", small, "--val", small, "--batch-size", "500",
+               "--out", str(tmp_path / "x.mlp.json")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: batch_size 500 exceeds the 40 training records\n"
+    assert not os.path.exists(tmp_path / "x.mlp.json")
+
+
 def test_data_errors_exit_1(workspace, tmp_path, capsys):
     other = str(tmp_path / "b1.csv")
     assert main(gen_args(other, preset="B1", n=100, seed=1)) == 0
@@ -293,3 +306,14 @@ def test_run_sweep_argument_checks(tmp_path):
         run_sweep(SystemKind.TWO_QUBIT, [], (100, 50, 50), 0, str(tmp_path))
     with pytest.raises(ValueError):
         run_sweep(SystemKind.TWO_QUBIT, ["B1"], (100, 0, 50), 0, str(tmp_path))
+
+
+def test_baselines_false_positive_exits_1(capsys, monkeypatch):
+    # the analytic witnesses cannot flag a separable state; scores above every
+    # threshold stand in for a broken witness
+    monkeypatch.setattr(evaluate, "witness_scores", lambda ds, witness: np.full(ds.count, 2.0))
+    assert main(["baselines", "--kind", "two-qubit", "--witness", "fef",
+                 "--n", "200", "--seed", "80"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split() == ["fef", "1.0000", "1.0000"]
+    assert err == "error: the fef witness flagged separable states (FPR 1.0)\n"

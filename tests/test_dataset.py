@@ -274,6 +274,25 @@ def test_load_rejects_streams_generate_cannot_write(tmp_path, streams, message):
         load(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", 64.0), ("seed", "64"), ("seed", True), ("seed", -3), ("seed", 2**64),
+    ("count", 4.9), ("count", 4.0), ("count", -4),
+])
+def test_load_rejects_seeds_and_counts_generate_cannot_write(tmp_path, field, value):
+    # the largest seed generate takes loads; the corrupted sidecar does not
+    ds = generate(KIND, B1, 4, seed=2**64 - 1)
+    path = str(tmp_path / "d.csv")
+    save(ds, path)
+    assert load(path).seed == 2**64 - 1
+    with open(path + ".meta") as fh:
+        meta = json.load(fh)
+    meta[field] = value
+    with open(path + ".meta", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(FormatError, match=f"{field} must be "):
+        load(path)
+
+
 def test_load_missing_sidecar(tmp_path):
     path = str(tmp_path / "missing.csv")
     with pytest.raises(FileNotFoundError):

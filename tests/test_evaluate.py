@@ -10,8 +10,6 @@ from cewlab.evaluate import (
     Witness,
     baseline_rates,
     baseline_sensitivity,
-    chsh_violation,
-    fef,
     fef_stack,
     roc_curve,
     tpr_at_fpr,
@@ -20,8 +18,9 @@ from cewlab.evaluate import (
     write_roc,
 )
 from cewlab.measure import preset_by_name
-from cewlab.qlinalg import haar_unitary, make_rng
-from cewlab.states import DensityMatrix, SystemKind, sample_density
+from cewlab.qlinalg import make_rng
+from cewlab.states import SystemKind
+from oracles import DensityMatrix, chsh_violation, fef, haar_unitary, sample_density
 
 
 def singlet_matrix():

@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cewlab.dataset import CHUNK, generate, regenerate_states
-from cewlab.errors import (DegenerateConditioning, DimensionMismatch,
-                           UnknownPreset)
-from cewlab.measure import (MeasurementPreset, bell_singlet, builtin_presets,
+from cewlab.errors import DimensionMismatch, UnknownPreset
+from cewlab.measure import (MeasurementPreset, builtin_presets,
                             conditional_probabilities, feature_traces_stack,
-                            features, local_effects, p_xy, preset_by_name,
+                            local_effects, preset_by_name,
                             qubit_tetrahedron, qutrit_nine)
-from cewlab.qlinalg import haar_unitary, make_rng
-from cewlab.states import (CollectiveState, DensityMatrix, SystemKind,
-                           collective_state, sample_density,
-                           sample_density_stack, sample_density_streams)
+from cewlab.qlinalg import make_rng
+from cewlab.states import SystemKind, sample_density_stack, sample_density_streams
+from oracles import (CollectiveState, DegenerateConditioning, DensityMatrix, bell_singlet,
+                     collective_state, features, haar_unitary, p_xy, sample_density)
 
 
 def singlet_state():

@@ -4,7 +4,8 @@ import pytest
 from cewlab import model
 
 from cewlab.dataset import generate, split
-from cewlab.errors import DimensionMismatch, DivergedTraining, EmptyDataset, FormatError
+from cewlab.errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
+                           TooFewRecords)
 from cewlab.measure import preset_by_name
 from cewlab.model import (
     EarlyStopper,
@@ -82,7 +83,7 @@ def test_predict_negativity_clamps():
     low = toy_net([0.0, 0.0, 0.0], [0.0, 0.0, -9.0])
     assert predict_negativity(high, [0.0]) == 0.5
     assert predict_negativity(low, [0.0]) == 0.0
-    assert predict_negativity(high, [0.0], clamp=False) == 9.0
+    assert forward(high, [0.0]) == 9.0
     batch = predict_negativity(high, np.zeros((4, 1)))
     assert np.all(batch == 0.5)
 
@@ -229,16 +230,16 @@ def per_array_adam_train(m, train_data, val_data, cfg):
             grads_w, grads_b, mse = gradient(m, x_train[batch], y_train[batch])
             sq_err_sum += mse * len(batch)
             step += 1
-            corr1 = 1.0 - cfg.beta1**step
-            corr2 = 1.0 - cfg.beta2**step
+            corr1 = 1.0 - model.BETA1**step
+            corr2 = 1.0 - model.BETA2**step
             for params, grads, mom1, mom2 in (
                 (m.weights, grads_w, adam_mw, adam_vw),
                 (m.biases, grads_b, adam_mb, adam_vb),
             ):
                 for i, g in enumerate(grads):
-                    mom1[i] = cfg.beta1 * mom1[i] + (1.0 - cfg.beta1) * g
-                    mom2[i] = cfg.beta2 * mom2[i] + (1.0 - cfg.beta2) * g * g
-                    params[i] -= cfg.learning_rate * (mom1[i] / corr1) / (np.sqrt(mom2[i] / corr2) + cfg.epsilon)
+                    mom1[i] = model.BETA1 * mom1[i] + (1.0 - model.BETA1) * g
+                    mom2[i] = model.BETA2 * mom2[i] + (1.0 - model.BETA2) * g * g
+                    params[i] -= cfg.learning_rate * (mom1[i] / corr1) / (np.sqrt(mom2[i] / corr2) + model.EPSILON)
         val_mse = float(np.mean((forward(m, x_val) - y_val) ** 2))
         history.append((sq_err_sum / n, val_mse))
         improved = val_mse < stopper.best
@@ -304,7 +305,7 @@ def test_train_argument_checks():
     y = np.zeros(10)
     with pytest.raises(EmptyDataset):
         train(m, (np.empty((0, 3)), np.empty(0)), (x, y), cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewRecords):
         train(m, (x, y), (x, y), TrainConfig(batch_size=11))
     with pytest.raises(ValueError):
         train(m, (x, y), (x, y), TrainConfig(batch_size=10, max_epochs=0))

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from cewlab.dataset import CHUNK
-from cewlab.errors import DimensionMismatch, NotHermitian
-from cewlab.qlinalg import (complex_normals, haar_unitary, hermitian_eigenvalues,
-                            hermitian_eigenvalues_stack, make_rng, philox_raw,
-                            philox_uniforms, standard_normals, swap_operator)
+from cewlab.errors import DimensionMismatch
+from cewlab.qlinalg import (hermitian_eigenvalues_stack, make_rng, philox_raw,
+                            philox_uniforms, standard_normals)
 from cewlab.states import SystemKind, partial_transpose_stack, sample_density_stack
+from oracles import (NotHermitian, complex_normals, haar_unitary, hermitian_eigenvalues,
+                     swap_operator)
 
 #: The model's init and shuffle streams sit at 2**62 and 2**62 + 1.
 EDGE_STREAMS = [0, 1, 2**62, 2**62 + 1, 2**63, 2**64 - 1]

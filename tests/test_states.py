@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cewlab.dataset import CHUNK
-from cewlab.errors import NotHermitian
-from cewlab.qlinalg import (complex_normals, haar_from_ginibre, haar_unitary,
-                            hermitian_eigenvalues, make_rng)
-from cewlab.states import (DensityMatrix, SystemKind, collective_state,
-                           collective_state_stack, is_entangled, negativity,
-                           negativity_stack, partial_transpose, sample_density,
-                           sample_density_stack, sample_density_streams)
+from cewlab.qlinalg import haar_from_ginibre, make_rng
+from cewlab.states import (SystemKind, negativity_stack, sample_density_stack,
+                           sample_density_streams)
 from cewlab.states import _state_inputs, _state_uniforms
+from oracles import (DensityMatrix, NotHermitian, collective_state, collective_state_stack,
+                     complex_normals, haar_unitary, hermitian_eigenvalues, is_entangled,
+                     negativity, partial_transpose, sample_density)
 
 
 def singlet_matrix():
