@@ -14,7 +14,7 @@ import time
 
 from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
-from .errors import CewlabError, ModelMismatch, UnknownPreset
+from .errors import CewlabError, ModelMismatch, TooFewRecords, UnknownPreset
 from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr,
                        write_roc, write_roc_svg)
 from .measure import preset_by_name
@@ -26,10 +26,13 @@ _KIND_NAMES = [k.value for k in SystemKind]
 # largest built-in preset per kind; every other preset is a subset of it,
 # so sweep splits can be shared by column projection
 _MASTER_PRESET = {SystemKind.TWO_QUBIT: "B10", SystemKind.QUBIT_QUTRIT: "B45"}
+# environment variables that cap a BLAS library's thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str], started: float) -> None:
+                    inputs: list[str], outputs: list[str], started: float,
+                    stats: dict | None = None) -> None:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
         "command": command,
@@ -40,6 +43,8 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
         "version": __version__,
         "duration_s": round(time.monotonic() - started, 3),
     }
+    if stats is not None:
+        doc["stats"] = stats
     with open(out_path + ".manifest.json", "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -136,12 +141,23 @@ def cmd_baselines(args: argparse.Namespace) -> int:
 
 def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, int],
               seed: int, out_dir: str, cfg: TrainConfig | None = None,
-              svg: bool = False, log=None) -> list[dict]:
+              svg: bool = False, log=None, stats: dict | None = None) -> list[dict]:
     """Train and evaluate one model per preset on shared splits.
 
     One master dataset is generated at the kind's largest preset and every
     requested preset is a column projection of it, so all models see the
-    same states. Returns one summary row per preset; files land in out_dir.
+    same states. Generation, splitting and projection run here; the presets
+    are then trained in parallel, one forked worker process per usable CPU
+    (at most one per preset), each with one BLAS thread. Every artifact has
+    the same bytes as a one-process run. Where fork is unavailable, only one
+    CPU is usable, or the BLAS thread count cannot be pinned, the presets are
+    trained one after another in this process.
+
+    Returns one summary row per preset, in the requested order; files land
+    in out_dir, and `log` and the summary rewrites follow the same order.
+    An error raised while training a preset propagates with its own type.
+    When given, `stats` is filled with the worker count and each preset's
+    training time, epochs and gradient steps, as measured by its worker.
     """
     if not preset_names:
         raise ValueError("preset list is empty")
@@ -149,43 +165,139 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     total = sum(sizes)
     if min(sizes) < 1:
         raise ValueError("all three split sizes must be positive")
+    cfg = cfg if cfg is not None else TrainConfig(seed=seed)
+    if sizes[0] < cfg.batch_size:
+        raise TooFewRecords(f"TRAIN size {sizes[0]} is smaller than the training batch "
+                            f"of {cfg.batch_size} records")
     master = preset_by_name(kind, _MASTER_PRESET[kind])
     ds = generate(kind, master, total, seed)
     fractions = (sizes[0] / total, sizes[1] / total, sizes[2] / total)
     train_ds, val_ds, test_ds = split(ds, fractions)
     os.makedirs(out_dir, exist_ok=True)
+    # lazy, so training in this process holds one preset's projection at a time
+    jobs = ((preset, restrict(train_ds, preset), restrict(val_ds, preset),
+             restrict(test_ds, preset), cfg,
+             os.path.join(out_dir, f"{kind.value}-{preset.name}"), svg)
+            for preset in presets)
+
+    workers, pin_blas = _pool_plan(len(presets))
     rows: list[dict] = []
-    for preset in presets:
-        tr = restrict(train_ds, preset)
-        va = restrict(val_ds, preset)
-        te = restrict(test_ds, preset)
-        preset_cfg = cfg if cfg is not None else TrainConfig(seed=seed)
-        model = init_mlp(preset.b, preset_cfg)
-        result = train(model, tr, va, preset_cfg)
-        scores = predict_negativity(result.model, te.features)
-        curve = roc_curve(scores, te.labels)
-        stem = os.path.join(out_dir, f"{kind.value}-{preset.name}")
-        model_path = stem + ".mlp.json"
-        roc_path = stem + ".roc.csv"
-        save_model(result.model, model_path)
-        write_roc(curve, roc_path)
-        if svg:
-            write_roc_svg(curve, stem + ".svg", title=preset.name)
-        rows.append({
-            "preset": preset.name,
-            "b": preset.b,
-            "auc": curve.auc,
-            "tpr_at_fpr10": tpr_at_fpr(curve, 0.10),
-            "tpr_at_fpr0": tpr_at_fpr(curve, 0.0),
-            "epochs": result.epochs_run,
-            "model": model_path,
-            "roc": roc_path,
-        })
-        if log is not None:
-            log(f"{preset.name}: B={preset.b} auc={curve.auc:.4f} "
-                f"tpr@fpr0.10={rows[-1]['tpr_at_fpr10']:.4f} epochs={result.epochs_run}")
-        _write_summary(out_dir, rows)
+    pool = None
+    try:
+        if workers == 1:
+            results = map(_fit_preset, jobs)
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            # fork, not the platform default: spawn and forkserver re-import the
+            # caller's main module, which breaks a script without a __main__
+            # guard. The executor forks every worker before it starts its
+            # threads, and OpenBLAS stops its own thread pool at each fork.
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=pin_blas, initargs=(1,) if pin_blas else ())
+            results = pool.map(_fit_preset, jobs)
+        for row in results:
+            rows.append(row)
+            if log is not None:
+                log(f"{row['preset']}: B={row['b']} auc={row['auc']:.4f} "
+                    f"tpr@fpr0.10={row['tpr_at_fpr10']:.4f} epochs={row['epochs']}")
+            _write_summary(out_dir, rows)
+    finally:
+        if pool is not None:
+            # after a failure, presets not yet started are dropped
+            pool.shutdown(cancel_futures=True)
+    if stats is not None:
+        stats["workers"] = workers
+        stats["presets"] = {row["preset"]: row["stats"] for row in rows}
     return rows
+
+
+def _fit_preset(job: tuple) -> dict:
+    """Train, score and write one preset's model and ROC table; returns its summary row.
+
+    `job` is (preset, train, validation, test, cfg, path stem, svg). Runs in
+    a pool worker, so it is a module-level function of picklable arguments.
+    """
+    preset, tr, va, te, cfg, stem, svg = job
+    started = time.perf_counter()
+    result = train(init_mlp(preset.b, cfg), tr, va, cfg)
+    train_s = time.perf_counter() - started
+    curve = roc_curve(predict_negativity(result.model, te.features), te.labels)
+    model_path = stem + ".mlp.json"
+    roc_path = stem + ".roc.csv"
+    save_model(result.model, model_path)
+    write_roc(curve, roc_path)
+    if svg:
+        write_roc_svg(curve, stem + ".svg", title=preset.name)
+    return {
+        "preset": preset.name,
+        "b": preset.b,
+        "auc": curve.auc,
+        "tpr_at_fpr10": tpr_at_fpr(curve, 0.10),
+        "tpr_at_fpr0": tpr_at_fpr(curve, 0.0),
+        "epochs": result.epochs_run,
+        "model": model_path,
+        "roc": roc_path,
+        "stats": {"train_s": round(train_s, 3), "epochs": result.epochs_run,
+                  "steps": result.steps},
+    }
+
+
+def _pool_plan(jobs: int):
+    """(worker count, BLAS thread setter or None) for training `jobs` presets.
+
+    One worker per usable CPU, at most one per job. Workers share the CPUs,
+    so each must run one BLAS thread: unpinned, a two-worker pool was slower
+    than one process. Each worker calls the setter of the BLAS library numpy
+    loaded; without one, the pool runs only when the environment already
+    sets a BLAS thread count of 1. A count of 1 means train in this process.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, cpus)
+    if workers < 2:
+        return 1, None
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1, None
+    setter = _blas_thread_setter()
+    if setter is None and not any(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS):
+        return 1, None
+    return workers, setter
+
+
+def _blas_thread_setter():
+    """`openblas_set_num_threads` of the OpenBLAS mapped into this process, or None.
+
+    numpy's wheels bundle scipy-openblas, whose symbols carry a `scipy_`
+    prefix and, for 64-bit integers, a `64_` suffix. The library is found
+    among the files mapped into this process, which Linux lists in
+    /proc/self/maps; elsewhere there is no setter.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            # address, permissions, offset, device, inode, then the path if any
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = {f[5].rstrip("\n") for f in fields
+             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
 
 
 def _write_summary(out_dir: str, rows: list[dict]) -> None:
@@ -200,11 +312,12 @@ def _write_summary(out_dir: str, rows: list[dict]) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     kind = SystemKind(args.kind)
+    stats: dict = {}
     rows = run_sweep(kind, args.presets, tuple(args.sizes), args.seed,
-                     args.out_dir, svg=args.svg, log=print)
+                     args.out_dir, svg=args.svg, log=print, stats=stats)
     summary = os.path.join(args.out_dir, "summary.csv")
     outputs = [summary] + [r["model"] for r in rows] + [r["roc"] for r in rows]
-    _write_manifest(summary, "sweep", args, [], outputs, started)
+    _write_manifest(summary, "sweep", args, [], outputs, started, stats)
     print(f"wrote {summary}")
     return 0
 
@@ -257,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=_KIND_NAMES, required=True)
     p.add_argument("--presets", nargs="+", required=True, help="preset names, e.g. B1 B3 B5")
     p.add_argument("--sizes", nargs=3, type=int, default=[40000, 10000, 10000],
-                   metavar=("TRAIN", "VAL", "TEST"))
+                   metavar=("TRAIN", "VAL", "TEST"),
+                   help="records per split; TRAIN must be at least the training batch of "
+                        f"{TrainConfig.batch_size}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", action="store_true", help="also render one SVG per curve")
     p.add_argument("--out-dir", required=True)

@@ -62,6 +62,7 @@ class TrainResult:
     epochs_run: int
     best_epoch: int
     best_val_mse: float
+    steps: int  # Adam updates, one per mini-batch
 
 
 class EarlyStopper:
@@ -256,7 +257,7 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
         "epochs_run": epochs_run,
         "val_mse": stopper.best,
     })
-    return TrainResult(m, history, epochs_run, stopper.best_index, stopper.best)
+    return TrainResult(m, history, epochs_run, stopper.best_index, stopper.best, step)
 
 
 def save_model(m: Mlp, path: str) -> None:

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 import cewlab
-from cewlab import dataset, evaluate
+from cewlab import cli, dataset, evaluate
 from cewlab.cli import main, run_sweep
+from cewlab.errors import DivergedTraining
+from cewlab.measure import preset_by_name
+from cewlab.model import (TrainConfig, init_mlp, predict_negativity, save_model,
+                          train)
 from cewlab.states import SystemKind
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -47,12 +51,17 @@ def test_version(capsys):
     assert capsys.readouterr().out.startswith("cewlab ")
 
 
-@pytest.mark.parametrize("module", ["cewlab", "cewlab.cli"])
-def test_python_dash_m_runs_the_command_line(module):
-    # the same command line without the installed console script
+def _src_env() -> dict:
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cewlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["cewlab", "cewlab.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    # the same command line without the installed console script
+    env = _src_env()
     version = subprocess.run([sys.executable, "-m", module, "--version"],
                              env=env, capture_output=True, text=True, timeout=60)
     assert version.returncode == 0
@@ -298,7 +307,103 @@ def test_sweep_writes_per_preset_artifacts(tmp_path, capsys):
         assert (cells[0], cells[1]) == (preset, b)
         assert 0.5 < float(cells[2]) <= 1.0
     with open(f"{out_dir}/summary.csv.manifest.json") as fh:
-        assert json.load(fh)["command"] == "sweep"
+        manifest = json.load(fh)
+    assert manifest["command"] == "sweep"
+    stats = manifest["stats"]
+    assert stats["workers"] >= 1
+    assert list(stats["presets"]) == ["B1", "B3"]
+    for line in lines[1:]:
+        preset, epochs = line.split(",")[0], int(line.split(",")[-1])
+        entry = stats["presets"][preset]
+        assert set(entry) == {"train_s", "epochs", "steps"}
+        assert entry["epochs"] == epochs
+        assert entry["steps"] == epochs * 3  # 600 training records in batches of 256
+        assert entry["train_s"] >= 0.0
+
+
+def test_sweep_with_fewer_training_records_than_a_batch_exits_1_before_generating(
+        tmp_path, capsys, monkeypatch):
+    def no_generate(*args, **kwargs):
+        raise AssertionError("sweep generated a master set it cannot train on")
+
+    monkeypatch.setattr(cli, "generate", no_generate)
+    rc = main(["sweep", "--kind", "two-qubit", "--presets", "B1",
+               "--sizes", "100", "50", "50", "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: TRAIN size 100 is smaller than the training batch of 256 records\n"
+    assert not os.path.exists(tmp_path / "sweep")
+
+
+def _two_cpus(monkeypatch):
+    """Size the sweep's pool at two workers, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _file_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    kind, presets, sizes, seed = SystemKind.TWO_QUBIT, ["B1", "B3", "B10"], (600, 200, 200), 20
+    cfg = TrainConfig(batch_size=64, max_epochs=8, seed=seed)
+    stats = {}
+    rows = run_sweep(kind, presets, sizes, seed, str(tmp_path / "pool"), cfg=cfg, stats=stats)
+    assert stats["workers"] == 2
+    assert [r["preset"] for r in rows] == presets
+
+    ds = dataset.generate(kind, preset_by_name(kind, "B10"), sum(sizes), seed)
+    splits = dataset.split(ds, tuple(n / sum(sizes) for n in sizes))
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    summary = ["preset,b,auc,tpr_at_fpr10,tpr_at_fpr0,epochs"]
+    for row, name in zip(rows, presets):
+        preset = preset_by_name(kind, name)
+        tr, va, te = (dataset.restrict(part, preset) for part in splits)
+        result = train(init_mlp(preset.b, cfg), tr, va, cfg)
+        curve = evaluate.roc_curve(predict_negativity(result.model, te.features), te.labels)
+        save_model(result.model, str(serial / "model.json"))
+        evaluate.write_roc(curve, str(serial / "roc.csv"))
+        assert _file_bytes(row["model"]) == _file_bytes(serial / "model.json"), name
+        assert _file_bytes(row["roc"]) == _file_bytes(serial / "roc.csv"), name
+        summary.append(f"{name},{preset.b},{curve.auc!r},"
+                       f"{evaluate.tpr_at_fpr(curve, 0.10)!r},"
+                       f"{evaluate.tpr_at_fpr(curve, 0.0)!r},{result.epochs_run}")
+    assert _file_bytes(tmp_path / "pool" / "summary.csv") == "\n".join(summary + [""]).encode()
+
+
+def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    cfg = TrainConfig(learning_rate=1e300, batch_size=64, max_epochs=3, seed=3)
+    with pytest.raises(DivergedTraining) as raised:
+        run_sweep(SystemKind.TWO_QUBIT, ["B1", "B3"], (300, 100, 100), 3,
+                  str(tmp_path), cfg=cfg)
+    # the executor chains the worker's formatted traceback onto what it re-raises
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def test_the_pool_needs_a_blas_thread_pin(monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(cli, "_blas_thread_setter", lambda: None)
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli._pool_plan(5) == (1, None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli._pool_plan(5) == (2, None)
+    assert cli._pool_plan(1) == (1, None)
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    code = ("import sys, cewlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_run_sweep_argument_checks(tmp_path):

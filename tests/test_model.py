@@ -180,6 +180,7 @@ def test_train_fits_constant_target():
     assert np.all(np.abs(preds - 0.2) < 0.01)
     assert result.best_val_mse < 1e-4
     assert result.epochs_run == len(result.history)
+    assert result.steps == result.epochs_run * 4  # 256 records in batches of 64
 
 
 def test_train_deterministic():
