@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 
 from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
@@ -20,14 +21,13 @@ from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr,
 from .measure import preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
                     save_model, train)
+from .pool import ordered_map, worker_count
 from .states import SystemKind
 
 _KIND_NAMES = [k.value for k in SystemKind]
 # largest built-in preset per kind; every other preset is a subset of it,
 # so sweep splits can be shared by column projection
 _MASTER_PRESET = {SystemKind.TWO_QUBIT: "B10", SystemKind.QUBIT_QUTRIT: "B45"}
-# environment variables that cap a BLAS library's thread count
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
@@ -147,11 +147,12 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     One master dataset is generated at the kind's largest preset and every
     requested preset is a column projection of it, so all models see the
     same states. Generation, splitting and projection run here; the presets
-    are then trained in parallel, one forked worker process per usable CPU
-    (at most one per preset), each with one BLAS thread. Every artifact has
-    the same bytes as a one-process run. Where fork is unavailable, only one
-    CPU is usable, or the BLAS thread count cannot be pinned, the presets are
-    trained one after another in this process.
+    are then trained in parallel (pool.ordered_map), one forked worker
+    process per usable CPU (at most one per preset), each with one BLAS
+    thread. Every artifact has the same bytes as a one-process run. Where
+    fork is unavailable, only one CPU is usable, or the BLAS thread count
+    cannot be pinned, the presets are trained one after another in this
+    process. A preset named twice is refused with ValueError.
 
     Returns one summary row per preset, in the requested order; files land
     in out_dir, and `log` and the summary rewrites follow the same order.
@@ -161,6 +162,10 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     """
     if not preset_names:
         raise ValueError("preset list is empty")
+    repeated = sorted({name for name in preset_names if preset_names.count(name) > 1})
+    if repeated:
+        # each preset's model and ROC table have one path
+        raise ValueError(f"preset {', '.join(repeated)} is listed more than once")
     presets = [preset_by_name(kind, name) for name in preset_names]
     total = sum(sizes)
     if min(sizes) < 1:
@@ -180,34 +185,16 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
              os.path.join(out_dir, f"{kind.value}-{preset.name}"), svg)
             for preset in presets)
 
-    workers, pin_blas = _pool_plan(len(presets))
     rows: list[dict] = []
-    pool = None
-    try:
-        if workers == 1:
-            results = map(_fit_preset, jobs)
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            # fork, not the platform default: spawn and forkserver re-import the
-            # caller's main module, which breaks a script without a __main__
-            # guard. The executor forks every worker before it starts its
-            # threads, and OpenBLAS stops its own thread pool at each fork.
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=pin_blas, initargs=(1,) if pin_blas else ())
-            results = pool.map(_fit_preset, jobs)
+    with closing(ordered_map(_fit_preset, jobs, len(presets))) as results:
         for row in results:
             rows.append(row)
             if log is not None:
                 log(f"{row['preset']}: B={row['b']} auc={row['auc']:.4f} "
                     f"tpr@fpr0.10={row['tpr_at_fpr10']:.4f} epochs={row['epochs']}")
             _write_summary(out_dir, rows)
-    finally:
-        if pool is not None:
-            # after a failure, presets not yet started are dropped
-            pool.shutdown(cancel_futures=True)
     if stats is not None:
-        stats["workers"] = workers
+        stats["workers"] = worker_count(len(presets))
         stats["presets"] = {row["preset"]: row["stats"] for row in rows}
     return rows
 
@@ -241,63 +228,6 @@ def _fit_preset(job: tuple) -> dict:
         "stats": {"train_s": round(train_s, 3), "epochs": result.epochs_run,
                   "steps": result.steps},
     }
-
-
-def _pool_plan(jobs: int):
-    """(worker count, BLAS thread setter or None) for training `jobs` presets.
-
-    One worker per usable CPU, at most one per job. Workers share the CPUs,
-    so each must run one BLAS thread: unpinned, a two-worker pool was slower
-    than one process. Each worker calls the setter of the BLAS library numpy
-    loaded; without one, the pool runs only when the environment already
-    sets a BLAS thread count of 1. A count of 1 means train in this process.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(jobs, cpus)
-    if workers < 2:
-        return 1, None
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1, None
-    setter = _blas_thread_setter()
-    if setter is None and not any(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS):
-        return 1, None
-    return workers, setter
-
-
-def _blas_thread_setter():
-    """`openblas_set_num_threads` of the OpenBLAS mapped into this process, or None.
-
-    numpy's wheels bundle scipy-openblas, whose symbols carry a `scipy_`
-    prefix and, for 64-bit integers, a `64_` suffix. The library is found
-    among the files mapped into this process, which Linux lists in
-    /proc/self/maps; elsewhere there is no setter.
-    """
-    import ctypes
-    try:
-        with open("/proc/self/maps") as fh:
-            # address, permissions, offset, device, inode, then the path if any
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return None
-    paths = {f[5].rstrip("\n") for f in fields
-             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
-    return None
 
 
 def _write_summary(out_dir: str, rows: list[dict]) -> None:

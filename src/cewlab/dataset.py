@@ -8,6 +8,7 @@ bit-identically by sampling exactly their streams.
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -15,14 +16,17 @@ import numpy as np
 
 from .errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
 from .measure import MeasurementPreset, conditional_probabilities, feature_traces_stack
+from .pool import ordered_map
 from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_stack,
                      sample_density_streams)
 
-#: Draws per generation chunk, and streams per regeneration slice. Batch
-#: composition does not change any record's bytes (each stream, each
-#: eigensolve and each state's feature traces are independent of the batch),
-#: so CHUNK only bounds transient memory and, through generate's chunk
-#: budget, the draws spent on a quota.
+#: Draws per generation chunk, streams per regeneration slice, and rows per
+#: block that save formats. Chunks and blocks are also the jobs of the
+#: process pool (pool.ordered_map). Batch composition does not change any
+#: record's bytes (each stream, each eigensolve and each state's feature
+#: traces are independent of the batch), so CHUNK only bounds transient
+#: memory and the size of a pool job and, through generate's chunk budget,
+#: the draws spent on a quota.
 CHUNK = 1024
 
 _HEADER_TAIL = ("negativity", "label")
@@ -56,6 +60,27 @@ def _draw_chunk(kind: SystemKind, preset: MeasurementPreset, seed: int, chunk_in
     return values, neg, neg > ENTANGLE_EPS, valid
 
 
+def _draw_chunk_job(job: tuple):
+    """_draw_chunk(*job), looked up by name when called.
+
+    The pool sends this function by reference, so a forked worker runs
+    whatever the module's _draw_chunk is in its caller, wrapped or not.
+    """
+    return _draw_chunk(*job)
+
+
+def _chunks(kind: SystemKind, preset: MeasurementPreset, seed: int, max_chunks: int):
+    """_draw_chunk's result for chunk 0, 1, ... max_chunks - 1, in order.
+
+    Chunk 0 is drawn in this process, so a dataset that fits in it starts no
+    worker; the rest are drawn in the process pool.
+    """
+    yield _draw_chunk(kind, preset, seed, 0)
+    yield from ordered_map(_draw_chunk_job,
+                           ((kind, preset, seed, i) for i in range(1, max_chunks)),
+                           max_chunks - 1)
+
+
 def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
              balanced: bool = True) -> Dataset:
     """Sample states until n records are collected.
@@ -63,6 +88,8 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     Balanced mode keeps a sample only while its class quota (n/2 each) is
     unfilled; unbalanced mode keeps everything and reproduces the natural
     prevalences. Degenerate-conditioning draws are discarded either way.
+    Chunks after the first are drawn in parallel (pool.ordered_map); records
+    are selected here, in draw order, so the result is the same.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -74,31 +101,31 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     negs: list[np.ndarray] = []
     labs: list[np.ndarray] = []
     streams: list[np.ndarray] = []
-    chunk_index = 0
     # natural prevalences are >= 0.37 for both classes; this bound is never
     # approached unless the sampler itself is broken
     max_chunks = (8 * n) // CHUNK + 16
-    while taken < n:
-        if chunk_index >= max_chunks:
+    with closing(_chunks(kind, preset, seed, max_chunks)) as chunks:
+        for chunk_index, (values, neg, entangled, valid) in enumerate(chunks):
+            # in draw order, a valid record is kept while its class quota
+            # (balanced mode) and the n-record total are unfilled
+            keep = valid
+            if balanced:
+                pos = valid & entangled
+                other = valid & ~entangled
+                keep = ((pos & (taken_pos + np.cumsum(pos) <= quota))
+                        | (other & (taken_neg + np.cumsum(other) <= quota)))
+            idx = np.flatnonzero(keep & (taken + np.cumsum(keep) <= n))
+            rows.append(values[idx])
+            negs.append(neg[idx])
+            labs.append(entangled[idx])
+            streams.append(chunk_index * CHUNK + idx)
+            taken += len(idx)
+            taken_pos += int(np.count_nonzero(entangled[idx]))
+            taken_neg = taken - taken_pos
+            if taken == n:
+                break
+        else:
             raise DrawBudgetExhausted(f"class quota not reached within {max_chunks * CHUNK} draws")
-        values, neg, entangled, valid = _draw_chunk(kind, preset, seed, chunk_index)
-        # in draw order, a valid record is kept while its class quota (balanced
-        # mode) and the n-record total are unfilled
-        keep = valid
-        if balanced:
-            pos = valid & entangled
-            other = valid & ~entangled
-            keep = ((pos & (taken_pos + np.cumsum(pos) <= quota))
-                    | (other & (taken_neg + np.cumsum(other) <= quota)))
-        idx = np.flatnonzero(keep & (taken + np.cumsum(keep) <= n))
-        rows.append(values[idx])
-        negs.append(neg[idx])
-        labs.append(entangled[idx])
-        streams.append(chunk_index * CHUNK + idx)
-        taken += len(idx)
-        taken_pos += int(np.count_nonzero(entangled[idx]))
-        taken_neg = taken - taken_pos
-        chunk_index += 1
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return Dataset(kind, preset, np.concatenate(rows), np.concatenate(negs), np.concatenate(labs),
                    seed, np.concatenate(streams).astype(np.int64), created)
@@ -159,21 +186,33 @@ def split(ds: Dataset, fractions: tuple[float, float, float]) -> tuple[Dataset, 
     return out[0], out[1], out[2]
 
 
-def save(ds: Dataset, path: str) -> None:
-    """CSV of features and labels plus a .meta sidecar (both deterministic)."""
-    b = ds.preset.b
-    header = ",".join([f"f{i}" for i in range(1, b + 1)] + list(_HEADER_TAIL))
-    lines = [header]
+def _format_rows(block: tuple) -> str:
+    """CSV lines, each ending in a newline, of one (features, negativities, labels) block."""
+    features, negs, labels = block
     # repr per cell is the floor: numpy's float-to-string casts
     # (astype(StringDType) or "U32") give the same strings but measured slower,
     # about 1.1-1.2 s against 0.55-0.7 s for the 900k feature cells of a
     # qubit-qutrit B45 dataset of 20000 records. Rows are converted one at a
-    # time: features.tolist() would hold all 900k floats as objects at once,
-    # which raised that dataset's save-and-load peak RSS from 106 to 134 MB.
-    for row, neg, lab in zip(ds.features, ds.negativities.tolist(), ds.labels.tolist()):
-        lines.append(f"{','.join(map(repr, row.tolist()))},{neg!r},{int(lab)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # time: features.tolist() would hold the block's floats as objects at once.
+    return "".join(f"{','.join(map(repr, row.tolist()))},{neg!r},{int(lab)}\n"
+                   for row, neg, lab in zip(features, negs.tolist(), labels.tolist()))
+
+
+def save(ds: Dataset, path: str) -> None:
+    """CSV of features and labels plus a .meta sidecar (both deterministic).
+
+    Rows are formatted CHUNK at a time in the process pool (one block or
+    fewer in this process) and written in order as each block arrives.
+    """
+    b = ds.preset.b
+    header = ",".join([f"f{i}" for i in range(1, b + 1)] + list(_HEADER_TAIL))
+    starts = range(0, ds.count, CHUNK)
+    blocks = ((ds.features[i:i + CHUNK], ds.negativities[i:i + CHUNK], ds.labels[i:i + CHUNK])
+              for i in starts)
+    with open(path, "w", newline="\n") as fh, \
+            closing(ordered_map(_format_rows, blocks, len(starts))) as texts:
+        fh.write(header + "\n")
+        fh.writelines(texts)
     meta = {
         "kind": ds.kind.value,
         "preset": {"name": ds.preset.name, "pairs": [list(p) for p in ds.preset.pairs]},
@@ -217,28 +256,43 @@ def load(path: str) -> Dataset:
 
     b = preset.b
     expected_header = ",".join([f"f{i}" for i in range(1, b + 1)] + list(_HEADER_TAIL))
+    # arrays only for a count the sidecar backs with as many draw indices
+    rows = count if len(streams) == count else 0
+    feats = np.empty((rows, b))
+    negs = np.empty(rows)
+    labs = np.empty(rows, dtype=bool)
+    bad_line = None
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != expected_header:
+        # splitting each line read splits where splitlines() on the whole text
+        # would (universal newlines leave no "\r"), without holding the file
+        # and its lines at once
+        lines = (part for line in fh for part in line.splitlines())
+        header = next(lines, None)
+        records = 0
+        for line in lines:
+            # the whole file is read, so errors keep their order: unreadable
+            # text, header, record count, then the first bad line
+            if bad_line is None and header == expected_header and records < rows:
+                try:
+                    cells = line.split(",")
+                    if len(cells) != b + 2:
+                        raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
+                    feats[records] = [float(c) for c in cells[:b]]
+                    negs[records] = float(cells[b])
+                    label = cells[b + 1]
+                    if label not in ("0", "1"):
+                        raise ValueError(f"label must be 0 or 1, got {label!r}")
+                    labs[records] = label == "1"
+                except ValueError as exc:
+                    bad_line = (records + 2, exc)
+            records += 1
+    if header != expected_header:
         raise FormatError(f"{path}:1: expected header {expected_header!r}")
-    if len(lines) - 1 != count or len(streams) != count:
+    if records != count or len(streams) != count:
         raise FormatError(f"{path}: record count does not match sidecar count {count}")
-    feats = np.empty((count, b))
-    negs = np.empty(count)
-    labs = np.empty(count, dtype=bool)
-    for ln, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != b + 2:
-            raise FormatError(f"{path}:{ln}: expected {b + 2} fields, got {len(cells)}")
-        try:
-            feats[ln - 2] = [float(c) for c in cells[:b]]
-            negs[ln - 2] = float(cells[b])
-            label = cells[b + 1]
-            if label not in ("0", "1"):
-                raise ValueError(f"label must be 0 or 1, got {label!r}")
-            labs[ln - 2] = label == "1"
-        except ValueError as exc:
-            raise FormatError(f"{path}:{ln}: {exc}") from exc
+    if bad_line is not None:
+        ln, exc = bad_line
+        raise FormatError(f"{path}:{ln}: {exc}") from exc
     # generate writes nothing else; the 1e-12 leaves room for eigensolver noise
     checks = (
         ("a feature is NaN or outside [0, 1]", ~((feats >= 0.0) & (feats <= 1.0)).all(axis=1)),

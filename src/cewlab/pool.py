@@ -1,0 +1,114 @@
+"""The package's one process pool: an ordered, windowed map over forked workers.
+
+`ordered_map` runs the sweep's presets, `generate`'s chunks after the first
+and `save`'s row blocks. Every job is a module-level function of picklable
+arguments, so a job's result does not depend on where it ran and the bytes
+of every artifact match a one-process run.
+"""
+from __future__ import annotations
+
+import os
+from collections import deque
+from itertools import islice
+
+# environment variables that cap a BLAS library's thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def ordered_map(fn, jobs, count: int):
+    """Yield fn(job) for each job of the iterable `jobs`, in job order.
+
+    `count` bounds how many jobs will be asked for; it caps the worker count
+    (see `_pool_plan`). Where the plan is one process, this is the builtin
+    `map`. Otherwise jobs run in forked worker processes, pulled from `jobs`
+    lazily with at most one more in flight than there are workers; closing
+    the generator, or an error in a job or in the consumer, cancels the jobs
+    not yet started. A job's exception is raised here with its own type.
+    Close the generator (`contextlib.closing`) where the consumer may stop
+    early, so that the workers stop then and not when it is collected.
+    """
+    workers, pin_blas = _pool_plan(count)
+    if workers == 1:
+        yield from map(fn, jobs)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork, not the platform default: spawn and forkserver re-import the
+    # caller's main module, which breaks a script without a __main__ guard,
+    # and a forked worker sees the functions its caller's module holds. The
+    # executor forks every worker before it starts its threads, and OpenBLAS
+    # stops its own thread pool at each fork.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=pin_blas, initargs=(1,) if pin_blas else ())
+    try:
+        jobs = iter(jobs)
+        pending = deque(pool.submit(fn, job) for job in islice(jobs, workers + 1))
+        while pending:
+            # the next job is submitted once the consumer asks for more, so a
+            # consumer that stops leaves only one job per worker to finish
+            yield pending.popleft().result()
+            pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def worker_count(count: int) -> int:
+    """Processes `ordered_map` would use for `count` jobs; 1 means this process."""
+    return _pool_plan(count)[0]
+
+
+def _pool_plan(jobs: int):
+    """(worker count, BLAS thread setter or None) for running `jobs` jobs.
+
+    One worker per usable CPU, at most one per job. Workers share the CPUs,
+    so each must run one BLAS thread: unpinned, a two-worker pool was slower
+    than one process. Each worker calls the setter of the BLAS library numpy
+    loaded; without one, the pool runs only when the environment already
+    sets a BLAS thread count of 1. A count of 1 means run in this process.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, cpus)
+    if workers < 2:
+        return 1, None
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1, None
+    setter = _blas_thread_setter()
+    if setter is None and not any(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS):
+        return 1, None
+    return workers, setter
+
+
+def _blas_thread_setter():
+    """`openblas_set_num_threads` of the OpenBLAS mapped into this process, or None.
+
+    numpy's wheels bundle scipy-openblas, whose symbols carry a `scipy_`
+    prefix and, for 64-bit integers, a `64_` suffix. The library is found
+    among the files mapped into this process, which Linux lists in
+    /proc/self/maps; elsewhere there is no setter.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            # address, permissions, offset, device, inode, then the path if any
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = {f[5].rstrip("\n") for f in fields
+             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cewlab
-from cewlab import cli, dataset, evaluate
+from cewlab import cli, dataset, evaluate, pool
 from cewlab.cli import main, run_sweep
 from cewlab.errors import DivergedTraining
 from cewlab.measure import preset_by_name
@@ -336,10 +336,18 @@ def test_sweep_with_fewer_training_records_than_a_batch_exits_1_before_generatin
     assert not os.path.exists(tmp_path / "sweep")
 
 
-def _two_cpus(monkeypatch):
-    """Size the sweep's pool at two workers, whatever this machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_sweep_refuses_a_repeated_preset_before_generating(tmp_path, capsys, monkeypatch):
+    def no_generate(*args, **kwargs):
+        raise AssertionError("sweep generated a master set for a preset list it refuses")
+
+    monkeypatch.setattr(cli, "generate", no_generate)
+    rc = main(["sweep", "--kind", "two-qubit", "--presets", "B1", "B1", "B3",
+               "--sizes", "600", "200", "200", "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: preset B1 is listed more than once\n"
+    assert not os.path.exists(tmp_path / "sweep")
 
 
 def _file_bytes(path) -> bytes:
@@ -347,8 +355,8 @@ def _file_bytes(path) -> bytes:
         return fh.read()
 
 
-def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, monkeypatch):
-    _two_cpus(monkeypatch)
+def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, cpus):
+    cpus(2)
     kind, presets, sizes, seed = SystemKind.TWO_QUBIT, ["B1", "B3", "B10"], (600, 200, 200), 20
     cfg = TrainConfig(batch_size=64, max_epochs=8, seed=seed)
     stats = {}
@@ -376,8 +384,8 @@ def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, monkeypatch):
     assert _file_bytes(tmp_path / "pool" / "summary.csv") == "\n".join(summary + [""]).encode()
 
 
-def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, monkeypatch):
-    _two_cpus(monkeypatch)
+def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, cpus):
+    cpus(2)
     cfg = TrainConfig(learning_rate=1e300, batch_size=64, max_epochs=3, seed=3)
     with pytest.raises(DivergedTraining) as raised:
         run_sweep(SystemKind.TWO_QUBIT, ["B1", "B3"], (300, 100, 100), 3,
@@ -386,24 +394,38 @@ def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, monkeypatch):
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
 
 
-def test_the_pool_needs_a_blas_thread_pin(monkeypatch):
-    _two_cpus(monkeypatch)
-    monkeypatch.setattr(cli, "_blas_thread_setter", lambda: None)
-    for var in cli._BLAS_THREAD_VARS:
+def test_the_pool_needs_a_blas_thread_pin(monkeypatch, cpus):
+    cpus(2)
+    monkeypatch.setattr(pool, "_blas_thread_setter", lambda: None)
+    for var in pool._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    assert cli._pool_plan(5) == (1, None)
+    assert pool._pool_plan(5) == (1, None)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert cli._pool_plan(5) == (2, None)
-    assert cli._pool_plan(1) == (1, None)
+    assert pool._pool_plan(5) == (2, None)
+    assert pool._pool_plan(1) == (1, None)
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    code = ("import sys, cewlab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
+    # a 200-record gen fits in generate's first chunk and save's first block,
+    # so it runs in this process and starts no pool either, even where a BLAS
+    # thread count of 1 would let one run
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
+    code = "\n".join([
+        "import sys, cewlab.cli",
+        "def pool_modules():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[0] in ('multiprocessing', 'concurrent'))",
+        "print(pool_modules())",
+        "args = ['gen', '--kind', 'qubit-qutrit', '--preset', 'B45', '--n', '200',",
+        f"        '--seed', '1', '--out', {str(tmp_path / 'd.csv')!r}]",
+        "assert cewlab.cli.main(args) == 0",
+        "print(pool_modules())",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines() == ["[]", "wrote " + str(tmp_path / "d.csv")
+                                        + ": 200 records, 45 features, prevalence 0.5000", "[]"]
 
 
 def test_run_sweep_argument_checks(tmp_path):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cewlab import dataset
+from cewlab import dataset, pool
 from cewlab.dataset import CHUNK, generate, load, regenerate_states, restrict, save, split
 from cewlab.errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
 from cewlab.measure import MeasurementPreset, preset_by_name
@@ -93,19 +93,26 @@ def per_record_selection(kind, preset, n, seed, balanced):
     return np.array(rows), np.array(negs), np.array(labs), np.array(streams, dtype=np.int64)
 
 
+def _mark_invalid(monkeypatch, every):
+    """Mark every `every`-th draw of each chunk invalid, by wrapping _draw_chunk.
+
+    Degenerate conditioning is too rare to show up at test sizes.
+    """
+    draw = dataset._draw_chunk
+
+    def draw_with_invalid(*args):
+        values, neg, entangled, valid = draw(*args)
+        return values, neg, entangled, valid & (np.arange(CHUNK) % every != 3)
+    monkeypatch.setattr(dataset, "_draw_chunk", draw_with_invalid)
+
+
 @pytest.mark.parametrize("kind", list(SystemKind))
 @pytest.mark.parametrize("balanced", [True, False])
 @pytest.mark.parametrize("n", [200, 3000])  # ends inside chunk 0; spans several chunks
 @pytest.mark.parametrize("invalid_every", [None, 7])
 def test_selection_matches_the_per_record_oracle(monkeypatch, kind, balanced, n, invalid_every):
     if invalid_every:
-        # degenerate conditioning is too rare to show up at these sizes, so mark some draws
-        draw = dataset._draw_chunk
-
-        def draw_with_invalid(*args):
-            values, neg, entangled, valid = draw(*args)
-            return values, neg, entangled, valid & (np.arange(CHUNK) % invalid_every != 3)
-        monkeypatch.setattr(dataset, "_draw_chunk", draw_with_invalid)
+        _mark_invalid(monkeypatch, invalid_every)
     preset = preset_by_name(kind, "B10" if kind is SystemKind.TWO_QUBIT else "B45")
     ds = generate(kind, preset, n, seed=64, balanced=balanced)
     expected = per_record_selection(kind, preset, n, 64, balanced)
@@ -114,6 +121,72 @@ def test_selection_matches_the_per_record_oracle(monkeypatch, kind, balanced, n,
         assert np.array_equal(got, want)
     if invalid_every:
         assert not np.any(ds.stream_indices % CHUNK % invalid_every == 3)
+
+
+def _record_pool_workers(monkeypatch) -> list[int]:
+    """The worker count of each pool.ordered_map started from here on, in order."""
+    plan = pool._pool_plan
+    workers: list[int] = []
+
+    def recorded(jobs):
+        planned = plan(jobs)
+        workers.append(planned[0])
+        return planned
+    monkeypatch.setattr(pool, "_pool_plan", recorded)
+    return workers
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("balanced", [True, False])
+@pytest.mark.parametrize("invalid_every", [None, 7])
+def test_pooled_generate_matches_one_process(monkeypatch, cpus, kind, balanced, invalid_every):
+    if invalid_every:
+        # the wrapper is a local function: workers must reach it through the
+        # module, as they do for any replacement of _draw_chunk
+        _mark_invalid(monkeypatch, invalid_every)
+    preset = preset_by_name(kind, "B10" if kind is SystemKind.TWO_QUBIT else "B45")
+    workers = _record_pool_workers(monkeypatch)
+    cpus(1)
+    alone = generate(kind, preset, 4 * CHUNK, seed=65, balanced=balanced)
+    cpus(2)
+    pooled = generate(kind, preset, 4 * CHUNK, seed=65, balanced=balanced)
+    assert workers == [1, 2]
+    assert len(np.unique(pooled.stream_indices // CHUNK)) >= 4
+    for field in ("features", "negativities", "labels", "stream_indices"):
+        got, want = getattr(pooled, field), getattr(alone, field)
+        assert got.dtype == want.dtype, field
+        assert np.array_equal(got, want), field
+
+
+def test_a_dataset_in_one_chunk_starts_no_pool(monkeypatch, cpus):
+    cpus(2)
+    workers = _record_pool_workers(monkeypatch)
+    generate(KIND, B1, 200, seed=66)
+    assert workers == []
+
+
+def test_an_error_in_a_pooled_chunk_keeps_its_type(monkeypatch, cpus):
+    cpus(2)
+    draw = dataset._draw_chunk
+
+    def fail_at_chunk_2(kind, preset, seed, chunk_index):
+        if chunk_index == 2:
+            raise EmptyDataset("chunk 2 failed")
+        return draw(kind, preset, seed, chunk_index)
+    monkeypatch.setattr(dataset, "_draw_chunk", fail_at_chunk_2)
+    with pytest.raises(EmptyDataset, match="chunk 2 failed") as raised:
+        generate(KIND, B1, 4 * CHUNK, seed=67)
+    # the executor chains the worker's formatted traceback onto what it re-raises
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def test_quota_exhaustion_in_a_pool_spends_the_same_budget(monkeypatch, cpus):
+    cpus(2)
+    monkeypatch.setattr(dataset, "negativity_stack", lambda mats, kind: np.zeros(len(mats)))
+    workers = _record_pool_workers(monkeypatch)
+    with pytest.raises(DrawBudgetExhausted, match=f"within {16 * CHUNK} draws"):
+        generate(KIND, B1, 10, seed=63)
+    assert workers == [2]
 
 
 def test_unbalanced_keeps_natural_prevalence():
@@ -198,6 +271,28 @@ def test_save_is_byte_stable(tmp_path):
         assert first == second
 
 
+def test_pooled_save_writes_the_same_bytes(tmp_path, monkeypatch, cpus):
+    # three full blocks and a partial one
+    ds = generate(KIND, preset_by_name(KIND, "B10"), 3 * CHUNK + 10, seed=68, balanced=False)
+    ds.features[CHUNK:CHUNK + 4, 1] = [0.0, 1.0, 1e-05, 5e-324]
+    workers = _record_pool_workers(monkeypatch)
+    paths = [str(tmp_path / "alone.csv"), str(tmp_path / "pooled.csv")]
+    cpus(1)
+    save(ds, paths[0])
+    cpus(2)
+    save(ds, paths[1])
+    assert workers == [1, 2]
+    for suffix in ("", ".meta"):
+        alone, pooled = (_file_bytes(path + suffix) for path in paths)
+        assert alone == pooled, suffix
+    assert _file_bytes(paths[1]).count(b"\n") == ds.count + 1
+
+
+def _file_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def test_load_reports_bad_lines(tmp_path):
     # several features per row, so a bad cell must be caught beside good ones
     ds = generate(KIND, preset_by_name(KIND, "B5"), 10, seed=61)
@@ -251,6 +346,23 @@ def test_load_reports_bad_lines(tmp_path):
         rewrite(lines[:row] + [",".join(cells)] + lines[row + 1:])
         with pytest.raises(FormatError, match=f":{row + 1}: .*{message}"):
             load(path)
+
+    # a wrong record count is reported before a bad line, wherever it is
+    cells = lines[2].split(",")
+    cells[0] = "not-a-number"
+    rewrite(lines[:2] + [",".join(cells)] + lines[3:-1])
+    with pytest.raises(FormatError, match="count"):
+        load(path)
+    # lines end where str.splitlines ends them: "\r\n" ends one, and a form
+    # feed after a cell, which float() would skip, splits its row in two
+    with open(path, "w", newline="\r\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert load(path).count == ds.count
+    cells = lines[4].split(",")
+    cells[0] += "\x0c"
+    rewrite(lines[:4] + [",".join(cells)] + lines[5:-1])
+    with pytest.raises(FormatError, match=":5: expected 7 fields, got 1"):
+        load(path)
     rewrite(lines)
     assert load(path).count == ds.count
 
