@@ -15,7 +15,8 @@ from contextlib import closing
 
 from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
-from .errors import CewlabError, ModelMismatch, TooFewRecords, UnknownPreset
+from .errors import (CewlabError, ModelMismatch, TooFewRecords, UnknownPreset,
+                     WitnessFalsePositive)
 from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr,
                        write_roc, write_roc_svg)
 from .measure import preset_by_name
@@ -50,7 +51,7 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> None:
     started = time.monotonic()
     kind = SystemKind(args.kind)
     preset = preset_by_name(kind, args.preset)
@@ -59,18 +60,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _write_manifest(args.out, "gen", args, [], [args.out, args.out + ".meta"], started)
     print(f"wrote {args.out}: {ds.count} records, {preset.b} features, "
           f"prevalence {ds.prevalence:.4f}")
-    return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> None:
     started = time.monotonic()
     train_ds = load(args.train)
     val_ds = load(args.val)
-    if train_ds.preset != val_ds.preset:
-        print(f"error: preset mismatch: train has {train_ds.preset.name} "
-              f"({train_ds.kind.value}), validation has {val_ds.preset.name} "
-              f"({val_ds.kind.value})", file=sys.stderr)
-        return 1
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       max_epochs=args.max_epochs, patience=args.patience,
                       seed=args.seed)
@@ -87,10 +82,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_manifest(args.out, "train", args, [args.train, args.val], [args.out], started)
     print(f"best epoch {result.best_epoch} of {result.epochs_run}, "
           f"val_mse {result.best_val_mse:.6e}, wrote {args.out}")
-    return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     started = time.monotonic()
     model = load_model(args.model)
     test_ds = load(args.test)
@@ -111,10 +105,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _write_manifest(args.out, "eval", args, [args.model, args.test], outputs, started)
     print(f"AUC={curve.auc:.6f} TPR@FPR0.10={tpr_at_fpr(curve, 0.10):.6f} "
           f"TPR@FPR0={tpr_at_fpr(curve, 0.0):.6f}")
-    return 0
 
 
-def cmd_baselines(args: argparse.Namespace) -> int:
+def cmd_baselines(args: argparse.Namespace) -> None:
     kind = SystemKind(args.kind)
     if args.witness:
         witnesses = [Witness(args.witness)]
@@ -123,20 +116,17 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     else:
         witnesses = [Witness.NEGATIVITY]
     if kind is not SystemKind.TWO_QUBIT and any(w is not Witness.NEGATIVITY for w in witnesses):
-        print("error: chsh and fef baselines are defined for two-qubit states only",
-              file=sys.stderr)
-        return 2
+        raise ValueError("chsh and fef baselines are defined for two-qubit states only")
     preset = preset_by_name(kind, "B1")
     ds = generate(kind, preset, args.n, args.seed)
     print("witness     sensitivity  fpr")
     for witness in witnesses:
         sensitivity, fpr = baseline_rates(ds, witness)
         print(f"{witness.value:<11s} {sensitivity:11.4f}  {fpr:.4f}")
+        # the analytic criteria admit no false positives
         if fpr != 0.0:
-            print(f"error: the {witness.value} witness flagged separable states "
-                  f"(FPR {fpr})", file=sys.stderr)
-            return 1
-    return 0
+            raise WitnessFalsePositive(
+                f"the {witness.value} witness flagged separable states (FPR {fpr})")
 
 
 def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, int],
@@ -239,7 +229,7 @@ def _write_summary(out_dir: str, rows: list[dict]) -> None:
                      f"{r['tpr_at_fpr10']!r},{r['tpr_at_fpr0']!r},{r['epochs']}\n")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     started = time.monotonic()
     kind = SystemKind(args.kind)
     stats: dict = {}
@@ -249,7 +239,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outputs = [summary] + [r["model"] for r in rows] + [r["roc"] for r in rows]
     _write_manifest(summary, "sweep", args, [], outputs, started, stats)
     print(f"wrote {summary}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,17 +305,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # the one place that reports an error and picks the exit code; commands raise
     try:
-        return args.func(args)
-    except UnknownPreset as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        args.func(args)
+    except (UnknownPreset, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CewlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> None:

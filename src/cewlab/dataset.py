@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from contextlib import closing
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class Dataset:
     labels: np.ndarray  # (n,) bool, True = entangled
     seed: int
     stream_indices: np.ndarray  # (n,) int64 draw index of each record
-    created: str = ""
 
     @property
     def count(self) -> int:
@@ -126,9 +124,8 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
                 break
         else:
             raise DrawBudgetExhausted(f"class quota not reached within {max_chunks * CHUNK} draws")
-    created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return Dataset(kind, preset, np.concatenate(rows), np.concatenate(negs), np.concatenate(labs),
-                   seed, np.concatenate(streams).astype(np.int64), created)
+                   seed, np.concatenate(streams).astype(np.int64))
 
 
 def regenerate_states(ds: Dataset) -> np.ndarray:
@@ -152,6 +149,7 @@ def restrict(ds: Dataset, preset: MeasurementPreset) -> Dataset:
         columns = [positions[pair] for pair in preset.pairs]
     except KeyError as missing:
         raise ValueError(f"pair {missing} not measured in preset {ds.preset.name}") from None
+    # features[:, columns] is F-contiguous; the copy gives _forward_batch's BLAS product C order
     return replace(ds, preset=preset, features=ds.features[:, columns].copy())
 
 
@@ -176,13 +174,9 @@ def split(ds: Dataset, fractions: tuple[float, float, float]) -> tuple[Dataset, 
         take = np.sort(np.concatenate(piece))
         if len(take) == 0:
             raise EmptyDataset("a requested split would be empty")
-        out.append(replace(
-            ds,
-            features=ds.features[take].copy(),
-            negativities=ds.negativities[take].copy(),
-            labels=ds.labels[take].copy(),
-            stream_indices=ds.stream_indices[take].copy(),
-        ))
+        # indexing with an index array already returns fresh C-contiguous arrays
+        out.append(replace(ds, features=ds.features[take], negativities=ds.negativities[take],
+                           labels=ds.labels[take], stream_indices=ds.stream_indices[take]))
     return out[0], out[1], out[2]
 
 
@@ -249,8 +243,6 @@ def load(path: str) -> Dataset:
         streams = np.array(streams, dtype=np.int64)
         if len(np.unique(streams)) != len(streams):
             raise ValueError("stream_indices repeat a draw index")
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}.meta: {exc}") from exc
 
@@ -262,30 +254,33 @@ def load(path: str) -> Dataset:
     negs = np.empty(rows)
     labs = np.empty(rows, dtype=bool)
     bad_line = None
-    with open(path) as fh:
-        # splitting each line read splits where splitlines() on the whole text
-        # would (universal newlines leave no "\r"), without holding the file
-        # and its lines at once
-        lines = (part for line in fh for part in line.splitlines())
-        header = next(lines, None)
-        records = 0
-        for line in lines:
-            # the whole file is read, so errors keep their order: unreadable
-            # text, header, record count, then the first bad line
-            if bad_line is None and header == expected_header and records < rows:
-                try:
-                    cells = line.split(",")
-                    if len(cells) != b + 2:
-                        raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
-                    feats[records] = [float(c) for c in cells[:b]]
-                    negs[records] = float(cells[b])
-                    label = cells[b + 1]
-                    if label not in ("0", "1"):
-                        raise ValueError(f"label must be 0 or 1, got {label!r}")
-                    labs[records] = label == "1"
-                except ValueError as exc:
-                    bad_line = (records + 2, exc)
-            records += 1
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # splitting each line read splits where splitlines() on the whole text
+            # would (universal newlines leave no "\r"), without holding the file
+            # and its lines at once
+            lines = (part for line in fh for part in line.splitlines())
+            header = next(lines, None)
+            records = 0
+            for line in lines:
+                # the whole file is read, so errors keep their order: unreadable
+                # text, header, record count, then the first bad line
+                if bad_line is None and header == expected_header and records < rows:
+                    try:
+                        cells = line.split(",")
+                        if len(cells) != b + 2:
+                            raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
+                        feats[records] = [float(c) for c in cells[:b]]
+                        negs[records] = float(cells[b])
+                        label = cells[b + 1]
+                        if label not in ("0", "1"):
+                            raise ValueError(f"label must be 0 or 1, got {label!r}")
+                        labs[records] = label == "1"
+                    except ValueError as exc:
+                        bad_line = (records + 2, exc)
+                records += 1
+    except UnicodeDecodeError as exc:  # a data error, not the usage error a ValueError is
+        raise FormatError(f"{path}: {exc}") from exc
     if header != expected_header:
         raise FormatError(f"{path}:1: expected header {expected_header!r}")
     if records != count or len(streams) != count:

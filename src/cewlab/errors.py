@@ -42,4 +42,4 @@ class WitnessFalsePositive(CewlabError):
 
 
 class ModelMismatch(CewlabError):
-    """A model was trained on another system kind or preset than the data it is given."""
+    """A model and its data differ in kind or preset, or two datasets given to one model do."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, regenerate_states
-from .errors import DegenerateLabels, DimensionMismatch, EmptyDataset, WitnessFalsePositive
+from .errors import DegenerateLabels, DimensionMismatch, EmptyDataset
 from .measure import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .qlinalg import hermitian_eigenvalues_stack
 from .states import ENTANGLE_EPS, SystemKind
@@ -170,17 +170,6 @@ def witness_threshold(witness: Witness) -> float:
     if witness is Witness.CHSH:
         return 1.0
     return 0.5
-
-
-def baseline_sensitivity(test: Dataset, witness: Witness) -> float:
-    """TPR of a witness at its own threshold; the analytic criteria admit no
-    false positives, so a nonzero FPR is raised as an error, not returned.
-    """
-    sensitivity, fpr = baseline_rates(test, witness)
-    if fpr != 0.0:
-        raise WitnessFalsePositive(
-            f"the {witness.value} witness flagged separable states (FPR {fpr})")
-    return sensitivity
 
 
 def baseline_rates(ds: Dataset, witness: Witness) -> tuple[float, float]:

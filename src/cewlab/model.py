@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergedTraining, EmptyDataset, FormatError, TooFewRecords
+from .errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
+                     ModelMismatch, TooFewRecords)
 from .qlinalg import make_rng, standard_normals
 
 HIDDEN_SIZES = (32, 16)
@@ -182,8 +183,13 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
 
     Deterministic given cfg.seed: shuffling uses a dedicated stream and
     every reduction has a fixed order. `on_epoch(epoch, train_mse, val_mse)`
-    is called after each epoch when given.
+    is called after each epoch when given. Datasets of two presets raise ModelMismatch.
     """
+    preset = getattr(train_data, "preset", None)
+    val_preset = getattr(val_data, "preset", None)
+    if preset and val_preset and preset != val_preset:
+        raise ModelMismatch(f"preset mismatch: train has {preset.name} ({preset.kind.value}), "
+                            f"validation has {val_preset.name} ({val_preset.kind.value})")
     x_train, y_train = _dataset_xy(train_data)
     x_val, y_val = _dataset_xy(val_data)
     n = len(x_train)
@@ -248,7 +254,6 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
 
     m.weights, m.biases = _layer_views(best_params, shapes)
     # eval refuses test data whose kind or pairs differ from these
-    preset = getattr(train_data, "preset", None)
     m.meta.update({
         "kind": preset.kind.value if preset else None,
         "preset": preset.name if preset else None,
@@ -282,8 +287,6 @@ def load_model(path: str) -> Mlp:
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         meta = dict(doc.get("meta", {}))
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if len(weights) != len(sizes) - 1 or len(biases) != len(weights):

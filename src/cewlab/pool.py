@@ -39,7 +39,7 @@ def ordered_map(fn, jobs, count: int):
     # executor forks every worker before it starts its threads, and OpenBLAS
     # stops its own thread pool at each fork.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=pin_blas, initargs=(1,) if pin_blas else ())
+                               initializer=_init_worker, initargs=(os.getpid(), pin_blas))
     try:
         jobs = iter(jobs)
         pending = deque(pool.submit(fn, job) for job in islice(jobs, workers + 1))
@@ -50,6 +50,27 @@ def ordered_map(fn, jobs, count: int):
             pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _init_worker(parent: int, pin_blas) -> None:
+    """Make a forked worker die with its parent, then pin its BLAS to one thread.
+
+    A worker blocks on the call queue, whose write end it inherited, so it
+    would outlive a parent killed by a signal. On Linux the kernel kills it
+    when the thread that forked it (the first to advance `ordered_map`)
+    exits; a parent gone before that leaves it reparented, so it exits now.
+    """
+    import ctypes
+    import signal
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux's C library only
+    if prctl is not None:
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+    if pin_blas is not None:
+        pin_blas(1)
 
 
 def worker_count(count: int) -> int:

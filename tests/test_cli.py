@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -258,6 +260,26 @@ def test_data_errors_exit_1(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_undecodable_dataset_exits_1_naming_its_path(workspace, tmp_path, capsys):
+    bad = str(tmp_path / "bad.csv")
+    with open(workspace["val"] + ".meta") as src, open(bad + ".meta", "w") as dst:
+        dst.write(src.read())
+    with open(workspace["val"], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    # a wrong header, a bad cell and a missing record, and one byte that is not
+    # UTF-8 on the last line: the undecodable text is reported first
+    with open(bad, "wb") as fh:
+        fh.write(b"x" + lines[0] + b"oops\n" + b"".join(lines[3:-1]) + b"\xff" + lines[-1])
+    rc = main(["train", "--train", workspace["train"], "--val", bad,
+               "--out", str(tmp_path / "x.mlp.json")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "x.mlp.json")
+
+
 def test_baselines_table(capsys):
     assert main(["baselines", "--kind", "two-qubit", "--n", "400",
                  "--seed", "80"]) == 0
@@ -426,6 +448,61 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "wrote " + str(tmp_path / "d.csv")
                                         + ": 200 records, 45 features, prevalence 0.5000", "[]"]
+
+
+def _alive(pid: int) -> bool:
+    """True while `pid` runs; a zombie, dead but not yet reaped, counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers are tied to their parent through Linux's prctl")
+def test_pool_workers_die_with_their_parent(tmp_path):
+    # two jobs on two workers, each writing its pid and then sleeping; the
+    # parent is then killed while it waits for the first result
+    code = "\n".join([
+        "import os, time",
+        "from cewlab import pool",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "def job(path):",
+        "    open(os.path.join(path, str(os.getpid())), 'w').close()",
+        "    time.sleep(120)",
+        f"list(pool.ordered_map(job, [{str(tmp_path)!r}] * 2, 2))",
+    ])
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(tmp_path)]
+        assert len(workers) == 2, f"workers {workers}, parent exit code {proc.poll()}"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_a_worker_whose_parent_is_gone_exits():
+    # a worker forked by a parent that died before the worker could ask to
+    # die with it has been left to another parent already
+    code = "from cewlab import pool\npool._init_worker(-1, None)\nprint('still running')"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
 
 
 def test_run_sweep_argument_checks(tmp_path):

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from cewlab.dataset import generate, restrict, split
-from cewlab.errors import (DegenerateLabels, DimensionMismatch, EmptyDataset,
-                           WitnessFalsePositive)
+from cewlab.errors import DegenerateLabels, DimensionMismatch, EmptyDataset
 from cewlab.evaluate import (
     Witness,
     baseline_rates,
-    baseline_sensitivity,
     fef_stack,
     roc_curve,
     tpr_at_fpr,
@@ -219,13 +217,12 @@ def test_baseline_negativity_is_exact(balanced_ds):
     sensitivity, fpr = baseline_rates(balanced_ds, Witness.NEGATIVITY)
     assert sensitivity == 1.0
     assert fpr == 0.0
-    assert baseline_sensitivity(balanced_ds, Witness.NEGATIVITY) == 1.0
 
 
-def test_baseline_sensitivity_raises_on_a_false_positive(balanced_ds):
+def test_baseline_rates_report_a_false_positive(balanced_ds):
+    # the rates are returned as they are; `cewlab baselines` refuses a nonzero FPR
     swapped = dataclasses.replace(balanced_ds, labels=~balanced_ds.labels)
-    with pytest.raises(WitnessFalsePositive, match="negativity witness flagged"):
-        baseline_sensitivity(swapped, Witness.NEGATIVITY)
+    assert baseline_rates(swapped, Witness.NEGATIVITY) == (0.0, 1.0)
 
 
 def test_baseline_witness_ordering(balanced_ds):

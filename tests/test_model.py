@@ -5,7 +5,7 @@ from cewlab import model
 
 from cewlab.dataset import generate, split
 from cewlab.errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
-                           TooFewRecords)
+                           ModelMismatch, TooFewRecords)
 from cewlab.measure import preset_by_name
 from cewlab.model import (
     EarlyStopper,
@@ -312,6 +312,24 @@ def test_train_argument_checks():
         train(m, (x, y), (x, y), TrainConfig(batch_size=10, max_epochs=0))
     with pytest.raises(DimensionMismatch):
         train(init_mlp(4, cfg), (x, y), (x, y), TrainConfig(batch_size=10))
+
+
+def test_train_refuses_datasets_of_two_presets():
+    # both B5 presets have five features, so only the datasets' presets tell them apart
+    tq_train = split(generate(SystemKind.TWO_QUBIT, preset_by_name(SystemKind.TWO_QUBIT, "B5"),
+                              200, seed=41), (0.6, 0.2, 0.2))[0]
+    qq_val = split(generate(SystemKind.QUBIT_QUTRIT, preset_by_name(SystemKind.QUBIT_QUTRIT, "B5"),
+                            200, seed=42), (0.6, 0.2, 0.2))[1]
+    cfg = TrainConfig(batch_size=32, max_epochs=2, seed=4)
+    with pytest.raises(ModelMismatch) as raised:
+        train(init_mlp(5, cfg), tq_train, qq_val, cfg)
+    assert str(raised.value) == ("preset mismatch: train has B5 (two-qubit), "
+                                 "validation has B5 (qubit-qutrit)")
+    # (x, y) tuples carry no preset, so nothing is refused
+    result = train(init_mlp(5, cfg), (tq_train.features, tq_train.negativities),
+                   (qq_val.features, qq_val.negativities), cfg)
+    assert result.epochs_run == 2
+    assert result.model.meta["preset"] is None
 
 
 def test_save_load_round_trip(tmp_path):
