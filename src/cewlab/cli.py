@@ -19,16 +19,13 @@ from .errors import (CewlabError, ModelMismatch, TooFewRecords, UnknownPreset,
                      WitnessFalsePositive)
 from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr,
                        write_roc, write_roc_svg)
-from .measure import preset_by_name
+from .measure import builtin_presets, preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
                     save_model, train)
 from .pool import ordered_map, worker_count
 from .states import SystemKind
 
 _KIND_NAMES = [k.value for k in SystemKind]
-# largest built-in preset per kind; every other preset is a subset of it,
-# so sweep splits can be shared by column projection
-_MASTER_PRESET = {SystemKind.TWO_QUBIT: "B10", SystemKind.QUBIT_QUTRIT: "B45"}
 
 
 def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
@@ -164,7 +161,8 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     if sizes[0] < cfg.batch_size:
         raise TooFewRecords(f"TRAIN size {sizes[0]} is smaller than the training batch "
                             f"of {cfg.batch_size} records")
-    master = preset_by_name(kind, _MASTER_PRESET[kind])
+    # the largest built-in preset's pairs hold every other's, so restrict projects each split
+    master = max(builtin_presets(kind), key=lambda p: p.b)
     ds = generate(kind, master, total, seed)
     fractions = (sizes[0] / total, sizes[1] / total, sizes[2] / total)
     train_ds, val_ds, test_ds = split(ds, fractions)

@@ -13,8 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
-from .measure import MeasurementPreset, conditional_probabilities, feature_traces_stack
+from .errors import (DegenerateLabels, DimensionMismatch, DrawBudgetExhausted, EmptyDataset,
+                     FormatError)
+from .measure import (MeasurementPreset, check_pairs, conditional_probabilities,
+                      feature_traces_stack)
 from .pool import ordered_map
 from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_stack,
                      sample_density_streams)
@@ -28,18 +30,19 @@ from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_
 #: the draws spent on a quota.
 CHUNK = 1024
 
-_HEADER_TAIL = ("negativity", "label")
-
 
 @dataclass
 class Dataset:
-    kind: SystemKind
     preset: MeasurementPreset
     features: np.ndarray  # (n, B) float64, values in [0, 1]
     negativities: np.ndarray  # (n,) float64 regression targets
     labels: np.ndarray  # (n,) bool, True = entangled
     seed: int
     stream_indices: np.ndarray  # (n,) int64 draw index of each record
+
+    @property
+    def kind(self) -> SystemKind:
+        return self.preset.kind
 
     @property
     def count(self) -> int:
@@ -87,8 +90,11 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     unfilled; unbalanced mode keeps everything and reproduces the natural
     prevalences. Degenerate-conditioning draws are discarded either way.
     Chunks after the first are drawn in parallel (pool.ordered_map); records
-    are selected here, in draw order, so the result is the same.
+    are selected here, in draw order, so the result is the same. The
+    dataset's kind is its preset's, so a preset of another kind raises ValueError.
     """
+    if preset.kind is not kind:
+        raise ValueError(f"preset is for {preset.kind.value}, dataset is {kind.value}")
     if n <= 0:
         raise ValueError("n must be positive")
     if balanced and n % 2:
@@ -124,7 +130,7 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
                 break
         else:
             raise DrawBudgetExhausted(f"class quota not reached within {max_chunks * CHUNK} draws")
-    return Dataset(kind, preset, np.concatenate(rows), np.concatenate(negs), np.concatenate(labs),
+    return Dataset(preset, np.concatenate(rows), np.concatenate(negs), np.concatenate(labs),
                    seed, np.concatenate(streams).astype(np.int64))
 
 
@@ -180,6 +186,11 @@ def split(ds: Dataset, fractions: tuple[float, float, float]) -> tuple[Dataset, 
     return out[0], out[1], out[2]
 
 
+def _header(b: int) -> str:
+    """The CSV header line, without its newline, of a dataset with b features."""
+    return ",".join([f"f{i}" for i in range(1, b + 1)] + ["negativity", "label"])
+
+
 def _format_rows(block: tuple) -> str:
     """CSV lines, each ending in a newline, of one (features, negativities, labels) block."""
     features, negs, labels = block
@@ -198,14 +209,12 @@ def save(ds: Dataset, path: str) -> None:
     Rows are formatted CHUNK at a time in the process pool (one block or
     fewer in this process) and written in order as each block arrives.
     """
-    b = ds.preset.b
-    header = ",".join([f"f{i}" for i in range(1, b + 1)] + list(_HEADER_TAIL))
     starts = range(0, ds.count, CHUNK)
     blocks = ((ds.features[i:i + CHUNK], ds.negativities[i:i + CHUNK], ds.labels[i:i + CHUNK])
               for i in starts)
     with open(path, "w", newline="\n") as fh, \
             closing(ordered_map(_format_rows, blocks, len(starts))) as texts:
-        fh.write(header + "\n")
+        fh.write(_header(ds.preset.b) + "\n")
         fh.writelines(texts)
     meta = {
         "kind": ds.kind.value,
@@ -227,6 +236,7 @@ def load(path: str) -> Dataset:
         kind = SystemKind(meta["kind"])
         preset = MeasurementPreset(kind, meta["preset"]["name"],
                                    tuple(tuple(p) for p in meta["preset"]["pairs"]))
+        check_pairs(kind, preset.pairs)
         seed = meta["seed"]
         count = meta["count"]
         # save writes the seed and count as JSON integers, and generate takes
@@ -243,11 +253,11 @@ def load(path: str) -> Dataset:
         streams = np.array(streams, dtype=np.int64)
         if len(np.unique(streams)) != len(streams):
             raise ValueError("stream_indices repeat a draw index")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError, DimensionMismatch) as exc:
         raise FormatError(f"{path}.meta: {exc}") from exc
 
     b = preset.b
-    expected_header = ",".join([f"f{i}" for i in range(1, b + 1)] + list(_HEADER_TAIL))
+    expected_header = _header(b)
     # arrays only for a count the sidecar backs with as many draw indices
     rows = count if len(streams) == count else 0
     feats = np.empty((rows, b))
@@ -298,4 +308,4 @@ def load(path: str) -> Dataset:
     if bad.any():
         row = int(bad.any(axis=0).argmax())
         raise FormatError(f"{path}:{row + 2}: {checks[int(bad[:, row].argmax())][0]}")
-    return Dataset(kind, preset, feats, negs, labs, seed, streams)
+    return Dataset(preset, feats, negs, labs, seed, streams)

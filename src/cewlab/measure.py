@@ -124,6 +124,14 @@ def preset_by_name(kind: SystemKind, name: str) -> MeasurementPreset:
     raise UnknownPreset(f"unknown preset {name!r} for {kind.value}")
 
 
+def check_pairs(kind: SystemKind, pairs) -> None:
+    """Raise DimensionMismatch unless every pair is two integer effect indices of the kind."""
+    indices = {e.index for e in local_effects(kind)}
+    for pair in pairs:
+        if len(pair) != 2 or not all(type(i) is int and i in indices for i in pair):
+            raise DimensionMismatch(f"effect index pair {pair} invalid for {kind.value}")
+
+
 def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
                          pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator traces of every pair for a stack of density
@@ -132,11 +140,9 @@ def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
     The K conditional qubit states come from one matmul, each row of the
     stack on its own, so a record's traces do not depend on its batch.
     """
+    check_pairs(kind, pairs)
     effects = local_effects(kind)
     position = {e.index: k for k, e in enumerate(effects)}
-    for ix, iy in pairs:
-        if ix not in position or iy not in position:
-            raise DimensionMismatch(f"effect index pair ({ix},{iy}) invalid for {kind.value}")
     m = mats.shape[0]
     d1, d2 = kind.dims
     # sigma[m, (a, b), x] = sum_ij rho[m, (a, i), (b, j)] E_x[j, i]

@@ -105,11 +105,12 @@ def init_mlp(input_dim: int, cfg: TrainConfig) -> Mlp:
     return Mlp(weights, biases, {"seed": cfg.seed})
 
 
-def _forward_batch(m: Mlp, x: np.ndarray) -> np.ndarray:
-    h = x
+def _forward_batch(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Outputs (n,) of a batch and every layer's input: x, then each hidden activation."""
+    acts = [x]
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return (h @ m.weights[-1] + m.biases[-1])[:, 0]
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return (acts[-1] @ m.weights[-1] + m.biases[-1])[:, 0], acts
 
 
 def forward(m: Mlp, x) -> float | np.ndarray:
@@ -120,7 +121,7 @@ def forward(m: Mlp, x) -> float | np.ndarray:
     if batch.ndim != 2 or batch.shape[1] != m.input_dim:
         raise DimensionMismatch(
             f"model expects {m.input_dim} features, got shape {arr.shape}")
-    out = _forward_batch(m, batch)
+    out = _forward_batch(m, batch)[0]
     return float(out[0]) if single else out
 
 
@@ -139,15 +140,7 @@ def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
     if x.shape[1] != m.input_dim:
         raise DimensionMismatch(
             f"model expects {m.input_dim} features, got shape {x.shape}")
-    pre = []
-    acts = [x]
-    h = x
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    out = (h @ m.weights[-1] + m.biases[-1])[:, 0]
+    out, acts = _forward_batch(m, x)
     err = out - y
     mse = float(np.mean(err**2))
 
@@ -157,7 +150,8 @@ def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
     grads_w[-1] = acts[-1].T @ delta
     grads_b[-1] = delta.sum(axis=0)
     for layer in range(len(m.weights) - 2, -1, -1):
-        delta = (delta @ m.weights[layer + 1].T) * (pre[layer] > 0.0)
+        # a ReLU output is positive exactly where its input was
+        delta = (delta @ m.weights[layer + 1].T) * (acts[layer + 1] > 0.0)
         grads_w[layer] = acts[layer].T @ delta
         grads_b[layer] = delta.sum(axis=0)
     return grads_w, grads_b, mse
@@ -204,6 +198,9 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
         raise TooFewRecords(f"batch_size {cfg.batch_size} exceeds the {n} training records")
     if cfg.max_epochs < 1:
         raise ValueError("max_epochs must be at least 1")
+    if not 0.0 < cfg.learning_rate < np.inf:  # false for NaN too
+        raise ValueError(f"learning_rate must be a positive finite number, "
+                         f"got {cfg.learning_rate}")
 
     rng = make_rng(cfg.seed, _SHUFFLE_STREAM)
     # weights then biases, in layer order, as views of one flat buffer: an
@@ -239,13 +236,12 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
             mom2 = BETA2 * mom2 + (1.0 - BETA2) * g * g
             params -= cfg.learning_rate * (mom1 / corr1) / (np.sqrt(mom2 / corr2) + EPSILON)
         train_mse = sq_err_sum / n
-        val_mse = float(np.mean((_forward_batch(m, x_val) - y_val) ** 2))
+        val_mse = float(np.mean((_forward_batch(m, x_val)[0] - y_val) ** 2))
         if not np.isfinite(val_mse):
             raise DivergedTraining(f"validation loss became non-finite at epoch {epoch}")
         history.append((train_mse, val_mse))
-        improved = val_mse < stopper.best
         should_stop = stopper.update(val_mse)
-        if improved:
+        if stopper.best_index == epoch:
             best_params = params.copy()
         if on_epoch is not None:
             on_epoch(epoch, train_mse, val_mse)
@@ -294,4 +290,6 @@ def load_model(path: str) -> Mlp:
     for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
             raise FormatError(f"{path}: layer {i} shapes do not match layer_sizes")
+    if not all(np.isfinite(a).all() for a in (*weights, *biases)):
+        raise FormatError(f"{path}: a weight or bias is NaN or infinite")
     return Mlp(weights, biases, meta)

@@ -104,32 +104,24 @@ def _pool_plan(jobs: int):
 
 
 def _blas_thread_setter():
-    """`openblas_set_num_threads` of the OpenBLAS mapped into this process, or None.
+    """`openblas_set_num_threads` of the OpenBLAS numpy links, or None.
 
     numpy's wheels bundle scipy-openblas, whose symbols carry a `scipy_`
-    prefix and, for 64-bit integers, a `64_` suffix. The library is found
-    among the files mapped into this process, which Linux lists in
-    /proc/self/maps; elsewhere there is no setter.
+    prefix and, for 64-bit integers, a `64_` suffix. A symbol looked up in
+    numpy's linalg extension is also searched for in the libraries that
+    extension links, so the BLAS numpy calls is the one found.
     """
     import ctypes
+    from numpy.linalg import _umath_linalg
     try:
-        with open("/proc/self/maps") as fh:
-            # address, permissions, offset, device, inode, then the path if any
-            fields = [line.split(maxsplit=5) for line in fh]
+        lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    paths = {f[5].rstrip("\n") for f in fields
-             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return setter
     return None

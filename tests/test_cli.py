@@ -209,6 +209,17 @@ def test_seed_out_of_range_exits_2(tmp_path, capsys, seed):
     assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
 
 
+@pytest.mark.parametrize("lr", ["0", "-0.001", "nan", "inf"])
+def test_a_learning_rate_that_is_not_positive_and_finite_exits_2(workspace, tmp_path, capsys, lr):
+    out = tmp_path / "x.mlp.json"
+    rc = main(["train", "--train", workspace["train"], "--val", workspace["val"],
+               "--lr", lr, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: learning_rate must be a positive finite number, got {float(lr)}\n")
+    assert not out.exists()
+
+
 def test_quota_exhaustion_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dataset, "negativity_stack", lambda mats, kind: np.zeros(len(mats)))
     assert main(gen_args(tmp_path / "d.csv", preset="B1", n=10)) == 1
@@ -258,6 +269,21 @@ def test_data_errors_exit_1(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "x.mlp.json")])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_eval_of_a_model_with_a_non_finite_weight_exits_1(workspace, tmp_path, capsys, bad):
+    with open(workspace["model"]) as fh:
+        doc = json.load(fh)
+    doc["weights"][0][0][0] = bad
+    model = str(tmp_path / "bad.mlp.json")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "x.roc.csv"
+    rc = main(["eval", "--model", model, "--test", workspace["test"], "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {model}: a weight or bias is NaN or infinite\n")
+    assert not out.exists()
 
 
 def test_an_undecodable_dataset_exits_1_naming_its_path(workspace, tmp_path, capsys):
@@ -425,6 +451,11 @@ def test_the_pool_needs_a_blas_thread_pin(monkeypatch, cpus):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert pool._pool_plan(5) == (2, None)
     assert pool._pool_plan(1) == (1, None)
+
+
+def test_the_blas_thread_setter_is_found_where_numpy_uses_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert "openblas" not in blas.lower() or pool._blas_thread_setter() is not None
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ def test_generate_argument_checks():
         generate(KIND, B1, 0, seed=0)
     with pytest.raises(ValueError):
         generate(KIND, B1, 301, seed=0)  # balanced needs an even count
+    # the dataset's kind is its preset's, so a preset of the other kind is refused
+    with pytest.raises(ValueError, match="preset is for qubit-qutrit, dataset is two-qubit"):
+        generate(KIND, preset_by_name(SystemKind.QUBIT_QUTRIT, "B1"), 200, seed=1)
 
 
 def test_labels_match_regenerated_states():
@@ -237,17 +241,18 @@ def test_split_needs_both_classes():
 
 
 def test_save_load_round_trip(tmp_path):
-    ds = generate(KIND, preset_by_name(KIND, "B5"), 200, seed=59)
-    path = str(tmp_path / "d.csv")
-    save(ds, path)
-    back = load(path)
-    assert back.kind is ds.kind
-    assert back.preset == ds.preset
-    assert back.seed == ds.seed
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.negativities, ds.negativities)
-    assert np.array_equal(back.labels, ds.labels)
-    assert np.array_equal(back.stream_indices, ds.stream_indices)
+    for kind, name in ((SystemKind.TWO_QUBIT, "B5"), (SystemKind.QUBIT_QUTRIT, "B13")):
+        ds = generate(kind, preset_by_name(kind, name), 200, seed=59)
+        path = str(tmp_path / f"{kind.value}.csv")
+        save(ds, path)
+        back = load(path)
+        assert back.kind is ds.kind is kind
+        assert back.preset == ds.preset
+        assert back.seed == ds.seed
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.negativities, ds.negativities)
+        assert np.array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.stream_indices, ds.stream_indices)
 
 
 def test_save_is_byte_stable(tmp_path):
@@ -402,6 +407,25 @@ def test_load_rejects_seeds_and_counts_generate_cannot_write(tmp_path, field, va
     with open(path + ".meta", "w") as fh:
         json.dump(meta, fh)
     with pytest.raises(FormatError, match=f"{field} must be "):
+        load(path)
+
+
+@pytest.mark.parametrize("kind, pairs", [
+    (KIND, [[9, 9]]), (KIND, [[0, 1]]), (KIND, [[1, 1, 1]]), (KIND, [[1.0, 1]]),
+    (SystemKind.QUBIT_QUTRIT, [[10, 1]]),
+], ids=["tq-9-9", "tq-0-1", "tq-1-1-1", "tq-float", "qq-10-1"])
+def test_load_rejects_pairs_generate_cannot_write(tmp_path, kind, pairs):
+    # effect indices run 1-4 for two-qubit and 1-9 for qubit-qutrit
+    ds = generate(kind, preset_by_name(kind, "B1"), 4, seed=65)
+    path = str(tmp_path / "d.csv")
+    save(ds, path)
+    with open(path + ".meta") as fh:
+        meta = json.load(fh)
+    meta["preset"]["pairs"] = pairs
+    with open(path + ".meta", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(FormatError, match=f"^{re.escape(path)}\\.meta: effect index pair "
+                                          f".* invalid for {kind.value}$"):
         load(path)
 
 

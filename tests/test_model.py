@@ -310,6 +310,9 @@ def test_train_argument_checks():
         train(m, (x, y), (x, y), TrainConfig(batch_size=11))
     with pytest.raises(ValueError):
         train(m, (x, y), (x, y), TrainConfig(batch_size=10, max_epochs=0))
+    for lr in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
+            train(m, (x, y), (x, y), TrainConfig(learning_rate=lr, batch_size=10))
     with pytest.raises(DimensionMismatch):
         train(init_mlp(4, cfg), (x, y), (x, y), TrainConfig(batch_size=10))
 
@@ -371,6 +374,13 @@ def test_load_model_error_paths(tmp_path):
         json.dump(doc, fh)
     with pytest.raises(FormatError, match="layer 0"):
         load_model(path)
+
+    # train refuses non-finite losses, so it never writes such a weight
+    for bad in (float("nan"), float("inf")):
+        m.biases[1][3] = bad
+        save_model(m, path)
+        with pytest.raises(FormatError, match="bad.mlp.json: a weight or bias is NaN or infinite"):
+            load_model(path)
 
 
 def test_model_rejects_features_of_other_preset():
