@@ -1,8 +1,8 @@
 """Command-line front end: gen, train, eval, baselines, sweep.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
-Artifact-producing commands drop a "<out>.manifest.json" beside each
-primary output recording the command, flags, seeds, paths, and timing.
+Artifact-producing commands return what they wrote, and main drops a
+"<out>.manifest.json" beside it recording flags, seeds, paths and timing.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
 from .errors import (CewlabError, ModelMismatch, TooFewRecords, UnknownPreset,
                      WitnessFalsePositive)
-from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr,
+from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr, witnesses,
                        write_roc, write_roc_svg)
 from .measure import builtin_presets, preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
@@ -28,12 +28,11 @@ from .states import SystemKind
 _KIND_NAMES = [k.value for k in SystemKind]
 
 
-def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str], started: float,
-                    stats: dict | None = None) -> None:
+def _write_manifest(args: argparse.Namespace, started: float, out_path: str,
+                    inputs: list[str], outputs: list[str], stats: dict | None = None) -> None:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
-        "command": command,
+        "command": args.command,
         "flags": flags,
         "seeds": {"seed": flags["seed"]} if "seed" in flags else {},
         "inputs": inputs,
@@ -48,19 +47,27 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-def cmd_gen(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def _score(model, test_ds: Dataset, roc_path: str, svg_path: str | None) -> dict:
+    """Score a test set, write its ROC table (and SVG when given); returns the operating points."""
+    curve = roc_curve(predict_negativity(model, test_ds.features), test_ds.labels)
+    write_roc(curve, roc_path)
+    if svg_path:
+        write_roc_svg(curve, svg_path, title=test_ds.preset.name)
+    return {"auc": curve.auc, "tpr_at_fpr10": tpr_at_fpr(curve, 0.10),
+            "tpr_at_fpr0": tpr_at_fpr(curve, 0.0)}
+
+
+def cmd_gen(args: argparse.Namespace) -> tuple:
     kind = SystemKind(args.kind)
     preset = preset_by_name(kind, args.preset)
     ds = generate(kind, preset, args.n, args.seed, balanced=not args.unbalanced)
     save(ds, args.out)
-    _write_manifest(args.out, "gen", args, [], [args.out, args.out + ".meta"], started)
     print(f"wrote {args.out}: {ds.count} records, {preset.b} features, "
           f"prevalence {ds.prevalence:.4f}")
+    return args.out, [], [args.out, args.out + ".meta"]
 
 
-def cmd_train(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def cmd_train(args: argparse.Namespace) -> tuple:
     train_ds = load(args.train)
     val_ds = load(args.val)
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
@@ -76,13 +83,12 @@ def cmd_train(args: argparse.Namespace) -> None:
 
     result = train(model, train_ds, val_ds, cfg, on_epoch=report)
     save_model(result.model, args.out)
-    _write_manifest(args.out, "train", args, [args.train, args.val], [args.out], started)
     print(f"best epoch {result.best_epoch} of {result.epochs_run}, "
           f"val_mse {result.best_val_mse:.6e}, wrote {args.out}")
+    return args.out, [args.train, args.val], [args.out]
 
 
-def cmd_eval(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def cmd_eval(args: argparse.Namespace) -> tuple:
     model = load_model(args.model)
     test_ds = load(args.test)
     meta = model.meta
@@ -92,32 +98,21 @@ def cmd_eval(args: argparse.Namespace) -> None:
         raise ModelMismatch(
             f"{args.model} ({trained}) does not match {args.test} ({test_ds.kind.value} "
             f"{test_ds.preset.name}): a model scores only its training kind and preset pairs")
-    scores = predict_negativity(model, test_ds.features)
-    curve = roc_curve(scores, test_ds.labels)
-    write_roc(curve, args.out)
-    outputs = [args.out]
-    if args.svg:
-        write_roc_svg(curve, args.svg, title=test_ds.preset.name)
-        outputs.append(args.svg)
-    _write_manifest(args.out, "eval", args, [args.model, args.test], outputs, started)
-    print(f"AUC={curve.auc:.6f} TPR@FPR0.10={tpr_at_fpr(curve, 0.10):.6f} "
-          f"TPR@FPR0={tpr_at_fpr(curve, 0.0):.6f}")
+    points = _score(model, test_ds, args.out, args.svg)
+    print(f"AUC={points['auc']:.6f} TPR@FPR0.10={points['tpr_at_fpr10']:.6f} "
+          f"TPR@FPR0={points['tpr_at_fpr0']:.6f}")
+    return args.out, [args.model, args.test], [args.out] + ([args.svg] if args.svg else [])
 
 
 def cmd_baselines(args: argparse.Namespace) -> None:
     kind = SystemKind(args.kind)
-    if args.witness:
-        witnesses = [Witness(args.witness)]
-    elif kind is SystemKind.TWO_QUBIT:
-        witnesses = [Witness.NEGATIVITY, Witness.CHSH, Witness.FEF]
-    else:
-        witnesses = [Witness.NEGATIVITY]
-    if kind is not SystemKind.TWO_QUBIT and any(w is not Witness.NEGATIVITY for w in witnesses):
+    chosen = (Witness(args.witness),) if args.witness else witnesses(kind)
+    if not set(chosen) <= set(witnesses(kind)):
         raise ValueError("chsh and fef baselines are defined for two-qubit states only")
     preset = preset_by_name(kind, "B1")
     ds = generate(kind, preset, args.n, args.seed)
     print("witness     sensitivity  fpr")
-    for witness in witnesses:
+    for witness in chosen:
         sensitivity, fpr = baseline_rates(ds, witness)
         print(f"{witness.value:<11s} {sensitivity:11.4f}  {fpr:.4f}")
         # the analytic criteria admit no false positives
@@ -128,24 +123,26 @@ def cmd_baselines(args: argparse.Namespace) -> None:
 
 def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, int],
               seed: int, out_dir: str, cfg: TrainConfig | None = None,
-              svg: bool = False, log=None, stats: dict | None = None) -> list[dict]:
+              svg: bool = False, log=None) -> list[dict]:
     """Train and evaluate one model per preset on shared splits.
 
-    One master dataset is generated at the kind's largest preset and every
-    requested preset is a column projection of it, so all models see the
-    same states. Generation, splitting and projection run here; the presets
-    are then trained in parallel (pool.ordered_map), one forked worker
-    process per usable CPU (at most one per preset), each with one BLAS
-    thread. Every artifact has the same bytes as a one-process run. Where
-    fork is unavailable, only one CPU is usable, or the BLAS thread count
-    cannot be pinned, the presets are trained one after another in this
-    process. A preset named twice is refused with ValueError.
+    One balanced master dataset is generated at the kind's largest preset
+    and every requested preset is a column projection of it, so all models
+    see the same states. Generation, splitting and projection run here; the
+    presets are then trained in parallel (pool.ordered_map), one forked
+    worker process per usable CPU (at most one per preset), each with one
+    BLAS thread. Every artifact has the same bytes as a one-process run.
+    Where fork is unavailable, only one CPU is usable, or the BLAS thread
+    count cannot be pinned, the presets are trained one after another in
+    this process. A preset named twice, or a split size that is not a
+    positive even number (each split takes half its records from each
+    class), is refused with ValueError before anything is generated.
 
     Returns one summary row per preset, in the requested order; files land
     in out_dir, and `log` and the summary rewrites follow the same order.
-    An error raised while training a preset propagates with its own type.
-    When given, `stats` is filled with the worker count and each preset's
-    training time, epochs and gradient steps, as measured by its worker.
+    Each row's "stats" holds the preset's training time, epochs and
+    gradient steps, as measured by its worker. An error raised while
+    training a preset propagates with its own type.
     """
     if not preset_names:
         raise ValueError("preset list is empty")
@@ -154,18 +151,18 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
         # each preset's model and ROC table have one path
         raise ValueError(f"preset {', '.join(repeated)} is listed more than once")
     presets = [preset_by_name(kind, name) for name in preset_names]
-    total = sum(sizes)
-    if min(sizes) < 1:
-        raise ValueError("all three split sizes must be positive")
+    if any(n < 1 or n % 2 for n in sizes):
+        # the stratified split of a balanced master is exact only for even sizes
+        raise ValueError(f"split sizes {' '.join(map(str, sizes))} must all be positive and even")
     cfg = cfg if cfg is not None else TrainConfig(seed=seed)
     if sizes[0] < cfg.batch_size:
         raise TooFewRecords(f"TRAIN size {sizes[0]} is smaller than the training batch "
                             f"of {cfg.batch_size} records")
     # the largest built-in preset's pairs hold every other's, so restrict projects each split
     master = max(builtin_presets(kind), key=lambda p: p.b)
+    total = sum(sizes)
     ds = generate(kind, master, total, seed)
-    fractions = (sizes[0] / total, sizes[1] / total, sizes[2] / total)
-    train_ds, val_ds, test_ds = split(ds, fractions)
+    train_ds, val_ds, test_ds = split(ds, tuple(n / total for n in sizes))
     os.makedirs(out_dir, exist_ok=True)
     # lazy, so training in this process holds one preset's projection at a time
     jobs = ((preset, restrict(train_ds, preset), restrict(val_ds, preset),
@@ -181,9 +178,6 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
                 log(f"{row['preset']}: B={row['b']} auc={row['auc']:.4f} "
                     f"tpr@fpr0.10={row['tpr_at_fpr10']:.4f} epochs={row['epochs']}")
             _write_summary(out_dir, rows)
-    if stats is not None:
-        stats["workers"] = worker_count(len(presets))
-        stats["presets"] = {row["preset"]: row["stats"] for row in rows}
     return rows
 
 
@@ -197,19 +191,14 @@ def _fit_preset(job: tuple) -> dict:
     started = time.perf_counter()
     result = train(init_mlp(preset.b, cfg), tr, va, cfg)
     train_s = time.perf_counter() - started
-    curve = roc_curve(predict_negativity(result.model, te.features), te.labels)
     model_path = stem + ".mlp.json"
     roc_path = stem + ".roc.csv"
     save_model(result.model, model_path)
-    write_roc(curve, roc_path)
-    if svg:
-        write_roc_svg(curve, stem + ".svg", title=preset.name)
+    points = _score(result.model, te, roc_path, stem + ".svg" if svg else None)
     return {
         "preset": preset.name,
         "b": preset.b,
-        "auc": curve.auc,
-        "tpr_at_fpr10": tpr_at_fpr(curve, 0.10),
-        "tpr_at_fpr0": tpr_at_fpr(curve, 0.0),
+        **points,
         "epochs": result.epochs_run,
         "model": model_path,
         "roc": roc_path,
@@ -218,25 +207,24 @@ def _fit_preset(job: tuple) -> dict:
     }
 
 
+_SUMMARY_COLUMNS = ("preset", "b", "auc", "tpr_at_fpr10", "tpr_at_fpr0", "epochs")
+
+
 def _write_summary(out_dir: str, rows: list[dict]) -> None:
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("preset,b,auc,tpr_at_fpr10,tpr_at_fpr0,epochs\n")
-        for r in rows:
-            fh.write(f"{r['preset']},{r['b']},{r['auc']!r},"
-                     f"{r['tpr_at_fpr10']!r},{r['tpr_at_fpr0']!r},{r['epochs']}\n")
+    # str of a float is its repr, so every score keeps all its digits
+    with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
+        for cells in [_SUMMARY_COLUMNS] + [[r[c] for c in _SUMMARY_COLUMNS] for r in rows]:
+            fh.write(",".join(map(str, cells)) + "\n")
 
 
-def cmd_sweep(args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    kind = SystemKind(args.kind)
-    stats: dict = {}
-    rows = run_sweep(kind, args.presets, tuple(args.sizes), args.seed,
-                     args.out_dir, svg=args.svg, log=print, stats=stats)
+def cmd_sweep(args: argparse.Namespace) -> tuple:
+    rows = run_sweep(SystemKind(args.kind), args.presets, tuple(args.sizes), args.seed,
+                     args.out_dir, svg=args.svg, log=print)
     summary = os.path.join(args.out_dir, "summary.csv")
-    outputs = [summary] + [r["model"] for r in rows] + [r["roc"] for r in rows]
-    _write_manifest(summary, "sweep", args, [], outputs, started, stats)
     print(f"wrote {summary}")
+    stats = {"workers": worker_count(len(rows)),
+             "presets": {r["preset"]: r["stats"] for r in rows}}
+    return summary, [], [summary] + [r["model"] for r in rows] + [r["roc"] for r in rows], stats
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", nargs="+", required=True, help="preset names, e.g. B1 B3 B5")
     p.add_argument("--sizes", nargs=3, type=int, default=[40000, 10000, 10000],
                    metavar=("TRAIN", "VAL", "TEST"),
-                   help="records per split; TRAIN must be at least the training batch of "
-                        f"{TrainConfig.batch_size}")
+                   help="records per split, each even; TRAIN must be at least the "
+                        f"training batch of {TrainConfig.batch_size}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", action="store_true", help="also render one SVG per curve")
     p.add_argument("--out-dir", required=True)
@@ -303,9 +291,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    # the one place that reports an error and picks the exit code; commands raise
+    # the one place that writes a manifest, reports an error and picks the exit
+    # code; commands raise, and artifact writers return (out, inputs, outputs[, stats])
+    started = time.monotonic()
     try:
-        args.func(args)
+        produced = args.func(args)
+        if produced is not None:
+            _write_manifest(args, started, *produced)
     except (UnknownPreset, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,6 +112,11 @@ class Witness(enum.Enum):
     FEF = "fef"
 
 
+def witnesses(kind: SystemKind) -> tuple[Witness, ...]:
+    """The witnesses defined for a kind: CHSH and FEF are two-qubit only."""
+    return tuple(Witness) if kind is SystemKind.TWO_QUBIT else (Witness.NEGATIVITY,)
+
+
 def _pauli_correlations(mats: np.ndarray) -> np.ndarray:
     """T[k, i, j] = Tr[rho_k sigma_i x sigma_j] for a stack of 4x4 states."""
     paulis = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -153,10 +158,10 @@ def witness_scores(ds: Dataset, witness: Witness) -> np.ndarray:
     dataset's seed and per-sample stream indices, so loaded, split, and
     restricted datasets all work.
     """
+    if witness not in witnesses(ds.kind):
+        raise DimensionMismatch(f"the {witness.value} witness is not defined for {ds.kind.value}")
     if witness is Witness.NEGATIVITY:
         return ds.negativities
-    if ds.kind is not SystemKind.TWO_QUBIT:
-        raise DimensionMismatch(f"the {witness.value} witness is defined for two-qubit states only")
     mats = regenerate_states(ds)
     if witness is Witness.CHSH:
         return chsh_m_value_stack(mats)

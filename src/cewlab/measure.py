@@ -125,7 +125,9 @@ def preset_by_name(kind: SystemKind, name: str) -> MeasurementPreset:
 
 
 def check_pairs(kind: SystemKind, pairs) -> None:
-    """Raise DimensionMismatch unless every pair is two integer effect indices of the kind."""
+    """Raise DimensionMismatch unless pairs is non-empty and each is two effect indices of the kind."""
+    if not pairs:
+        raise DimensionMismatch("no effect index pairs: a preset measures at least one")
     indices = {e.index for e in local_effects(kind)}
     for pair in pairs:
         if len(pair) != 2 or not all(type(i) is int and i in indices for i in pair):

@@ -369,12 +369,17 @@ def test_sweep_writes_per_preset_artifacts(tmp_path, capsys):
         assert entry["train_s"] >= 0.0
 
 
-def test_sweep_with_fewer_training_records_than_a_batch_exits_1_before_generating(
-        tmp_path, capsys, monkeypatch):
-    def no_generate(*args, **kwargs):
-        raise AssertionError("sweep generated a master set it cannot train on")
+@pytest.fixture
+def no_generate(monkeypatch):
+    """Fail any sweep that generates a master set for a request it must refuse."""
+    def generate(*args, **kwargs):
+        raise AssertionError("sweep generated a master set for a request it refuses")
 
-    monkeypatch.setattr(cli, "generate", no_generate)
+    monkeypatch.setattr(cli, "generate", generate)
+
+
+def test_sweep_with_fewer_training_records_than_a_batch_exits_1_before_generating(
+        tmp_path, capsys, no_generate):
     rc = main(["sweep", "--kind", "two-qubit", "--presets", "B1",
                "--sizes", "100", "50", "50", "--out-dir", str(tmp_path / "sweep")])
     assert rc == 1
@@ -384,11 +389,7 @@ def test_sweep_with_fewer_training_records_than_a_batch_exits_1_before_generatin
     assert not os.path.exists(tmp_path / "sweep")
 
 
-def test_sweep_refuses_a_repeated_preset_before_generating(tmp_path, capsys, monkeypatch):
-    def no_generate(*args, **kwargs):
-        raise AssertionError("sweep generated a master set for a preset list it refuses")
-
-    monkeypatch.setattr(cli, "generate", no_generate)
+def test_sweep_refuses_a_repeated_preset_before_generating(tmp_path, capsys, no_generate):
     rc = main(["sweep", "--kind", "two-qubit", "--presets", "B1", "B1", "B3",
                "--sizes", "600", "200", "200", "--out-dir", str(tmp_path / "sweep")])
     assert rc == 2
@@ -396,6 +397,68 @@ def test_sweep_refuses_a_repeated_preset_before_generating(tmp_path, capsys, mon
     assert out == ""
     assert err == "error: preset B1 is listed more than once\n"
     assert not os.path.exists(tmp_path / "sweep")
+
+
+@pytest.mark.parametrize("sizes", [("1000", "333", "333"), ("301", "101", "100")],
+                         ids=["1000-333-333", "301-101-100"])
+def test_sweep_refuses_split_sizes_that_are_not_even_before_generating(
+        tmp_path, capsys, no_generate, sizes):
+    # the stratified split of a balanced master would train on 1000/332/334
+    # and 300/102/100 records instead
+    rc = main(["sweep", "--kind", "two-qubit", "--presets", "B1", "--sizes", *sizes,
+               "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: split sizes {' '.join(sizes)} must all be positive and even\n")
+    assert not os.path.exists(tmp_path / "sweep")
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "sweep", "baselines"])
+def test_each_artifact_command_writes_one_manifest(workspace, tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    stem = os.path.join(out, "two-qubit-B1")
+    summary = os.path.join(out, "summary.csv")
+    argv, primary, inputs, outputs = {
+        "gen": (gen_args(out, n=100, seed=3), out, [], [out, out + ".meta"]),
+        "train": (["train", "--train", workspace["train"], "--val", workspace["val"],
+                   "--out", out, "--max-epochs", "2", "--batch-size", "64"],
+                  out, [workspace["train"], workspace["val"]], [out]),
+        "eval": (["eval", "--model", workspace["model"], "--test", workspace["test"],
+                  "--out", out, "--svg", out + ".svg"],
+                 out, [workspace["model"], workspace["test"]], [out, out + ".svg"]),
+        "sweep": (["sweep", "--kind", "two-qubit", "--presets", "B1",
+                   "--sizes", "256", "64", "64", "--out-dir", out],
+                  summary, [], [summary, stem + ".mlp.json", stem + ".roc.csv"]),
+        "baselines": (["baselines", "--kind", "two-qubit", "--n", "100"], None, None, None),
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifests = sorted(str(p) for p in tmp_path.rglob("*.manifest.json"))
+    if primary is None:
+        assert manifests == []
+        return
+    assert manifests == [primary + ".manifest.json"]
+    with open(manifests[0]) as fh:
+        doc = json.load(fh)
+    assert (doc["command"], doc["inputs"], doc["outputs"]) == (command, inputs, outputs)
+
+
+def test_a_dataset_that_measures_no_pair_exits_1_naming_its_sidecar(workspace, tmp_path, capsys):
+    # a sidecar with no pairs and a CSV of only negativity and label: gen cannot write it
+    bare = str(tmp_path / "bare.csv")
+    with open(workspace["val"] + ".meta") as fh:
+        meta = json.load(fh)
+    meta["preset"]["pairs"] = []
+    with open(bare + ".meta", "w") as fh:
+        json.dump(meta, fh)
+    with open(workspace["val"]) as src, open(bare, "w") as dst:
+        dst.writelines(",".join(line.split(",")[-2:]) for line in src)
+    out = tmp_path / "x.mlp.json"
+    rc = main(["train", "--train", bare, "--val", bare, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: {bare}.meta: no effect index pairs: a preset measures at least one\n")
+    assert not out.exists()
 
 
 def _file_bytes(path) -> bytes:
@@ -407,9 +470,8 @@ def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, cpus):
     cpus(2)
     kind, presets, sizes, seed = SystemKind.TWO_QUBIT, ["B1", "B3", "B10"], (600, 200, 200), 20
     cfg = TrainConfig(batch_size=64, max_epochs=8, seed=seed)
-    stats = {}
-    rows = run_sweep(kind, presets, sizes, seed, str(tmp_path / "pool"), cfg=cfg, stats=stats)
-    assert stats["workers"] == 2
+    assert pool.worker_count(len(presets)) == 2
+    rows = run_sweep(kind, presets, sizes, seed, str(tmp_path / "pool"), cfg=cfg)
     assert [r["preset"] for r in rows] == presets
 
     ds = dataset.generate(kind, preset_by_name(kind, "B10"), sum(sizes), seed)
