@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import enum
+import html
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,6 @@ class RocCurve:
     tpr: np.ndarray
     thresholds: np.ndarray
     auc: float
-
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.fpr.tolist(), self.tpr.tolist(), self.thresholds.tolist()))
 
 
 def roc_curve(scores, labels) -> RocCurve:
@@ -85,7 +82,8 @@ def write_roc_svg(curve: RocCurve, path: str, title: str = "") -> None:
         return size - margin - v * scale
 
     pts = " ".join(f"{sx(f):.2f},{sy(t):.2f}" for f, t in zip(curve.fpr, curve.tpr))
-    label = f"{title} AUC={curve.auc:.4f}".strip()
+    # the title may be a preset name read from a dataset's sidecar
+    label = html.escape(f"{title} AUC={curve.auc:.4f}".strip(), quote=False)
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',

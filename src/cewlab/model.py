@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import Dataset
 from .errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
                      ModelMismatch, TooFewRecords)
 from .qlinalg import make_rng, standard_normals
@@ -51,15 +52,10 @@ class Mlp:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 @dataclass
 class TrainResult:
     model: Mlp
-    history: list[tuple[float, float]]  # (train_mse, val_mse) per epoch
     epochs_run: int
     best_epoch: int
     best_val_mse: float
@@ -113,28 +109,21 @@ def _forward_batch(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]
     return (acts[-1] @ m.weights[-1] + m.biases[-1])[:, 0], acts
 
 
-def forward(m: Mlp, x) -> float | np.ndarray:
-    """Model output for one feature vector or a batch of them."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    batch = arr[None] if single else arr
-    if batch.ndim != 2 or batch.shape[1] != m.input_dim:
+def forward(m: Mlp, x: np.ndarray) -> np.ndarray:
+    """Model outputs (n,) of a batch (n, B) of feature vectors."""
+    if x.ndim != 2 or x.shape[1] != m.input_dim:
         raise DimensionMismatch(
-            f"model expects {m.input_dim} features, got shape {arr.shape}")
-    out = _forward_batch(m, batch)[0]
-    return float(out[0]) if single else out
+            f"model expects {m.input_dim} features, got shape {x.shape}")
+    return _forward_batch(m, x)[0]
 
 
-def predict_negativity(m: Mlp, x):
-    """Forward pass clamped to the physical range [0, 0.5]."""
-    out = np.clip(forward(m, x), 0.0, 0.5)
-    return float(out) if np.ndim(out) == 0 else out
+def predict_negativity(m: Mlp, features: np.ndarray) -> np.ndarray:
+    """Forward pass of a batch (n, B), clamped to the physical range [0, 0.5]."""
+    return np.clip(forward(m, features), 0.0, 0.5)
 
 
 def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
     """Analytic gradient of the batch MSE; returns (weight grads, bias grads, mse)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
     if len(x) == 0:
         raise EmptyDataset("gradient needs a non-empty batch")
     if x.shape[1] != m.input_dim:
@@ -157,13 +146,6 @@ def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
     return grads_w, grads_b, mse
 
 
-def _dataset_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(data, "features") and hasattr(data, "negativities"):
-        return data.features, data.negativities
-    x, y = data
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-
-
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Weights and biases as reshaped views of `flat`, in the order of `shapes`."""
     ends = np.cumsum([np.prod(shape) for shape in shapes])
@@ -172,20 +154,21 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.nd
     return views[:half], views[half:]
 
 
-def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> TrainResult:
+def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
+          on_epoch=None) -> TrainResult:
     """Mini-batch Adam on MSE; returns the best-validation-epoch snapshot.
 
     Deterministic given cfg.seed: shuffling uses a dedicated stream and
     every reduction has a fixed order. `on_epoch(epoch, train_mse, val_mse)`
-    is called after each epoch when given. Datasets of two presets raise ModelMismatch.
+    is called after each epoch when given. Datasets of two presets raise
+    ModelMismatch. The model's meta records the preset's kind, name and pairs.
     """
-    preset = getattr(train_data, "preset", None)
-    val_preset = getattr(val_data, "preset", None)
-    if preset and val_preset and preset != val_preset:
+    preset = train_ds.preset
+    if preset != val_ds.preset:
         raise ModelMismatch(f"preset mismatch: train has {preset.name} ({preset.kind.value}), "
-                            f"validation has {val_preset.name} ({val_preset.kind.value})")
-    x_train, y_train = _dataset_xy(train_data)
-    x_val, y_val = _dataset_xy(val_data)
+                            f"validation has {val_ds.preset.name} ({val_ds.kind.value})")
+    x_train, y_train = train_ds.features, train_ds.negativities
+    x_val, y_val = val_ds.features, val_ds.negativities
     n = len(x_train)
     if n == 0 or len(x_val) == 0:
         raise EmptyDataset("training and validation sets must be non-empty")
@@ -215,11 +198,8 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
     step = 0
     stopper = EarlyStopper(cfg.patience)
     best_params = params.copy()
-    history: list[tuple[float, float]] = []
-    epochs_run = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
         perm = rng.permutation(n)
         sq_err_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
@@ -239,7 +219,6 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
         val_mse = float(np.mean((_forward_batch(m, x_val)[0] - y_val) ** 2))
         if not np.isfinite(val_mse):
             raise DivergedTraining(f"validation loss became non-finite at epoch {epoch}")
-        history.append((train_mse, val_mse))
         should_stop = stopper.update(val_mse)
         if stopper.best_index == epoch:
             best_params = params.copy()
@@ -250,15 +229,16 @@ def train(m: Mlp, train_data, val_data, cfg: TrainConfig, on_epoch=None) -> Trai
 
     m.weights, m.biases = _layer_views(best_params, shapes)
     # eval refuses test data whose kind or pairs differ from these
+    # max_epochs >= 1, so the loop ran and `epoch` is the last epoch run
     m.meta.update({
-        "kind": preset.kind.value if preset else None,
-        "preset": preset.name if preset else None,
-        "pairs": [list(p) for p in preset.pairs] if preset else None,
+        "kind": preset.kind.value,
+        "preset": preset.name,
+        "pairs": [list(p) for p in preset.pairs],
         "seed": cfg.seed,
-        "epochs_run": epochs_run,
+        "epochs_run": epoch,
         "val_mse": stopper.best,
     })
-    return TrainResult(m, history, epochs_run, stopper.best_index, stopper.best, step)
+    return TrainResult(m, epoch, stopper.best_index, stopper.best, step)
 
 
 def save_model(m: Mlp, path: str) -> None:
@@ -280,11 +260,19 @@ def load_model(path: str) -> Mlp:
         with open(path) as fh:
             doc = json.load(fh)
         sizes = list(doc["layer_sizes"])
+        layout = (doc["activation"], doc["output"])
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         meta = dict(doc.get("meta", {}))
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    # the only net save_model writes and forward computes
+    if layout != ("relu", "affine"):
+        raise FormatError(f"{path}: activation {layout[0]!r} with output {layout[1]!r} "
+                          "is not relu with an affine output")
+    if len(sizes) < 2 or sizes[-1] != 1:
+        raise FormatError(f"{path}: layer_sizes {sizes} is not one or more layers "
+                          "ending in one output")
     if len(weights) != len(sizes) - 1 or len(biases) != len(weights):
         raise FormatError(f"{path}: layer counts are inconsistent")
     for i, (w, b) in enumerate(zip(weights, biases)):

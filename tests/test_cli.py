@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -284,6 +285,52 @@ def test_eval_of_a_model_with_a_non_finite_weight_exits_1(workspace, tmp_path, c
     assert rc == 1
     assert capsys.readouterr() == ("", f"error: {model}: a weight or bias is NaN or infinite\n")
     assert not out.exists()
+
+
+def _widen_output(doc):
+    doc["layer_sizes"][-1] = 2
+    doc["weights"][-1] = [row * 2 for row in doc["weights"][-1]]
+    doc["biases"][-1] = doc["biases"][-1] * 2
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc.update(activation="tanh"),
+     "activation 'tanh' with output 'affine' is not relu with an affine output"),
+    (lambda doc: doc.update(output="sigmoid"),
+     "activation 'relu' with output 'sigmoid' is not relu with an affine output"),
+    (_widen_output, "layer_sizes [3, 32, 16, 2] is not one or more layers ending in one output"),
+    (lambda doc: doc.update(layer_sizes=[1], weights=[], biases=[]),
+     "layer_sizes [1] is not one or more layers ending in one output"),
+], ids=["tanh", "sigmoid", "two-outputs", "no-layers"])
+def test_eval_of_a_model_train_cannot_write_exits_1(workspace, tmp_path, capsys, edit, error):
+    with open(workspace["model"]) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    model = str(tmp_path / "odd.mlp.json")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "x.roc.csv"
+    rc = main(["eval", "--model", model, "--test", workspace["test"], "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {model}: {error}\n")
+    assert not out.exists()
+
+
+def test_eval_svg_escapes_a_preset_name_with_xml_specials(workspace, tmp_path, capsys):
+    test = str(tmp_path / "odd.csv")
+    with open(workspace["test"]) as src, open(test, "w") as dst:
+        dst.write(src.read())
+    with open(workspace["test"] + ".meta") as fh:
+        meta = json.load(fh)
+    meta["preset"]["name"] = "B3 <&>"
+    with open(test + ".meta", "w") as fh:
+        json.dump(meta, fh)
+    svg = str(tmp_path / "odd.svg")
+    assert main(["eval", "--model", workspace["model"], "--test", test,
+                 "--out", str(tmp_path / "odd.roc.csv"), "--svg", svg]) == 0
+    capsys.readouterr()
+    labels = ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")
+    assert [node.text for node in labels][-1].startswith("B3 <&> AUC=0.")
 
 
 def test_an_undecodable_dataset_exits_1_naming_its_path(workspace, tmp_path, capsys):

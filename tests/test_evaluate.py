@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cewlab.dataset import generate, restrict, split
 from cewlab.errors import DegenerateLabels, DimensionMismatch, EmptyDataset
 from cewlab.evaluate import (
     Witness,
     baseline_rates,
+    chsh_m_value_stack,
     fef_stack,
     roc_curve,
     tpr_at_fpr,
@@ -17,7 +20,7 @@ from cewlab.evaluate import (
 )
 from cewlab.measure import preset_by_name
 from cewlab.qlinalg import make_rng
-from cewlab.states import SystemKind
+from cewlab.states import ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_streams
 from oracles import DensityMatrix, chsh_violation, fef, haar_unitary, sample_density
 
 
@@ -43,13 +46,9 @@ def mann_whitney(scores, labels):
 
 def test_roc_four_point_example():
     curve = roc_curve([0.9, 0.4, 0.35, 0.1], [1, 0, 1, 0])
-    assert curve.points == [
-        (0.0, 0.0, np.inf),
-        (0.0, 0.5, 0.9),
-        (0.5, 0.5, 0.4),
-        (0.5, 1.0, 0.35),
-        (1.0, 1.0, 0.1),
-    ]
+    assert curve.fpr.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0]
+    assert curve.tpr.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
+    assert curve.thresholds.tolist() == [np.inf, 0.9, 0.4, 0.35, 0.1]
     assert curve.auc == pytest.approx(0.75, abs=1e-15)
     assert tpr_at_fpr(curve, 0.5) == 1.0
     assert tpr_at_fpr(curve, 0.0) == 0.5
@@ -58,7 +57,8 @@ def test_roc_four_point_example():
 
 def test_roc_all_scores_tied():
     curve = roc_curve([0.3] * 6, [1, 0, 1, 0, 1, 0])
-    assert curve.points == [(0.0, 0.0, np.inf), (1.0, 1.0, 0.3)]
+    assert (curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist()) == (
+        [0.0, 1.0], [0.0, 1.0], [np.inf, 0.3])
     assert curve.auc == pytest.approx(0.5, abs=1e-15)
 
 
@@ -118,7 +118,7 @@ def test_write_roc_format(tmp_path):
     assert lines[-1] == f"# auc={curve.auc!r}"
     assert len(lines) == 2 + len(curve.fpr)
     f, t, th = lines[2].split(",")
-    assert (float(f), float(t), float(th)) == curve.points[1]
+    assert (float(f), float(t), float(th)) == (curve.fpr[1], curve.tpr[1], curve.thresholds[1])
     write_roc(curve, str(tmp_path / "again.roc.csv"))
     with open(str(tmp_path / "again.roc.csv")) as fh:
         assert fh.read().splitlines() == lines
@@ -197,6 +197,16 @@ def test_fef_stack_matches_scalar():
     stacked = fef_stack(mats)
     for k in range(10):
         assert stacked[k] == pytest.approx(fef(mats[k]), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**62 - 1))
+def test_witnesses_flag_no_separable_state(seed, stream):
+    # a separable state violates no Bell inequality and has fully entangled fraction <= 1/2
+    mats = sample_density_streams(SystemKind.TWO_QUBIT, seed, [stream])
+    assume(negativity_stack(mats, SystemKind.TWO_QUBIT)[0] <= ENTANGLE_EPS)
+    assert chsh_m_value_stack(mats)[0] <= 1.0 + ENTANGLE_EPS
+    assert fef_stack(mats)[0] <= 0.5 + ENTANGLE_EPS
 
 
 KIND = SystemKind.TWO_QUBIT

@@ -3,10 +3,10 @@ import pytest
 
 from cewlab import model
 
-from cewlab.dataset import generate, split
+from cewlab.dataset import Dataset, generate, split
 from cewlab.errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
                            ModelMismatch, TooFewRecords)
-from cewlab.measure import preset_by_name
+from cewlab.measure import MeasurementPreset, preset_by_name
 from cewlab.model import (
     EarlyStopper,
     Mlp,
@@ -20,7 +20,19 @@ from cewlab.model import (
     train,
 )
 from cewlab.qlinalg import make_rng
-from cewlab.states import SystemKind
+from cewlab.states import ENTANGLE_EPS, SystemKind
+
+
+def as_dataset(x, y):
+    """(x, y) as a Dataset whose preset has one placeholder pair per feature column."""
+    preset = MeasurementPreset(SystemKind.TWO_QUBIT, "toy", ((1, 1),) * x.shape[1])
+    return Dataset(preset, x, y, y > ENTANGLE_EPS, 0, np.arange(len(y)))
+
+
+def epoch_log():
+    """An on_epoch callback and the (train_mse, val_mse) list it fills."""
+    history = []
+    return history, lambda epoch, train_mse, val_mse: history.append((train_mse, val_mse))
 
 
 def toy_net(weight_values, bias_values):
@@ -34,7 +46,7 @@ def test_init_shapes_and_param_count():
     m = init_mlp(10, TrainConfig(seed=3))
     assert m.layer_sizes == [10, 32, 16, 1]
     assert m.input_dim == 10
-    assert m.n_params == 897
+    assert sum(a.size for a in (*m.weights, *m.biases)) == 897
     for b in m.biases:
         assert np.all(b == 0.0)
 
@@ -56,13 +68,13 @@ def test_init_he_scale():
 
 def test_forward_hand_checked():
     m = toy_net([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-    assert forward(m, [0.5]) == pytest.approx(0.5, abs=1e-15)
-    assert forward(m, [0.0]) == 0.0
+    assert forward(m, np.array([[0.5]]))[0] == pytest.approx(0.5, abs=1e-15)
+    assert forward(m, np.array([[0.0]]))[0] == 0.0
     # negative input is cut by the first relu
-    assert forward(m, [-2.0]) == 0.0
+    assert forward(m, np.array([[-2.0]]))[0] == 0.0
 
     biased = toy_net([0.0, 0.0, 0.0], [0.0, 0.0, 0.3])
-    assert forward(biased, [123.0]) == pytest.approx(0.3, abs=1e-15)
+    assert forward(biased, np.array([[123.0]]))[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_forward_batch_and_shape_check():
@@ -71,9 +83,11 @@ def test_forward_batch_and_shape_check():
     batch = forward(m, x)
     assert batch.shape == (3,)
     for i in range(3):
-        assert batch[i] == pytest.approx(forward(m, x[i]), rel=1e-12)
-    with pytest.raises(DimensionMismatch):
-        forward(m, np.zeros(5))
+        assert batch[i] == pytest.approx(forward(m, x[i:i + 1])[0], rel=1e-12)
+    # one feature vector is not a batch, even at the right width
+    for vector in (np.zeros(4), np.zeros(5)):
+        with pytest.raises(DimensionMismatch):
+            forward(m, vector)
     with pytest.raises(DimensionMismatch):
         forward(m, np.zeros((2, 5)))
 
@@ -81,9 +95,10 @@ def test_forward_batch_and_shape_check():
 def test_predict_negativity_clamps():
     high = toy_net([0.0, 0.0, 0.0], [0.0, 0.0, 9.0])
     low = toy_net([0.0, 0.0, 0.0], [0.0, 0.0, -9.0])
-    assert predict_negativity(high, [0.0]) == 0.5
-    assert predict_negativity(low, [0.0]) == 0.0
-    assert forward(high, [0.0]) == 9.0
+    one = np.zeros((1, 1))
+    assert np.array_equal(predict_negativity(high, one), [0.5])
+    assert np.array_equal(predict_negativity(low, one), [0.0])
+    assert np.array_equal(forward(high, one), [9.0])
     batch = predict_negativity(high, np.zeros((4, 1)))
     assert np.all(batch == 0.5)
 
@@ -100,9 +115,9 @@ def test_gradient_zero_at_perfect_fit():
 
 def test_gradient_output_bias_single_sample():
     m = init_mlp(3, TrainConfig(seed=5))
-    x = np.array([0.2, 0.7, 0.4])
+    x = np.array([[0.2, 0.7, 0.4]])
     y = np.array([0.1])
-    pred = forward(m, x)
+    pred = forward(m, x)[0]
     _, grads_b, mse = gradient(m, x, y)
     assert grads_b[-1][0] == pytest.approx(2.0 * (pred - y[0]), rel=1e-12)
     assert mse == pytest.approx((pred - y[0]) ** 2, rel=1e-12)
@@ -168,18 +183,19 @@ def fitting_problem(n=256, seed=4):
     rng = np.random.default_rng(seed)
     x = rng.random((n, 3))
     y = np.full(n, 0.2)
-    return (x, y), (rng.random((64, 3)), np.full(64, 0.2))
+    return as_dataset(x, y), as_dataset(rng.random((64, 3)), np.full(64, 0.2))
 
 
 def test_train_fits_constant_target():
     train_data, val_data = fitting_problem()
     cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=200,
                       patience=20, seed=6)
-    result = train(init_mlp(3, cfg), train_data, val_data, cfg)
-    preds = forward(result.model, val_data[0])
+    history, on_epoch = epoch_log()
+    result = train(init_mlp(3, cfg), train_data, val_data, cfg, on_epoch)
+    preds = forward(result.model, val_data.features)
     assert np.all(np.abs(preds - 0.2) < 0.01)
     assert result.best_val_mse < 1e-4
-    assert result.epochs_run == len(result.history)
+    assert result.epochs_run == len(history)
     assert result.steps == result.epochs_run * 4  # 256 records in batches of 64
 
 
@@ -188,9 +204,11 @@ def test_train_deterministic():
                   600, seed=70)
     tr, va, _ = split(ds, (0.6, 0.2, 0.2))
     cfg = TrainConfig(batch_size=64, max_epochs=12, seed=9)
-    r1 = train(init_mlp(1, cfg), tr, va, cfg)
-    r2 = train(init_mlp(1, cfg), tr, va, cfg)
-    assert r1.history == r2.history
+    h1, on_epoch1 = epoch_log()
+    h2, on_epoch2 = epoch_log()
+    r1 = train(init_mlp(1, cfg), tr, va, cfg, on_epoch1)
+    r2 = train(init_mlp(1, cfg), tr, va, cfg, on_epoch2)
+    assert h1 == h2
     for w1, w2 in zip(r1.model.weights, r2.model.weights):
         assert np.array_equal(w1, w2)
     assert r1.model.meta["preset"] == "B1"
@@ -200,18 +218,19 @@ def test_train_deterministic():
 def test_train_restores_best_epoch_snapshot():
     train_data, val_data = fitting_problem(seed=15)
     cfg = TrainConfig(batch_size=32, max_epochs=60, patience=3, seed=10)
-    result = train(init_mlp(3, cfg), train_data, val_data, cfg)
-    x_val, y_val = val_data
-    recomputed = float(np.mean((forward(result.model, x_val) - y_val) ** 2))
+    history, on_epoch = epoch_log()
+    result = train(init_mlp(3, cfg), train_data, val_data, cfg, on_epoch)
+    recomputed = float(np.mean((forward(result.model, val_data.features)
+                                - val_data.negativities) ** 2))
     assert recomputed == pytest.approx(result.best_val_mse, rel=1e-12)
-    assert result.best_val_mse == pytest.approx(min(v for _, v in result.history), rel=0)
+    assert result.best_val_mse == pytest.approx(min(v for _, v in history), rel=0)
     assert result.best_epoch <= result.epochs_run
 
 
 def per_array_adam_train(m, train_data, val_data, cfg):
     """Test-only oracle: train() as it was with one Adam update per array."""
-    x_train, y_train = model._dataset_xy(train_data)
-    x_val, y_val = model._dataset_xy(val_data)
+    x_train, y_train = train_data.features, train_data.negativities
+    x_val, y_val = val_data.features, val_data.negativities
     n = len(x_train)
     rng = make_rng(cfg.seed, model._SHUFFLE_STREAM)
     adam_mw = [np.zeros_like(w) for w in m.weights]
@@ -264,7 +283,7 @@ def one_feature_problem():
     rng = np.random.default_rng(19)
     x = rng.random((300, 1))
     xv = rng.random((60, 1))
-    data = (x, 0.5 * x[:, 0] ** 2), (xv, 0.5 * xv[:, 0] ** 2)
+    data = as_dataset(x, 0.5 * x[:, 0] ** 2), as_dataset(xv, 0.5 * xv[:, 0] ** 2)
     return (*data, TrainConfig(learning_rate=3e-2, batch_size=32, max_epochs=200,
                                patience=2, seed=21))
 
@@ -272,11 +291,13 @@ def one_feature_problem():
 @pytest.mark.parametrize("problem", [b10_split, one_feature_problem])
 def test_train_matches_the_per_array_adam_oracle(problem, tmp_path):
     train_data, val_data, cfg = problem()
-    input_dim = model._dataset_xy(train_data)[0].shape[1]
-    result = train(init_mlp(input_dim, cfg), train_data, val_data, cfg)
-    expected, history = per_array_adam_train(init_mlp(input_dim, cfg), train_data, val_data, cfg)
+    input_dim = train_data.features.shape[1]
+    history, on_epoch = epoch_log()
+    result = train(init_mlp(input_dim, cfg), train_data, val_data, cfg, on_epoch)
+    expected, expected_history = per_array_adam_train(init_mlp(input_dim, cfg), train_data,
+                                                      val_data, cfg)
 
-    assert result.history == history
+    assert history == expected_history
     if problem is one_feature_problem:
         # early stopping fired and an earlier epoch's snapshot was restored
         assert result.epochs_run < cfg.max_epochs
@@ -302,19 +323,18 @@ def test_train_diverges_on_absurd_learning_rate():
 def test_train_argument_checks():
     cfg = TrainConfig()
     m = init_mlp(3, cfg)
-    x = np.random.default_rng(1).random((10, 3))
-    y = np.zeros(10)
+    data = as_dataset(np.random.default_rng(1).random((10, 3)), np.zeros(10))
     with pytest.raises(EmptyDataset):
-        train(m, (np.empty((0, 3)), np.empty(0)), (x, y), cfg)
+        train(m, as_dataset(np.empty((0, 3)), np.empty(0)), data, cfg)
     with pytest.raises(TooFewRecords):
-        train(m, (x, y), (x, y), TrainConfig(batch_size=11))
+        train(m, data, data, TrainConfig(batch_size=11))
     with pytest.raises(ValueError):
-        train(m, (x, y), (x, y), TrainConfig(batch_size=10, max_epochs=0))
+        train(m, data, data, TrainConfig(batch_size=10, max_epochs=0))
     for lr in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
-            train(m, (x, y), (x, y), TrainConfig(learning_rate=lr, batch_size=10))
+            train(m, data, data, TrainConfig(learning_rate=lr, batch_size=10))
     with pytest.raises(DimensionMismatch):
-        train(init_mlp(4, cfg), (x, y), (x, y), TrainConfig(batch_size=10))
+        train(init_mlp(4, cfg), data, data, TrainConfig(batch_size=10))
 
 
 def test_train_refuses_datasets_of_two_presets():
@@ -328,11 +348,6 @@ def test_train_refuses_datasets_of_two_presets():
         train(init_mlp(5, cfg), tq_train, qq_val, cfg)
     assert str(raised.value) == ("preset mismatch: train has B5 (two-qubit), "
                                  "validation has B5 (qubit-qutrit)")
-    # (x, y) tuples carry no preset, so nothing is refused
-    result = train(init_mlp(5, cfg), (tq_train.features, tq_train.negativities),
-                   (qq_val.features, qq_val.negativities), cfg)
-    assert result.epochs_run == 2
-    assert result.model.meta["preset"] is None
 
 
 def test_save_load_round_trip(tmp_path):
