@@ -136,7 +136,8 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     count cannot be pinned, the presets are trained one after another in
     this process. A preset named twice, or a split size that is not a
     positive even number (each split takes half its records from each
-    class), is refused with ValueError before anything is generated.
+    class), is refused with ValueError before anything is generated, and
+    so is an out_dir that cannot be made (OSError).
 
     Returns one summary row per preset, in the requested order; files land
     in out_dir, and `log` and the summary rewrites follow the same order.
@@ -158,12 +159,12 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     if sizes[0] < cfg.batch_size:
         raise TooFewRecords(f"TRAIN size {sizes[0]} is smaller than the training batch "
                             f"of {cfg.batch_size} records")
+    os.makedirs(out_dir, exist_ok=True)
     # the largest built-in preset's pairs hold every other's, so restrict projects each split
     master = max(builtin_presets(kind), key=lambda p: p.b)
     total = sum(sizes)
     ds = generate(kind, master, total, seed)
     train_ds, val_ds, test_ds = split(ds, tuple(n / total for n in sizes))
-    os.makedirs(out_dir, exist_ok=True)
     # lazy, so training in this process holds one preset's projection at a time
     jobs = ((preset, restrict(train_ds, preset), restrict(val_ds, preset),
              restrict(test_ds, preset), cfg,

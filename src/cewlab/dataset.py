@@ -53,21 +53,17 @@ class Dataset:
         return float(self.labels.mean()) if self.count else 0.0
 
 
-def _draw_chunk(kind: SystemKind, preset: MeasurementPreset, seed: int, chunk_index: int):
-    """Features, labels, and validity for draw indices in one chunk."""
+def _draw_chunk(job: tuple):
+    """Features, labels, and validity for draw indices in one chunk.
+
+    `job` is (kind, preset, seed, chunk index). Runs in a pool worker, so it
+    is a module-level function of picklable arguments.
+    """
+    kind, preset, seed, chunk_index = job
     mats = sample_density_stack(kind, seed, chunk_index * CHUNK, CHUNK)
     neg = negativity_stack(mats, kind)
     values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, preset.pairs))
     return values, neg, neg > ENTANGLE_EPS, valid
-
-
-def _draw_chunk_job(job: tuple):
-    """_draw_chunk(*job), looked up by name when called.
-
-    The pool sends this function by reference, so a forked worker runs
-    whatever the module's _draw_chunk is in its caller, wrapped or not.
-    """
-    return _draw_chunk(*job)
 
 
 def _chunks(kind: SystemKind, preset: MeasurementPreset, seed: int, max_chunks: int):
@@ -76,8 +72,8 @@ def _chunks(kind: SystemKind, preset: MeasurementPreset, seed: int, max_chunks: 
     Chunk 0 is drawn in this process, so a dataset that fits in it starts no
     worker; the rest are drawn in the process pool.
     """
-    yield _draw_chunk(kind, preset, seed, 0)
-    yield from ordered_map(_draw_chunk_job,
+    yield _draw_chunk((kind, preset, seed, 0))
+    yield from ordered_map(_draw_chunk,
                            ((kind, preset, seed, i) for i in range(1, max_chunks)),
                            max_chunks - 1)
 

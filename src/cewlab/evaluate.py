@@ -22,19 +22,23 @@ class RocCurve:
     auc: float
 
 
-def roc_curve(scores, labels) -> RocCurve:
+def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     """ROC of the rule "score >= threshold means entangled".
 
-    One point per distinct score (threshold swept from +inf down), with
-    (0, 0) prepended. The area uses the trapezoid rule, which equals the
-    Mann-Whitney statistic with ties counted half.
+    `scores` is a 1-D float array and `labels` a bool array of the same
+    shape; anything else raises DimensionMismatch. One point per distinct
+    score (threshold swept from +inf down), with (0, 0) prepended. The area
+    uses the trapezoid rule, which equals the Mann-Whitney statistic with
+    ties counted half.
     """
-    scores = np.asarray(scores, dtype=float).ravel()
-    labels = np.asarray(labels).astype(bool).ravel()
+    if not (isinstance(scores, np.ndarray) and isinstance(labels, np.ndarray)
+            and scores.ndim == 1 and scores.dtype.kind == "f"
+            and labels.shape == scores.shape and labels.dtype == bool):
+        raise DimensionMismatch(
+            "ROC needs 1-D float scores and bool labels of the same length, got "
+            f"{np.shape(scores)} scores and {np.shape(labels)} labels")
     if len(scores) == 0:
         raise EmptyDataset("ROC needs at least one scored sample")
-    if len(scores) != len(labels):
-        raise DimensionMismatch(f"{len(scores)} scores vs {len(labels)} labels")
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -149,6 +153,10 @@ def fef_stack(mats: np.ndarray) -> np.ndarray:
     return hermitian_eigenvalues_stack(m)[:, -1]
 
 
+#: Score above which each witness flags entanglement.
+THRESHOLDS = {Witness.NEGATIVITY: ENTANGLE_EPS, Witness.CHSH: 1.0, Witness.FEF: 0.5}
+
+
 def witness_scores(ds: Dataset, witness: Witness) -> np.ndarray:
     """Score every sample of a dataset with one closed-form witness.
 
@@ -160,31 +168,16 @@ def witness_scores(ds: Dataset, witness: Witness) -> np.ndarray:
         raise DimensionMismatch(f"the {witness.value} witness is not defined for {ds.kind.value}")
     if witness is Witness.NEGATIVITY:
         return ds.negativities
-    mats = regenerate_states(ds)
-    if witness is Witness.CHSH:
-        return chsh_m_value_stack(mats)
-    return fef_stack(mats)
-
-
-def witness_threshold(witness: Witness) -> float:
-    """Score above which the witness flags entanglement."""
-    if witness is Witness.NEGATIVITY:
-        return ENTANGLE_EPS
-    if witness is Witness.CHSH:
-        return 1.0
-    return 0.5
+    stack = chsh_m_value_stack if witness is Witness.CHSH else fef_stack
+    return stack(regenerate_states(ds))
 
 
 def baseline_rates(ds: Dataset, witness: Witness) -> tuple[float, float]:
-    """(sensitivity, false positive rate) of a witness at its own threshold."""
-    if len(ds.labels) == 0:
-        raise EmptyDataset("baseline rates need a non-empty dataset")
-    scores = witness_scores(ds, witness)
-    flagged = scores > witness_threshold(witness)
-    n_pos = int(ds.labels.sum())
-    n_neg = len(ds.labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("baseline rates need both entangled and separable samples")
-    sensitivity = float(np.sum(flagged & ds.labels) / n_pos)
-    fpr = float(np.sum(flagged & ~ds.labels) / n_neg)
-    return sensitivity, fpr
+    """(sensitivity, false positive rate) of a witness at its own threshold.
+
+    The witness's rule "score > threshold" is the point of its ROC curve at
+    the smallest realized threshold above its own.
+    """
+    curve = roc_curve(witness_scores(ds, witness), ds.labels)
+    i = np.count_nonzero(curve.thresholds > THRESHOLDS[witness]) - 1
+    return float(curve.tpr[i]), float(curve.fpr[i])

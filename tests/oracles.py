@@ -216,3 +216,13 @@ def chsh_violation(rho) -> tuple[bool, float]:
 def fef(rho) -> float:
     """Fully entangled fraction: largest overlap with any maximally entangled state."""
     return float(fef_stack(_two_qubit_matrix(rho, "the fully entangled fraction")[None])[0])
+
+
+def baseline_rates_by_count(scores: np.ndarray, labels: np.ndarray,
+                            threshold: float) -> tuple[float, float]:
+    """(sensitivity, false positive rate) of the rule "score > threshold",
+    counted flag by flag rather than read off the ROC curve."""
+    flagged = scores > threshold
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    return float(np.sum(flagged & labels) / n_pos), float(np.sum(flagged & ~labels) / n_neg)

@@ -460,6 +460,18 @@ def test_sweep_refuses_split_sizes_that_are_not_even_before_generating(
     assert not os.path.exists(tmp_path / "sweep")
 
 
+def test_sweep_refuses_an_out_dir_it_cannot_make_before_generating(tmp_path, capsys, no_generate):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main(["sweep", "--kind", "qubit-qutrit", "--presets", "B1",
+               "--sizes", "600", "200", "200", "--out-dir", str(taken)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(taken) in err
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "sweep", "baselines"])
 def test_each_artifact_command_writes_one_manifest(workspace, tmp_path, capsys, command):
     out = str(tmp_path / "out")

@@ -74,7 +74,7 @@ def per_record_selection(kind, preset, n, seed, balanced):
     rows, negs, labs, streams = [], [], [], []
     chunk_index = 0
     while len(labs) < n:
-        values, neg, entangled, valid = dataset._draw_chunk(kind, preset, seed, chunk_index)
+        values, neg, entangled, valid = dataset._draw_chunk((kind, preset, seed, chunk_index))
         for k in range(CHUNK):
             if not valid[k]:
                 continue
@@ -98,16 +98,17 @@ def per_record_selection(kind, preset, n, seed, balanced):
 
 
 def _mark_invalid(monkeypatch, every):
-    """Mark every `every`-th draw of each chunk invalid, by wrapping _draw_chunk.
+    """Mark every `every`-th draw of each chunk invalid, by wrapping the
+    conditional probabilities that _draw_chunk computes.
 
     Degenerate conditioning is too rare to show up at test sizes.
     """
-    draw = dataset._draw_chunk
+    conditional = dataset.conditional_probabilities
 
-    def draw_with_invalid(*args):
-        values, neg, entangled, valid = draw(*args)
-        return values, neg, entangled, valid & (np.arange(CHUNK) % every != 3)
-    monkeypatch.setattr(dataset, "_draw_chunk", draw_with_invalid)
+    def conditional_with_invalid(*traces):
+        values, valid = conditional(*traces)
+        return values, valid & (np.arange(CHUNK) % every != 3)
+    monkeypatch.setattr(dataset, "conditional_probabilities", conditional_with_invalid)
 
 
 @pytest.mark.parametrize("kind", list(SystemKind))
@@ -145,8 +146,8 @@ def _record_pool_workers(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("invalid_every", [None, 7])
 def test_pooled_generate_matches_one_process(monkeypatch, cpus, kind, balanced, invalid_every):
     if invalid_every:
-        # the wrapper is a local function: workers must reach it through the
-        # module, as they do for any replacement of _draw_chunk
+        # the wrapper is a local function: forked workers reach it through
+        # the module, as they do for any name _draw_chunk calls
         _mark_invalid(monkeypatch, invalid_every)
     preset = preset_by_name(kind, "B10" if kind is SystemKind.TWO_QUBIT else "B45")
     workers = _record_pool_workers(monkeypatch)
@@ -171,13 +172,13 @@ def test_a_dataset_in_one_chunk_starts_no_pool(monkeypatch, cpus):
 
 def test_an_error_in_a_pooled_chunk_keeps_its_type(monkeypatch, cpus):
     cpus(2)
-    draw = dataset._draw_chunk
+    sample = dataset.sample_density_stack
 
-    def fail_at_chunk_2(kind, preset, seed, chunk_index):
-        if chunk_index == 2:
+    def fail_at_chunk_2(kind, seed, start, count):
+        if start == 2 * CHUNK:
             raise EmptyDataset("chunk 2 failed")
-        return draw(kind, preset, seed, chunk_index)
-    monkeypatch.setattr(dataset, "_draw_chunk", fail_at_chunk_2)
+        return sample(kind, seed, start, count)
+    monkeypatch.setattr(dataset, "sample_density_stack", fail_at_chunk_2)
     with pytest.raises(EmptyDataset, match="chunk 2 failed") as raised:
         generate(KIND, B1, 4 * CHUNK, seed=67)
     # the executor chains the worker's formatted traceback onto what it re-raises

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cewlab.dataset import generate, restrict, split
 from cewlab.errors import DegenerateLabels, DimensionMismatch, EmptyDataset
 from cewlab.evaluate import (
+    THRESHOLDS,
     Witness,
     baseline_rates,
     chsh_m_value_stack,
@@ -15,13 +16,13 @@ from cewlab.evaluate import (
     roc_curve,
     tpr_at_fpr,
     witness_scores,
-    witness_threshold,
     write_roc,
 )
 from cewlab.measure import preset_by_name
 from cewlab.qlinalg import make_rng
 from cewlab.states import ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_streams
-from oracles import DensityMatrix, chsh_violation, fef, haar_unitary, sample_density
+from oracles import (DensityMatrix, baseline_rates_by_count, chsh_violation, fef, haar_unitary,
+                     sample_density)
 
 
 def singlet_matrix():
@@ -44,8 +45,12 @@ def mann_whitney(scores, labels):
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def four_points():
+    return np.array([0.9, 0.4, 0.35, 0.1]), np.array([True, False, True, False])
+
+
 def test_roc_four_point_example():
-    curve = roc_curve([0.9, 0.4, 0.35, 0.1], [1, 0, 1, 0])
+    curve = roc_curve(*four_points())
     assert curve.fpr.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0]
     assert curve.tpr.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
     assert curve.thresholds.tolist() == [np.inf, 0.9, 0.4, 0.35, 0.1]
@@ -56,14 +61,14 @@ def test_roc_four_point_example():
 
 
 def test_roc_all_scores_tied():
-    curve = roc_curve([0.3] * 6, [1, 0, 1, 0, 1, 0])
+    curve = roc_curve(np.full(6, 0.3), np.arange(6) % 2 == 0)
     assert (curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist()) == (
         [0.0, 1.0], [0.0, 1.0], [np.inf, 0.3])
     assert curve.auc == pytest.approx(0.5, abs=1e-15)
 
 
 def test_roc_perfect_separation():
-    curve = roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
+    curve = roc_curve(np.array([0.9, 0.8, 0.2, 0.1]), np.array([True, True, False, False]))
     assert curve.auc == pytest.approx(1.0, abs=1e-15)
     assert tpr_at_fpr(curve, 0.0) == 1.0
 
@@ -96,20 +101,38 @@ def test_roc_curve_shape_invariants():
 
 def test_roc_argument_checks():
     with pytest.raises(EmptyDataset):
-        roc_curve([], [])
+        roc_curve(np.array([]), np.array([], dtype=bool))
     with pytest.raises(DimensionMismatch):
-        roc_curve([0.1, 0.2], [1])
+        roc_curve(np.array([0.1, 0.2]), np.array([True]))
     with pytest.raises(DegenerateLabels):
-        roc_curve([0.1, 0.2], [1, 1])
-    curve = roc_curve([0.9, 0.1], [1, 0])
+        roc_curve(np.array([0.1, 0.2]), np.array([True, True]))
+    curve = roc_curve(np.array([0.9, 0.1]), np.array([True, False]))
     with pytest.raises(ValueError):
         tpr_at_fpr(curve, -0.1)
     with pytest.raises(ValueError):
         tpr_at_fpr(curve, 1.5)
 
 
+@pytest.mark.parametrize("scores, labels", [
+    (np.array([[0.9], [0.1]]), np.array([True, False])),
+    (np.array([[0.9, 0.1], [0.8, 0.2]]), np.array([True, False, True, False])),
+    (np.array([0.9, 0.1]), np.array([[True], [False]])),
+    (np.array([0.9, 0.1]), np.array([1.0, 1e-9])),
+    (np.array([0.9, 0.1]), np.array([1, 0])),
+    (np.array([9, 1]), np.array([True, False])),
+    ([0.9, 0.1], [True, False]),
+], ids=["n-by-1-scores", "n-by-2-scores", "n-by-1-labels", "float-labels", "int-labels",
+        "int-scores", "lists"])
+def test_roc_refuses_every_other_input_form(scores, labels):
+    # flattened or cast, each would be scored without a word: the n-by-2
+    # scores read AUC 1.0, and float labels count a 1e-9 negativity as
+    # entangled, though a record is labelled entangled only above ENTANGLE_EPS
+    with pytest.raises(DimensionMismatch):
+        roc_curve(scores, labels)
+
+
 def test_write_roc_format(tmp_path):
-    curve = roc_curve([0.9, 0.4, 0.35, 0.1], [1, 0, 1, 0])
+    curve = roc_curve(*four_points())
     path = str(tmp_path / "r.roc.csv")
     write_roc(curve, path)
     with open(path) as fh:
@@ -218,9 +241,7 @@ def balanced_ds():
 
 
 def test_witness_thresholds():
-    assert witness_threshold(Witness.NEGATIVITY) == 1e-7
-    assert witness_threshold(Witness.CHSH) == 1.0
-    assert witness_threshold(Witness.FEF) == 0.5
+    assert THRESHOLDS == {Witness.NEGATIVITY: 1e-7, Witness.CHSH: 1.0, Witness.FEF: 0.5}
 
 
 def test_baseline_negativity_is_exact(balanced_ds):
@@ -233,6 +254,27 @@ def test_baseline_rates_report_a_false_positive(balanced_ds):
     # the rates are returned as they are; `cewlab baselines` refuses a nonzero FPR
     swapped = dataclasses.replace(balanced_ds, labels=~balanced_ds.labels)
     assert baseline_rates(swapped, Witness.NEGATIVITY) == (0.0, 1.0)
+
+
+NEAR_EPS = [0.0, np.nextafter(ENTANGLE_EPS, 0.0), ENTANGLE_EPS, np.nextafter(ENTANGLE_EPS, 1.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_baseline_rates_are_the_hand_count(balanced_ds, data):
+    # the first records' states with drawn labels and negativities, many of
+    # the negativities exactly at the negativity witness's threshold or beside it
+    n = data.draw(st.integers(2, 24), label="n")
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="labels"))
+    assume(labels.any() and not labels.all())
+    negs = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(NEAR_EPS), st.floats(0.0, 0.5)),
+        min_size=n, max_size=n), label="negativities"))
+    witness = data.draw(st.sampled_from(list(Witness)), label="witness")
+    ds = dataclasses.replace(balanced_ds, features=balanced_ds.features[:n], negativities=negs,
+                             labels=labels, stream_indices=balanced_ds.stream_indices[:n])
+    assert baseline_rates(ds, witness) == baseline_rates_by_count(
+        witness_scores(ds, witness), labels, THRESHOLDS[witness])
 
 
 def test_baseline_witness_ordering(balanced_ds):
