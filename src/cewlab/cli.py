@@ -166,9 +166,8 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     ds = generate(kind, master, total, seed)
     train_ds, val_ds, test_ds = split(ds, tuple(n / total for n in sizes))
     # lazy, so training in this process holds one preset's projection at a time
-    jobs = ((preset, restrict(train_ds, preset), restrict(val_ds, preset),
-             restrict(test_ds, preset), cfg,
-             os.path.join(out_dir, f"{kind.value}-{preset.name}"), svg)
+    jobs = ((restrict(train_ds, preset), restrict(val_ds, preset), restrict(test_ds, preset),
+             cfg, os.path.join(out_dir, f"{kind.value}-{preset.name}"), svg)
             for preset in presets)
 
     rows: list[dict] = []
@@ -185,20 +184,20 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
 def _fit_preset(job: tuple) -> dict:
     """Train, score and write one preset's model and ROC table; returns its summary row.
 
-    `job` is (preset, train, validation, test, cfg, path stem, svg). Runs in
-    a pool worker, so it is a module-level function of picklable arguments.
+    `job` is (train, validation, test, cfg, path stem, svg). Runs in a pool
+    worker, so it is a module-level function of picklable arguments.
     """
-    preset, tr, va, te, cfg, stem, svg = job
+    tr, va, te, cfg, stem, svg = job
     started = time.perf_counter()
-    result = train(init_mlp(preset.b, cfg), tr, va, cfg)
+    result = train(init_mlp(tr.preset.b, cfg), tr, va, cfg)
     train_s = time.perf_counter() - started
     model_path = stem + ".mlp.json"
     roc_path = stem + ".roc.csv"
     save_model(result.model, model_path)
     points = _score(result.model, te, roc_path, stem + ".svg" if svg else None)
     return {
-        "preset": preset.name,
-        "b": preset.b,
+        "preset": tr.preset.name,
+        "b": tr.preset.b,
         **points,
         "epochs": result.epochs_run,
         "model": model_path,

@@ -1,9 +1,9 @@
 """Balanced dataset generation, stratified splits, and CSV persistence.
 
-Records carry only features and labels; density matrices are regenerated
-on demand from the seed plus each record's draw index. Every draw index is
-its own RNG stream, so any set of records' states can be rebuilt
-bit-identically by sampling exactly their streams.
+Records carry features, negativities and draw indices, and a record's label
+is derived from its negativity. States are regenerated from the seed plus
+each record's draw index, its own RNG stream, so any set of records' states
+is rebuilt bit-identically by sampling exactly their streams.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ class Dataset:
     preset: MeasurementPreset
     features: np.ndarray  # (n, B) float64, values in [0, 1]
     negativities: np.ndarray  # (n,) float64 regression targets
-    labels: np.ndarray  # (n,) bool, True = entangled
     seed: int
     stream_indices: np.ndarray  # (n,) int64 draw index of each record
 
@@ -45,8 +44,12 @@ class Dataset:
         return self.preset.kind
 
     @property
+    def labels(self) -> np.ndarray:  # (n,) bool, True = entangled
+        return self.negativities > ENTANGLE_EPS
+
+    @property
     def count(self) -> int:
-        return len(self.labels)
+        return len(self.negativities)
 
     @property
     def prevalence(self) -> float:
@@ -54,27 +57,27 @@ class Dataset:
 
 
 def _draw_chunk(job: tuple):
-    """Features, labels, and validity for draw indices in one chunk.
+    """Features, negativities, labels, and validity for draw indices in one chunk.
 
-    `job` is (kind, preset, seed, chunk index). Runs in a pool worker, so it
-    is a module-level function of picklable arguments.
+    `job` is (preset, seed, chunk index). Runs in a pool worker, so it is a
+    module-level function of picklable arguments.
     """
-    kind, preset, seed, chunk_index = job
+    preset, seed, chunk_index = job
+    kind = preset.kind
     mats = sample_density_stack(kind, seed, chunk_index * CHUNK, CHUNK)
     neg = negativity_stack(mats, kind)
     values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, preset.pairs))
     return values, neg, neg > ENTANGLE_EPS, valid
 
 
-def _chunks(kind: SystemKind, preset: MeasurementPreset, seed: int, max_chunks: int):
+def _chunks(preset: MeasurementPreset, seed: int, max_chunks: int):
     """_draw_chunk's result for chunk 0, 1, ... max_chunks - 1, in order.
 
     Chunk 0 is drawn in this process, so a dataset that fits in it starts no
     worker; the rest are drawn in the process pool.
     """
-    yield _draw_chunk((kind, preset, seed, 0))
-    yield from ordered_map(_draw_chunk,
-                           ((kind, preset, seed, i) for i in range(1, max_chunks)),
+    yield _draw_chunk((preset, seed, 0))
+    yield from ordered_map(_draw_chunk, ((preset, seed, i) for i in range(1, max_chunks)),
                            max_chunks - 1)
 
 
@@ -85,9 +88,11 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     Balanced mode keeps a sample only while its class quota (n/2 each) is
     unfilled; unbalanced mode keeps everything and reproduces the natural
     prevalences. Degenerate-conditioning draws are discarded either way.
-    Chunks after the first are drawn in parallel (pool.ordered_map); records
-    are selected here, in draw order, so the result is the same. The
-    dataset's kind is its preset's, so a preset of another kind raises ValueError.
+    A kept record holds its features, negativity and draw index, and its
+    label follows from the negativity. Chunks after the first are drawn in
+    parallel (pool.ordered_map); records are selected here, in draw order, so
+    the result is the same. The dataset's kind is its preset's, so a preset
+    of another kind raises ValueError.
     """
     if preset.kind is not kind:
         raise ValueError(f"preset is for {preset.kind.value}, dataset is {kind.value}")
@@ -96,15 +101,12 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     if balanced and n % 2:
         raise ValueError("balanced generation needs an even n")
     quota = n // 2
-    taken = taken_pos = taken_neg = 0
-    rows: list[np.ndarray] = []
-    negs: list[np.ndarray] = []
-    labs: list[np.ndarray] = []
-    streams: list[np.ndarray] = []
+    taken = taken_pos = 0
+    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (features, negativities, streams)
     # natural prevalences are >= 0.37 for both classes; this bound is never
     # approached unless the sampler itself is broken
     max_chunks = (8 * n) // CHUNK + 16
-    with closing(_chunks(kind, preset, seed, max_chunks)) as chunks:
+    with closing(_chunks(preset, seed, max_chunks)) as chunks:
         for chunk_index, (values, neg, entangled, valid) in enumerate(chunks):
             # in draw order, a valid record is kept while its class quota
             # (balanced mode) and the n-record total are unfilled
@@ -113,21 +115,17 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
                 pos = valid & entangled
                 other = valid & ~entangled
                 keep = ((pos & (taken_pos + np.cumsum(pos) <= quota))
-                        | (other & (taken_neg + np.cumsum(other) <= quota)))
+                        | (other & (taken - taken_pos + np.cumsum(other) <= quota)))
             idx = np.flatnonzero(keep & (taken + np.cumsum(keep) <= n))
-            rows.append(values[idx])
-            negs.append(neg[idx])
-            labs.append(entangled[idx])
-            streams.append(chunk_index * CHUNK + idx)
+            kept.append((values[idx], neg[idx], chunk_index * CHUNK + idx))
             taken += len(idx)
             taken_pos += int(np.count_nonzero(entangled[idx]))
-            taken_neg = taken - taken_pos
             if taken == n:
                 break
         else:
             raise DrawBudgetExhausted(f"class quota not reached within {max_chunks * CHUNK} draws")
-    return Dataset(preset, np.concatenate(rows), np.concatenate(negs), np.concatenate(labs),
-                   seed, np.concatenate(streams).astype(np.int64))
+    features, negs, streams = (np.concatenate(parts) for parts in zip(*kept))
+    return Dataset(preset, features, negs, seed, streams.astype(np.int64))
 
 
 def regenerate_states(ds: Dataset) -> np.ndarray:
@@ -158,11 +156,13 @@ def restrict(ds: Dataset, preset: MeasurementPreset) -> Dataset:
 def split(ds: Dataset, fractions: tuple[float, float, float]) -> tuple[Dataset, Dataset, Dataset]:
     """Stratified, order-preserving three-way partition."""
     f = np.asarray(fractions, dtype=float)
-    if f.shape != (3,) or (f < 0).any() or abs(f.sum() - 1.0) > 1e-9:
+    # written so that a NaN fraction fails each comparison
+    if f.shape != (3,) or not (f >= 0).all() or not abs(f.sum() - 1.0) <= 1e-9:
         raise ValueError("fractions must be three non-negative numbers summing to 1")
     if ds.count == 0:
         raise EmptyDataset("cannot split an empty dataset")
-    class_indices = [np.flatnonzero(ds.labels), np.flatnonzero(~ds.labels)]
+    labels = ds.labels
+    class_indices = [np.flatnonzero(labels), np.flatnonzero(~labels)]
     if any(len(idx) == 0 for idx in class_indices):
         raise DegenerateLabels("stratified split needs both classes present")
     parts: list[list[np.ndarray]] = [[], [], []]
@@ -178,7 +178,7 @@ def split(ds: Dataset, fractions: tuple[float, float, float]) -> tuple[Dataset, 
             raise EmptyDataset("a requested split would be empty")
         # indexing with an index array already returns fresh C-contiguous arrays
         out.append(replace(ds, features=ds.features[take], negativities=ds.negativities[take],
-                           labels=ds.labels[take], stream_indices=ds.stream_indices[take]))
+                           stream_indices=ds.stream_indices[take]))
     return out[0], out[1], out[2]
 
 
@@ -206,8 +206,8 @@ def save(ds: Dataset, path: str) -> None:
     fewer in this process) and written in order as each block arrives.
     """
     starts = range(0, ds.count, CHUNK)
-    blocks = ((ds.features[i:i + CHUNK], ds.negativities[i:i + CHUNK], ds.labels[i:i + CHUNK])
-              for i in starts)
+    columns = (ds.features, ds.negativities, ds.labels)
+    blocks = (tuple(column[i:i + CHUNK] for column in columns) for i in starts)
     with open(path, "w", newline="\n") as fh, \
             closing(ordered_map(_format_rows, blocks, len(starts))) as texts:
         fh.write(_header(ds.preset.b) + "\n")
@@ -258,7 +258,7 @@ def load(path: str) -> Dataset:
     rows = count if len(streams) == count else 0
     feats = np.empty((rows, b))
     negs = np.empty(rows)
-    labs = np.empty(rows, dtype=bool)
+    label_column = np.empty(rows, dtype=bool)
     bad_line = None
     try:
         with open(path, encoding="utf-8") as fh:
@@ -281,7 +281,7 @@ def load(path: str) -> Dataset:
                         label = cells[b + 1]
                         if label not in ("0", "1"):
                             raise ValueError(f"label must be 0 or 1, got {label!r}")
-                        labs[records] = label == "1"
+                        label_column[records] = label == "1"
                     except ValueError as exc:
                         bad_line = (records + 2, exc)
                 records += 1
@@ -294,14 +294,15 @@ def load(path: str) -> Dataset:
     if bad_line is not None:
         ln, exc = bad_line
         raise FormatError(f"{path}:{ln}: {exc}") from exc
+    ds = Dataset(preset, feats, negs, seed, streams)
     # generate writes nothing else; the 1e-12 leaves room for eigensolver noise
     checks = (
         ("a feature is NaN or outside [0, 1]", ~((feats >= 0.0) & (feats <= 1.0)).all(axis=1)),
         ("negativity is NaN or outside [0, 0.5]", ~((negs >= 0.0) & (negs <= 0.5 + 1e-12))),
-        (f"label disagrees with negativity > {ENTANGLE_EPS:g}", labs != (negs > ENTANGLE_EPS)),
+        (f"label disagrees with negativity > {ENTANGLE_EPS:g}", label_column != ds.labels),
     )
     bad = np.array([rows for _, rows in checks])
     if bad.any():
         row = int(bad.any(axis=0).argmax())
         raise FormatError(f"{path}:{row + 2}: {checks[int(bad[:, row].argmax())][0]}")
-    return Dataset(preset, feats, negs, labs, seed, streams)
+    return ds

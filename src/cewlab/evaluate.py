@@ -25,17 +25,19 @@ class RocCurve:
 def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     """ROC of the rule "score >= threshold means entangled".
 
-    `scores` is a 1-D float array and `labels` a bool array of the same
-    shape; anything else raises DimensionMismatch. One point per distinct
-    score (threshold swept from +inf down), with (0, 0) prepended. The area
-    uses the trapezoid rule, which equals the Mann-Whitney statistic with
-    ties counted half.
+    `scores` is a 1-D float array without NaN and `labels` a bool array of
+    the same shape; anything else raises DimensionMismatch. One point per
+    distinct score (threshold swept from +inf down), with (0, 0) prepended.
+    The area uses the trapezoid rule, which equals the Mann-Whitney
+    statistic with ties counted half.
     """
     if not (isinstance(scores, np.ndarray) and isinstance(labels, np.ndarray)
             and scores.ndim == 1 and scores.dtype.kind == "f"
-            and labels.shape == scores.shape and labels.dtype == bool):
+            and labels.shape == scores.shape and labels.dtype == bool
+            and not np.isnan(scores).any()):
+        # a NaN score would rank below every other and leave a nan threshold
         raise DimensionMismatch(
-            "ROC needs 1-D float scores and bool labels of the same length, got "
+            "ROC needs 1-D non-NaN float scores and bool labels of the same length, got "
             f"{np.shape(scores)} scores and {np.shape(labels)} labels")
     if len(scores) == 0:
         raise EmptyDataset("ROC needs at least one scored sample")

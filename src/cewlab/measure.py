@@ -2,7 +2,8 @@
 
 A feature is the conditional probability of projecting the two middle
 qubits of the collective state onto the singlet, given that both local
-measurements succeeded. A preset names which (x, y) local pairs to use.
+measurements succeeded. A preset names which (x, y) local pairs to use;
+effect index k is the k-th effect of `local_effects(kind)`.
 
 The singlet projector is (I - SWAP)/2, so the two-copy state is never
 needed. With the conditional qubit states sigma_x = Tr_2[rho (I x E_x)],
@@ -36,7 +37,6 @@ _TETRA_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 @dataclass(frozen=True)
 class LocalEffect:
-    index: int  # 1-based, matching the preset tables
     mat: np.ndarray
 
 
@@ -57,11 +57,9 @@ def qubit_tetrahedron() -> tuple[LocalEffect, ...]:
     Kept at trace 1/2 exactly as defined; the conditional-probability ratio
     cancels the normalization anyway.
     """
-    effects = []
-    for i, (s1, s2, s3) in enumerate(_TETRA_SIGNS, start=1):
-        mat = (np.eye(2) + (s1 * SIGMA_X + s2 * SIGMA_Y + s3 * SIGMA_Z) / np.sqrt(3)) / 4.0
-        effects.append(LocalEffect(i, mat))
-    return tuple(effects)
+    return tuple(LocalEffect((np.eye(2) + (s1 * SIGMA_X + s2 * SIGMA_Y + s3 * SIGMA_Z)
+                              / np.sqrt(3)) / 4.0)
+                 for s1, s2, s3 in _TETRA_SIGNS)
 
 
 def qutrit_nine() -> tuple[LocalEffect, ...]:
@@ -74,21 +72,20 @@ def qutrit_nine() -> tuple[LocalEffect, ...]:
     subspaces = ((0, 2), (1, 0), (2, 1))
     phases = ((1.0, 1.0), (omega, omega.conjugate()), (omega.conjugate(), omega))
     effects = []
-    index = 1
     for u, v in subspaces:
         for alpha, beta in phases:
             ket = np.zeros(3, dtype=np.complex128)
             ket[u] = alpha
             ket[v] = beta
             ket /= np.sqrt(2.0)
-            effects.append(LocalEffect(index, np.outer(ket, ket.conj())))
-            index += 1
+            effects.append(LocalEffect(np.outer(ket, ket.conj())))
     return tuple(effects)
 
 
 @lru_cache(maxsize=None)
 def local_effects(kind: SystemKind) -> tuple[LocalEffect, ...]:
-    """The local-measurement set for the kind's second (non-Bell) subsystem."""
+    """The local-measurement set for the kind's second (non-Bell) subsystem;
+    a preset's effect index k names the k-th (1-based) of them."""
     if kind is SystemKind.TWO_QUBIT:
         return qubit_tetrahedron()
     return qutrit_nine()
@@ -128,9 +125,9 @@ def check_pairs(kind: SystemKind, pairs) -> None:
     """Raise DimensionMismatch unless pairs is non-empty and each is two effect indices of the kind."""
     if not pairs:
         raise DimensionMismatch("no effect index pairs: a preset measures at least one")
-    indices = {e.index for e in local_effects(kind)}
+    k = len(local_effects(kind))
     for pair in pairs:
-        if len(pair) != 2 or not all(type(i) is int and i in indices for i in pair):
+        if len(pair) != 2 or not all(type(i) is int and 1 <= i <= k for i in pair):
             raise DimensionMismatch(f"effect index pair {pair} invalid for {kind.value}")
 
 
@@ -144,14 +141,13 @@ def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
     """
     check_pairs(kind, pairs)
     effects = local_effects(kind)
-    position = {e.index: k for k, e in enumerate(effects)}
     m = mats.shape[0]
     d1, d2 = kind.dims
     # sigma[m, (a, b), x] = sum_ij rho[m, (a, i), (b, j)] E_x[j, i]
     rho = mats.reshape(m, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(m, d1 * d1, d2 * d2)
     sigma = rho @ np.array([e.mat.T.ravel() for e in effects]).T
-    ix = [position[x] for x, _ in pairs]
-    iy = [position[y] for _, y in pairs]
+    ix = [x - 1 for x, _ in pairs]
+    iy = [y - 1 for _, y in pairs]
     trace = sigma[:, ::d1 + 1].real.sum(axis=1)
     den = trace[:, ix] * trace[:, iy]
     # Re Tr[sigma_x sigma_y] of Hermitian sigmas is the dot product of their

@@ -293,15 +293,24 @@ def _widen_output(doc):
     doc["biases"][-1] = doc["biases"][-1] * 2
 
 
+def _predict_nan(doc):
+    # finite weights whose products overflow, so the last layer sums inf and -inf
+    doc["weights"] = [[[1e308] * len(row) for row in w] for w in doc["weights"]]
+    doc["weights"][-1] = [[(-1) ** i * 1e308] for i in range(len(doc["weights"][-1]))]
+
+
 @pytest.mark.parametrize("edit, error", [
     (lambda doc: doc.update(activation="tanh"),
-     "activation 'tanh' with output 'affine' is not relu with an affine output"),
+     "{model}: activation 'tanh' with output 'affine' is not relu with an affine output"),
     (lambda doc: doc.update(output="sigmoid"),
-     "activation 'relu' with output 'sigmoid' is not relu with an affine output"),
-    (_widen_output, "layer_sizes [3, 32, 16, 2] is not one or more layers ending in one output"),
+     "{model}: activation 'relu' with output 'sigmoid' is not relu with an affine output"),
+    (_widen_output,
+     "{model}: layer_sizes [3, 32, 16, 2] is not one or more layers ending in one output"),
     (lambda doc: doc.update(layer_sizes=[1], weights=[], biases=[]),
-     "layer_sizes [1] is not one or more layers ending in one output"),
-], ids=["tanh", "sigmoid", "two-outputs", "no-layers"])
+     "{model}: layer_sizes [1] is not one or more layers ending in one output"),
+    (_predict_nan, "ROC needs 1-D non-NaN float scores and bool labels of the same length, "
+                   "got (200,) scores and (200,) labels"),
+], ids=["tanh", "sigmoid", "two-outputs", "no-layers", "nan-predictions"])
 def test_eval_of_a_model_train_cannot_write_exits_1(workspace, tmp_path, capsys, edit, error):
     with open(workspace["model"]) as fh:
         doc = json.load(fh)
@@ -312,7 +321,7 @@ def test_eval_of_a_model_train_cannot_write_exits_1(workspace, tmp_path, capsys,
     out = tmp_path / "x.roc.csv"
     rc = main(["eval", "--model", model, "--test", workspace["test"], "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr() == ("", f"error: {model}: {error}\n")
+    assert capsys.readouterr() == ("", f"error: {error.format(model=model)}\n")
     assert not out.exists()
 
 

@@ -55,7 +55,7 @@ def test_regeneration_samples_only_the_records_streams():
     # distinct, unsorted streams spread over six chunks, more than two slices of them
     streams = np.random.default_rng(0).choice(6 * CHUNK, 2 * CHUNK + 9, replace=False)
     ds = dataclasses.replace(generate(KIND, B1, 10, seed=62), stream_indices=streams,
-                             labels=np.zeros(len(streams), dtype=bool))
+                             negativities=np.zeros(len(streams)))
     expected = sample_density_stack(KIND, 62, 0, 6 * CHUNK)[streams]
     assert np.array_equal(regenerate_states(ds), expected)
 
@@ -67,14 +67,14 @@ def test_quota_exhaustion_raises_a_package_error(monkeypatch):
         generate(KIND, B1, 10, seed=63)
 
 
-def per_record_selection(kind, preset, n, seed, balanced):
+def per_record_selection(preset, n, seed, balanced):
     """Test-only oracle: generate()'s selection as a loop over each record of a chunk."""
     quota = n // 2
     taken_pos = taken_neg = 0
     rows, negs, labs, streams = [], [], [], []
     chunk_index = 0
     while len(labs) < n:
-        values, neg, entangled, valid = dataset._draw_chunk((kind, preset, seed, chunk_index))
+        values, neg, entangled, valid = dataset._draw_chunk((preset, seed, chunk_index))
         for k in range(CHUNK):
             if not valid[k]:
                 continue
@@ -120,7 +120,7 @@ def test_selection_matches_the_per_record_oracle(monkeypatch, kind, balanced, n,
         _mark_invalid(monkeypatch, invalid_every)
     preset = preset_by_name(kind, "B10" if kind is SystemKind.TWO_QUBIT else "B45")
     ds = generate(kind, preset, n, seed=64, balanced=balanced)
-    expected = per_record_selection(kind, preset, n, 64, balanced)
+    expected = per_record_selection(preset, n, 64, balanced)
     for got, want in zip((ds.features, ds.negativities, ds.labels, ds.stream_indices), expected):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -232,11 +232,15 @@ def test_split_fraction_checks():
         split(ds, (0.5, 0.3, 0.1))
     with pytest.raises(ValueError):
         split(ds, (1.2, -0.1, -0.1))
+    # NaN fails every comparison, so each position is refused, not passed on as EmptyDataset
+    for fractions in ((np.nan, 0.5, 0.5), (0.5, np.nan, 0.5), (0.5, 0.5, np.nan)):
+        with pytest.raises(ValueError, match="fractions must be"):
+            split(ds, fractions)
 
 
 def test_split_needs_both_classes():
     ds = generate(KIND, B1, 100, seed=58)
-    lopsided = dataclasses.replace(ds, labels=np.ones(100, dtype=bool))
+    lopsided = dataclasses.replace(ds, negativities=np.full(100, 0.25))
     with pytest.raises(DegenerateLabels):
         split(lopsided, (0.8, 0.1, 0.1))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cewlab import evaluate
 from cewlab.dataset import generate, restrict, split
 from cewlab.errors import DegenerateLabels, DimensionMismatch, EmptyDataset
 from cewlab.evaluate import (
@@ -121,12 +122,14 @@ def test_roc_argument_checks():
     (np.array([0.9, 0.1]), np.array([1, 0])),
     (np.array([9, 1]), np.array([True, False])),
     ([0.9, 0.1], [True, False]),
+    (np.array([0.9, np.nan, 0.2, 0.1]), np.array([True, True, False, False])),
 ], ids=["n-by-1-scores", "n-by-2-scores", "n-by-1-labels", "float-labels", "int-labels",
-        "int-scores", "lists"])
+        "int-scores", "lists", "nan-scores"])
 def test_roc_refuses_every_other_input_form(scores, labels):
     # flattened or cast, each would be scored without a word: the n-by-2
-    # scores read AUC 1.0, and float labels count a 1e-9 negativity as
-    # entangled, though a record is labelled entangled only above ENTANGLE_EPS
+    # scores read AUC 1.0, float labels count a 1e-9 negativity as entangled,
+    # though a record is labelled entangled only above ENTANGLE_EPS, and a NaN
+    # score ranks below every other with a nan threshold
     with pytest.raises(DimensionMismatch):
         roc_curve(scores, labels)
 
@@ -250,10 +253,12 @@ def test_baseline_negativity_is_exact(balanced_ds):
     assert fpr == 0.0
 
 
-def test_baseline_rates_report_a_false_positive(balanced_ds):
-    # the rates are returned as they are; `cewlab baselines` refuses a nonzero FPR
-    swapped = dataclasses.replace(balanced_ds, labels=~balanced_ds.labels)
-    assert baseline_rates(swapped, Witness.NEGATIVITY) == (0.0, 1.0)
+def test_baseline_rates_report_a_false_positive(balanced_ds, monkeypatch):
+    # the rates are returned as they are; `cewlab baselines` refuses a nonzero FPR.
+    # A witness that flags exactly the separable records has sensitivity 0, FPR 1.
+    monkeypatch.setattr(evaluate, "witness_scores",
+                        lambda ds, witness: np.where(ds.labels, 0.0, 1.0))
+    assert baseline_rates(balanced_ds, Witness.NEGATIVITY) == (0.0, 1.0)
 
 
 NEAR_EPS = [0.0, np.nextafter(ENTANGLE_EPS, 0.0), ENTANGLE_EPS, np.nextafter(ENTANGLE_EPS, 1.0)]
@@ -262,19 +267,18 @@ NEAR_EPS = [0.0, np.nextafter(ENTANGLE_EPS, 0.0), ENTANGLE_EPS, np.nextafter(ENT
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_baseline_rates_are_the_hand_count(balanced_ds, data):
-    # the first records' states with drawn labels and negativities, many of
-    # the negativities exactly at the negativity witness's threshold or beside it
+    # the first records' states with drawn negativities, many of them exactly
+    # at the negativity witness's threshold or beside it; the labels follow them
     n = data.draw(st.integers(2, 24), label="n")
-    labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="labels"))
-    assume(labels.any() and not labels.all())
     negs = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from(NEAR_EPS), st.floats(0.0, 0.5)),
         min_size=n, max_size=n), label="negativities"))
     witness = data.draw(st.sampled_from(list(Witness)), label="witness")
     ds = dataclasses.replace(balanced_ds, features=balanced_ds.features[:n], negativities=negs,
-                             labels=labels, stream_indices=balanced_ds.stream_indices[:n])
+                             stream_indices=balanced_ds.stream_indices[:n])
+    assume(ds.labels.any() and not ds.labels.all())
     assert baseline_rates(ds, witness) == baseline_rates_by_count(
-        witness_scores(ds, witness), labels, THRESHOLDS[witness])
+        witness_scores(ds, witness), ds.labels, THRESHOLDS[witness])
 
 
 def test_baseline_witness_ordering(balanced_ds):
@@ -290,12 +294,11 @@ def test_baseline_argument_checks(balanced_ds):
         balanced_ds,
         features=balanced_ds.features[:0],
         negativities=balanced_ds.negativities[:0],
-        labels=balanced_ds.labels[:0],
         stream_indices=balanced_ds.stream_indices[:0],
     )
     with pytest.raises(EmptyDataset):
         baseline_rates(empty, Witness.NEGATIVITY)
-    lopsided = dataclasses.replace(balanced_ds, labels=np.ones(400, dtype=bool))
+    lopsided = dataclasses.replace(balanced_ds, negativities=np.full(400, 0.25))
     with pytest.raises(DegenerateLabels):
         baseline_rates(lopsided, Witness.NEGATIVITY)
 

@@ -101,10 +101,10 @@ def test_singlet_feature_values():
     # outcomes give exactly 1/3
     state = collective_state(singlet_state())
     effects = local_effects(SystemKind.TWO_QUBIT)
-    for x in effects:
-        for y in effects:
+    for ix, x in enumerate(effects, start=1):
+        for iy, y in enumerate(effects, start=1):
             value = p_xy(state, x, y)
-            expected = 0.0 if x.index == y.index else 1.0 / 3.0
+            expected = 0.0 if ix == iy else 1.0 / 3.0
             assert abs(value - expected) < 1e-10
 
 
@@ -185,7 +185,7 @@ def test_features_match_scalar_evaluation():
     rng = make_rng(35)
     for kind in SystemKind:
         preset = builtin_presets(kind)[-1]
-        effects = {e.index: e for e in local_effects(kind)}
+        effects = dict(enumerate(local_effects(kind), start=1))
         for _ in range(3):
             rho = sample_density(kind, rng)
             fv = features(rho, preset)
@@ -243,7 +243,7 @@ def test_feature_traces_match_the_collective_state_oracle(seed, stream, kind):
     values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, pairs))
     assert valid[0]
     state = collective_state(DensityMatrix(kind, mats[0]))
-    effects = {e.index: e for e in local_effects(kind)}
+    effects = dict(enumerate(local_effects(kind), start=1))
     expected = [p_xy(state, effects[ix], effects[iy]) for ix, iy in pairs]
     np.testing.assert_allclose(values[0], expected, rtol=0, atol=1e-13)
     assert ((values >= 0.0) & (values <= 1.0)).all()

@@ -20,13 +20,13 @@ from cewlab.model import (
     train,
 )
 from cewlab.qlinalg import make_rng
-from cewlab.states import ENTANGLE_EPS, SystemKind
+from cewlab.states import SystemKind
 
 
 def as_dataset(x, y):
     """(x, y) as a Dataset whose preset has one placeholder pair per feature column."""
     preset = MeasurementPreset(SystemKind.TWO_QUBIT, "toy", ((1, 1),) * x.shape[1])
-    return Dataset(preset, x, y, y > ENTANGLE_EPS, 0, np.arange(len(y)))
+    return Dataset(preset, x, y, 0, np.arange(len(y)))
 
 
 def epoch_log():
