@@ -118,8 +118,15 @@ def forward(m: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def predict_negativity(m: Mlp, features: np.ndarray) -> np.ndarray:
-    """Forward pass of a batch (n, B), clamped to the physical range [0, 0.5]."""
-    return np.clip(forward(m, features), 0.0, 0.5)
+    """Forward pass of a batch (n, B), clamped to the physical range [0, 0.5].
+
+    Finite weights may still overflow: an infinite output is clamped like any
+    large one, and a NaN one is left for the caller to refuse (roc_curve
+    does), so numpy's overflow warnings would only repeat that refusal.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = forward(m, features)
+    return np.clip(out, 0.0, 0.5)
 
 
 def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):

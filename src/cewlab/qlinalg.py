@@ -63,13 +63,20 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    """High and low words of the 128-bit products m * x, from 32-bit halves.
+
+    Schoolbook carries: no partial sum below reaches 2**64, so every add
+    is exact and can be done in place.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LO32, x >> 32
-    lo_hi = m_lo * x_hi
-    hi_lo = m_hi * x_lo
-    mid = ((m_lo * x_lo) >> 32) + (lo_hi & _LO32) + (hi_lo & _LO32)
-    hi = m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+    u = m_hi * x_lo
+    u += (m_lo * x_lo) >> 32
+    w = m_lo * x_hi
+    w += u & _LO32
+    hi = m_hi * x_hi
+    hi += u >> 32
+    hi += w >> 32
     return hi, np.uint64(m) * x  # uint64 array products wrap mod 2**64
 
 

@@ -325,6 +325,22 @@ def test_eval_of_a_model_train_cannot_write_exits_1(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_eval_of_overflowing_predictions_prints_only_its_error(workspace, tmp_path):
+    # numpy's overflow warnings would otherwise reach stderr ahead of the refusal
+    with open(workspace["model"]) as fh:
+        doc = json.load(fh)
+    _predict_nan(doc)
+    model = str(tmp_path / "nanpred.mlp.json")
+    with open(model, "w") as fh:
+        json.dump(doc, fh)
+    proc = subprocess.run([sys.executable, "-m", "cewlab", "eval", "--model", model,
+                           "--test", workspace["test"], "--out", str(tmp_path / "x.roc.csv")],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: ROC needs 1-D non-NaN float scores and bool labels of the "
+                           "same length, got (200,) scores and (200,) labels\n")
+
+
 def test_eval_svg_escapes_a_preset_name_with_xml_specials(workspace, tmp_path, capsys):
     test = str(tmp_path / "odd.csv")
     with open(workspace["test"]) as src, open(test, "w") as dst:

@@ -4,12 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cewlab import dataset, pool
-from cewlab.dataset import CHUNK, generate, load, regenerate_states, restrict, save, split
+from cewlab.dataset import (CHUNK, LOAD_BLOCK, generate, load, regenerate_states, restrict, save,
+                            split)
 from cewlab.errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
 from cewlab.measure import MeasurementPreset, preset_by_name
 from cewlab.states import SystemKind, negativity_stack, sample_density_stack
+from oracles import load_by_line
 
 KIND = SystemKind.TWO_QUBIT
 B1 = preset_by_name(KIND, "B1")
@@ -375,6 +379,95 @@ def test_load_reports_bad_lines(tmp_path):
         load(path)
     rewrite(lines)
     assert load(path).count == ds.count
+
+
+BLOCK_RECORDS = 300  # three LOAD_BLOCK blocks, the last one partial
+
+
+@pytest.fixture(scope="module")
+def block_csv(tmp_path_factory):
+    """A saved B10 set's lines (bytes, without newlines), and a path sharing its sidecar."""
+    root = tmp_path_factory.mktemp("blocks")
+    path = str(root / "base.csv")
+    ds = generate(KIND, preset_by_name(KIND, "B10"), BLOCK_RECORDS, seed=64)
+    save(ds, path)
+    assert ds.count > 2 * LOAD_BLOCK
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")[:-1]
+    copy = str(root / "copy.csv")
+    with open(path + ".meta", "rb") as src, open(copy + ".meta", "wb") as dst:
+        dst.write(src.read())
+    return lines, copy
+
+
+# a cell's replacements; "0.25,0.25" adds a field, which a "drop" elsewhere in
+# the block can balance
+_CELLS = [b"nan", b"1_0", b" 0.5", b"x", b"0.25,0.25"]
+
+
+@st.composite
+def corruption(draw):
+    """(edit, record index, position or replacement) of one corruption of one line."""
+    last = BLOCK_RECORDS - 1
+    row = draw(st.one_of(st.sampled_from([0, LOAD_BLOCK, 2 * LOAD_BLOCK]),
+                         st.integers(2 * LOAD_BLOCK, last), st.integers(0, last)))
+    edit = draw(st.sampled_from(["insert", "crlf", "delete", "duplicate", "cut", "cell", "drop",
+                                 "label"]))
+    if edit == "insert":  # form feed, NEL, lone CR, a byte that is not UTF-8
+        arg = (draw(st.sampled_from([b"\x0c", "\x85".encode(), b"\r", b"\xff"])),
+               draw(st.integers(0, 200)))
+    elif edit in ("cut", "cell", "drop"):
+        arg = (draw(st.integers(0, 200)), draw(st.sampled_from(_CELLS)))
+    elif edit == "label":
+        arg = draw(st.sampled_from([b"2", b"1.0"]))
+    else:
+        arg = None
+    return edit, row, arg
+
+
+def _corrupt(lines: list[bytes], edits) -> bytes:
+    rows = [line + b"\n" for line in lines[1:]]
+    # edits apply from the last row up, so each names a row of the saved file
+    for edit, row, arg in sorted(edits, key=lambda e: -e[1]):
+        line = rows[row][:-1]
+        if edit == "insert":
+            text, at = arg
+            at %= len(line) + 1
+            rows[row] = line[:at] + text + line[at:] + b"\n"
+        elif edit == "crlf":
+            rows[row] = line + b"\r\n"
+        elif edit == "delete":
+            del rows[row]
+        elif edit == "duplicate":
+            rows.insert(row, rows[row])
+        elif edit == "cut":
+            rows[row] = line[:arg[0] % (len(line) + 1)] + b"\n"
+        elif edit in ("cell", "drop"):
+            cells = line.split(b",")
+            cells[arg[0] % len(cells): arg[0] % len(cells) + 1] = [arg[1]] if edit == "cell" else []
+            rows[row] = b",".join(cells) + b"\n"
+        else:
+            rows[row] = line.rsplit(b",", 1)[0] + b"," + arg + b"\n"
+    return lines[0] + b"\n" + b"".join(rows)
+
+
+def _outcome(loader, path):
+    try:
+        ds = loader(path)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "dataset", (ds.preset, ds.seed, ds.features.tolist(), ds.negativities.tolist(),
+                       ds.labels.tolist(), ds.stream_indices.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(corruption(), max_size=3))
+@example([("cell", LOAD_BLOCK + 3, (0, b"0.25,0.25")), ("drop", LOAD_BLOCK + 9, (0, None))])
+def test_load_parses_blocks_as_the_per_line_parser_does(block_csv, edits):
+    lines, path = block_csv
+    with open(path, "wb") as fh:
+        fh.write(_corrupt(lines, edits))
+    assert _outcome(load, path) == _outcome(load_by_line, path)
 
 
 @pytest.mark.parametrize("streams, message", [

@@ -22,8 +22,8 @@ from cewlab.evaluate import (
 from cewlab.measure import preset_by_name
 from cewlab.qlinalg import make_rng
 from cewlab.states import ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_streams
-from oracles import (DensityMatrix, baseline_rates_by_count, chsh_violation, fef, haar_unitary,
-                     sample_density)
+from oracles import (DensityMatrix, baseline_rates_by_count, chsh_m_value_by_einsum,
+                     chsh_violation, fef, fef_by_einsum, haar_unitary, sample_density)
 
 
 def singlet_matrix():
@@ -236,6 +236,23 @@ def test_witnesses_flag_no_separable_state(seed, stream):
 
 
 KIND = SystemKind.TWO_QUBIT
+
+
+def test_witness_products_match_their_einsum_forms():
+    # CHSH keeps its bits; FEF's one product rounds differently from the
+    # three-operand einsum, but decides every state the same way
+    mats = sample_density_streams(KIND, 33, np.arange(4096))
+    assert np.array_equal(chsh_m_value_stack(mats), chsh_m_value_by_einsum(mats))
+    fast, slow = fef_stack(mats), fef_by_einsum(mats)
+    assert np.abs(fast - slow).max() <= 1e-14
+    assert np.array_equal(fast > 0.5, slow > 0.5)
+
+
+def test_baseline_rates_of_a_generated_set_are_pinned():
+    # the rates `cewlab baselines --kind two-qubit --n 10000 --seed 7` prints
+    ds = generate(KIND, preset_by_name(KIND, "B1"), 10000, seed=7)
+    assert baseline_rates(ds, Witness.CHSH) == (0.0404, 0.0)
+    assert baseline_rates(ds, Witness.FEF) == (0.7444, 0.0)
 
 
 @pytest.fixture(scope="module")
