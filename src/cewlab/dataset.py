@@ -3,13 +3,15 @@
 Records carry features, negativities and draw indices, and a record's label
 is derived from its negativity. States are regenerated from the seed plus
 each record's draw index, its own RNG stream, so any set of records' states
-is rebuilt bit-identically by sampling exactly their streams.
+is rebuilt bit-identically by sampling exactly their streams. A Dataset is
+frozen and regenerates its states at most once (Dataset.states).
 """
 from __future__ import annotations
 
 import json
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -36,13 +38,37 @@ CHUNK = 1024
 LOAD_BLOCK = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
+    """Records of one preset: features, negativities and the draw index of each.
+
+    Frozen: no field is reassigned, and the arrays that fix the records'
+    states and labels (negativities, stream_indices) are made read-only, so
+    no write through the Dataset makes the states memo stale.
+    dataclasses.replace, split and restrict build new Datasets, each
+    regenerating its own states. Features stay writable.
+    """
     preset: MeasurementPreset
     features: np.ndarray  # (n, B) float64, values in [0, 1]
     negativities: np.ndarray  # (n,) float64 regression targets
     seed: int
     stream_indices: np.ndarray  # (n,) int64 draw index of each record
+
+    def __post_init__(self) -> None:
+        self.negativities.flags.writeable = False
+        self.stream_indices.flags.writeable = False
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """regenerate_states(self), computed on first use; read-only.
+
+        Every witness scored on this Dataset reads this one regeneration,
+        which holds 16·d² bytes per record (256 B for two-qubit, 576 B for
+        qubit-qutrit) while the Dataset lives.
+        """
+        states = regenerate_states(self)
+        states.flags.writeable = False
+        return states
 
     @property
     def kind(self) -> SystemKind:
@@ -136,7 +162,9 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
 def regenerate_states(ds: Dataset) -> np.ndarray:
     """Density matrices of every record, shape (n, d, d), bit-identical to generation.
 
-    Samples exactly the records' own streams, CHUNK of them at a time.
+    Samples exactly the records' own streams, CHUNK of them at a time. This
+    is the one function that samples a dataset's states; every call samples
+    afresh and returns a new writable array. Dataset.states memoises it.
     """
     states = np.empty((ds.count, ds.kind.dim, ds.kind.dim), dtype=np.complex128)
     for start in range(0, ds.count, CHUNK):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, regenerate_states
+from .dataset import Dataset
 from .errors import DegenerateLabels, DimensionMismatch, EmptyDataset
 from .measure import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .qlinalg import hermitian_eigenvalues_stack
@@ -173,16 +173,18 @@ THRESHOLDS = {Witness.NEGATIVITY: ENTANGLE_EPS, Witness.CHSH: 1.0, Witness.FEF: 
 def witness_scores(ds: Dataset, witness: Witness) -> np.ndarray:
     """Score every sample of a dataset with one closed-form witness.
 
-    CHSH and FEF need density matrices, which are regenerated from the
-    dataset's seed and per-sample stream indices, so loaded, split, and
-    restricted datasets all work.
+    CHSH and FEF need density matrices. They read ds.states, which is
+    regenerated from the dataset's seed and per-sample stream indices once
+    per Dataset and shared by every witness, so loaded, split, and
+    restricted datasets all work. The negativity scores are the dataset's
+    own read-only negativities, not a copy.
     """
     if witness not in witnesses(ds.kind):
         raise DimensionMismatch(f"the {witness.value} witness is not defined for {ds.kind.value}")
     if witness is Witness.NEGATIVITY:
         return ds.negativities
     stack = chsh_m_value_stack if witness is Witness.CHSH else fef_stack
-    return stack(regenerate_states(ds))
+    return stack(ds.states)
 
 
 def baseline_rates(ds: Dataset, witness: Witness) -> tuple[float, float]:

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from cewlab import dataset
+
 
 @pytest.fixture
 def cpus(monkeypatch):
@@ -13,3 +15,16 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: n)
     return use
+
+
+@pytest.fixture
+def regenerations(monkeypatch):
+    """The record count of every call to cewlab.dataset.regenerate_states, in call order."""
+    counts = []
+    regenerate = dataset.regenerate_states
+
+    def counting(ds):
+        counts.append(ds.count)
+        return regenerate(ds)
+    monkeypatch.setattr(dataset, "regenerate_states", counting)
+    return counts

@@ -390,6 +390,16 @@ def test_baselines_table(capsys):
     assert float(rows[1][1]) < float(rows[2][1])
 
 
+def test_baselines_regenerate_once(capsys, regenerations):
+    # the three witnesses read one regeneration, and the table keeps its bytes
+    assert main(["baselines", "--kind", "two-qubit", "--n", "200", "--seed", "7"]) == 0
+    assert regenerations == [200]
+    assert capsys.readouterr().out == ("witness     sensitivity  fpr\n"
+                                       "negativity       1.0000  0.0000\n"
+                                       "chsh             0.0400  0.0000\n"
+                                       "fef              0.6700  0.0000\n")
+
+
 def test_baselines_single_witness(capsys):
     assert main(["baselines", "--kind", "two-qubit", "--witness", "fef",
                  "--n", "200", "--seed", "80"]) == 0

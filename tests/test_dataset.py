@@ -64,6 +64,42 @@ def test_regeneration_samples_only_the_records_streams():
     assert np.array_equal(regenerate_states(ds), expected)
 
 
+def test_states_are_the_regeneration_memoised():
+    ds = generate(KIND, B1, 300, seed=63)
+    assert np.array_equal(ds.states, regenerate_states(ds))
+    assert ds.states is ds.states
+
+
+@pytest.mark.parametrize("field", ["states", "stream_indices", "negativities"])
+def test_what_fixes_the_states_is_read_only(field):
+    array = getattr(generate(KIND, B1, 20, seed=64), field)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 0
+
+
+def test_a_dataset_is_frozen():
+    ds = generate(KIND, B1, 20, seed=64)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.seed = 2
+
+
+def test_a_replaced_dataset_regenerates_its_own_states():
+    ds = generate(KIND, B1, 40, seed=65)
+    reversed_ds = dataclasses.replace(ds, features=ds.features[::-1],
+                                      negativities=ds.negativities[::-1],
+                                      stream_indices=ds.stream_indices[::-1])
+    assert np.array_equal(reversed_ds.states, ds.states[::-1])
+
+
+def test_a_split_regenerates_only_its_own_records(regenerations):
+    ds = generate(KIND, B1, 200, seed=66)
+    _, _, test = split(ds, (0.5, 0.25, 0.25))
+    states = test.states
+    assert regenerations == [50]
+    assert np.array_equal(states, regenerate_states(ds)[np.isin(ds.stream_indices,
+                                                                 test.stream_indices)])
+
+
 def test_quota_exhaustion_raises_a_package_error(monkeypatch):
     # a sampler that never yields an entangled state cannot fill its quota
     monkeypatch.setattr(dataset, "negativity_stack", lambda mats, kind: np.zeros(len(mats)))

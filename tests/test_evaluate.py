@@ -320,6 +320,22 @@ def test_baseline_argument_checks(balanced_ds):
         baseline_rates(lopsided, Witness.NEGATIVITY)
 
 
+def test_witnesses_share_one_regeneration(regenerations):
+    ds = generate(KIND, preset_by_name(KIND, "B1"), 200, seed=84)
+    baseline_rates(ds, Witness.CHSH)
+    baseline_rates(ds, Witness.FEF)
+    assert regenerations == [200]
+
+
+def test_negativity_scores_cannot_relabel_the_dataset():
+    # the scores are the dataset's own negativities, from which its labels follow
+    ds = generate(KIND, preset_by_name(KIND, "B1"), 200, seed=85)
+    scores = witness_scores(ds, Witness.NEGATIVITY)
+    with pytest.raises(ValueError, match="read-only"):
+        scores[:] = 0.0
+    assert ds.labels.sum() == 100
+
+
 def test_witness_scores_survive_split_and_restrict():
     ds = generate(KIND, preset_by_name(KIND, "B10"), 200, seed=81)
     _, _, test = split(ds, (0.6, 0.2, 0.2))
