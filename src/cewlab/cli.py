@@ -21,7 +21,7 @@ from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr, witnesses
                        write_roc, write_roc_svg)
 from .measure import builtin_presets, preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
-                    save_model, train)
+                    save_model, train, train_many)
 from .pool import ordered_map, worker_count
 from .states import SystemKind
 
@@ -165,14 +165,23 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     total = sum(sizes)
     ds = generate(kind, master, total, seed)
     train_ds, val_ds, test_ds = split(ds, tuple(n / total for n in sizes))
-    # lazy, so training in this process holds one preset's projection at a time
-    jobs = ((restrict(train_ds, preset), restrict(val_ds, preset), restrict(test_ds, preset),
-             cfg, os.path.join(out_dir, f"{kind.value}-{preset.name}"), svg)
-            for preset in presets)
+    # contiguous groups, one per worker and the first ones a preset longer;
+    # each group trains in lockstep (train_many)
+    workers = worker_count(len(presets))
+    size, extra = divmod(len(presets), workers)
+    starts = [g * size + min(g, extra) for g in range(workers + 1)]
+    groups = [presets[a:b] for a, b in zip(starts, starts[1:])]
+
+    def job(group):
+        return (*([restrict(part, preset) for preset in group]
+                  for part in (train_ds, val_ds, test_ds)),
+                cfg, [os.path.join(out_dir, f"{kind.value}-{preset.name}") for preset in group],
+                svg)
 
     rows: list[dict] = []
-    with closing(ordered_map(_fit_preset, jobs, len(presets))) as results:
-        for row in results:
+    # lazy, so training in this process holds one group's projections at a time
+    with closing(ordered_map(_fit_presets, map(job, groups), len(groups))) as results:
+        for row in (row for group_rows in results for row in group_rows):
             rows.append(row)
             if log is not None:
                 log(f"{row['preset']}: B={row['b']} auc={row['auc']:.4f} "
@@ -181,30 +190,34 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     return rows
 
 
-def _fit_preset(job: tuple) -> dict:
-    """Train, score and write one preset's model and ROC table; returns its summary row.
+def _fit_presets(job: tuple) -> list[dict]:
+    """Train one group of presets in lockstep, then score and write each; returns their rows.
 
-    `job` is (train, validation, test, cfg, path stem, svg). Runs in a pool
-    worker, so it is a module-level function of picklable arguments.
+    `job` is (training sets, validation sets, test sets, cfg, path stems,
+    svg), one set and one stem per preset. Runs in a pool worker, so it is a
+    module-level function of picklable arguments. Each row's train_s is the
+    group's shared training time.
     """
-    tr, va, te, cfg, stem, svg = job
+    trains, vals, tests, cfg, stems, svg = job
     started = time.perf_counter()
-    result = train(init_mlp(tr.preset.b, cfg), tr, va, cfg)
-    train_s = time.perf_counter() - started
-    model_path = stem + ".mlp.json"
-    roc_path = stem + ".roc.csv"
-    save_model(result.model, model_path)
-    points = _score(result.model, te, roc_path, stem + ".svg" if svg else None)
-    return {
-        "preset": tr.preset.name,
-        "b": tr.preset.b,
-        **points,
-        "epochs": result.epochs_run,
-        "model": model_path,
-        "roc": roc_path,
-        "stats": {"train_s": round(train_s, 3), "epochs": result.epochs_run,
-                  "steps": result.steps},
-    }
+    results = train_many([init_mlp(tr.preset.b, cfg) for tr in trains], trains, vals, cfg)
+    train_s = round(time.perf_counter() - started, 3)
+    rows = []
+    for tr, te, stem, result in zip(trains, tests, stems, results):
+        model_path = stem + ".mlp.json"
+        roc_path = stem + ".roc.csv"
+        save_model(result.model, model_path)
+        points = _score(result.model, te, roc_path, stem + ".svg" if svg else None)
+        rows.append({
+            "preset": tr.preset.name,
+            "b": tr.preset.b,
+            **points,
+            "epochs": result.epochs_run,
+            "model": model_path,
+            "roc": roc_path,
+            "stats": {"train_s": train_s, "epochs": result.epochs_run, "steps": result.steps},
+        })
+    return rows
 
 
 _SUMMARY_COLUMNS = ("preset", "b", "auc", "tpr_at_fpr10", "tpr_at_fpr0", "epochs")

@@ -46,7 +46,8 @@ class Dataset:
     states and labels (negativities, stream_indices) are made read-only, so
     no write through the Dataset makes the states memo stale.
     dataclasses.replace, split and restrict build new Datasets, each
-    regenerating its own states. Features stay writable.
+    regenerating its own states, and a pickled copy carries no states and
+    keeps both arrays read-only. Features stay writable.
     """
     preset: MeasurementPreset
     features: np.ndarray  # (n, B) float64, values in [0, 1]
@@ -57,6 +58,15 @@ class Dataset:
     def __post_init__(self) -> None:
         self.negativities.flags.writeable = False
         self.stream_indices.flags.writeable = False
+
+    def __getstate__(self) -> dict:
+        # a copy regenerates its own states; a pool job ships none
+        return {k: v for k, v in self.__dict__.items() if k != "states"}
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays are writable under some protocols
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -182,7 +192,7 @@ def restrict(ds: Dataset, preset: MeasurementPreset) -> Dataset:
         columns = [positions[pair] for pair in preset.pairs]
     except KeyError as missing:
         raise ValueError(f"pair {missing} not measured in preset {ds.preset.name}") from None
-    # features[:, columns] is F-contiguous; the copy gives _forward_batch's BLAS product C order
+    # features[:, columns] is F-contiguous; the copy gives the first layer's BLAS product C order
     return replace(ds, preset=preset, features=ds.features[:, columns].copy())
 
 

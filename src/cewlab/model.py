@@ -7,6 +7,7 @@ which keeps toy nets testable by hand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,12 +102,120 @@ def init_mlp(input_dim: int, cfg: TrainConfig) -> Mlp:
     return Mlp(weights, biases, {"seed": cfg.seed})
 
 
-def _forward_batch(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Outputs (n,) of a batch and every layer's input: x, then each hidden activation."""
-    acts = [x]
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
-    return (acts[-1] @ m.weights[-1] + m.biases[-1])[:, 0], acts
+class _Stack:
+    """The parameters (or gradients, or Adam moments) of P nets in one flat buffer.
+
+    The nets differ only in their input width. Each member's first-layer
+    weights are its own (B_p, h) view; every later layer's weights are one
+    (P, fan_in, fan_out) stack and every layer's biases one (P, fan_out)
+    stack, all views of `flat`. A later layer is then one stacked product
+    for all members, which numpy runs as one BLAS call per member with the
+    strides of that member's own matrices, and an elementwise update of
+    `flat` gives every entry the bits of a per-array update.
+    """
+
+    def __init__(self, dims: list[int], sizes: list[int], members=None):
+        count = len(dims)
+        shapes = ([(b, sizes[0]) for b in dims]
+                  + [(count, i, o) for i, o in zip(sizes[:-1], sizes[1:])]
+                  + [(count, o) for o in sizes])
+        self.dims, self.sizes = dims, sizes
+        self.flat = np.zeros(sum(math.prod(s) for s in shapes))
+        views = _views(self.flat, shapes)
+        self.first = views[:count]
+        self.later = views[count:count + len(sizes) - 1]
+        self.biases = views[count + len(sizes) - 1:]
+        for p, arrays in enumerate(members or ()):
+            for dst, src in zip(self.member(p), arrays):
+                dst[...] = src
+
+    def member(self, p: int) -> tuple[np.ndarray, ...]:
+        """Member p's arrays in model order: weights, then biases, by layer."""
+        return (self.first[p], *(a[p] for a in (*self.later, *self.biases)))
+
+    def restack(self, keep: list[int]) -> _Stack:
+        """A new stack of the members `keep`, in that order."""
+        return _Stack([self.dims[p] for p in keep], self.sizes, [self.member(p) for p in keep])
+
+
+class _Buffers:
+    """Every temporary of a lockstep pass over `rows` records, allocated once.
+
+    With `backward`, also the gathered batch and what the gradient needs.
+    """
+
+    def __init__(self, dims: list[int], sizes: list[int], rows: int, backward: bool = False):
+        count = len(dims)
+        self.outs = [np.empty((count, rows, s)) for s in sizes]  # every layer's output
+        self.err = np.empty((count, rows))
+        self.sq = np.empty((count, rows))
+        self.mse = np.empty(count)
+        if backward:
+            self.x = [np.empty((rows, b)) for b in dims]
+            self.y = np.empty(rows)
+            self.deltas = [np.empty((count, rows, s)) for s in sizes]
+            self.masks = [np.empty((count, rows, s), dtype=bool) for s in sizes[:-1]]
+
+
+class _Work:
+    """Every temporary of a lockstep group's steps and validation, allocated once."""
+
+    def __init__(self, dims: list[int], sizes: list[int], batch_rows, val_rows: int):
+        self.grad = _Stack(dims, sizes)
+        self.tmp = np.empty_like(self.grad.flat)  # Adam's two temporaries
+        self.tmp2 = np.empty_like(self.grad.flat)
+        self.batches = {rows: _Buffers(dims, sizes, rows, backward=True) for rows in batch_rows}
+        self.val = _Buffers(dims, sizes, val_rows)
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive parts of `flat`, reshaped to `shapes` in order."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def _forward_stack(net: _Stack, xs, buf: _Buffers) -> np.ndarray:
+    """Outputs (P, n) of each member's batch xs[p] (n, B_p); every layer's output stays in buf."""
+    outs = buf.outs
+    for x, w, z in zip(xs, net.first, outs[0]):
+        np.matmul(x, w, out=z)
+    for layer, z in enumerate(outs):
+        z += net.biases[layer][:, None]
+        if layer + 1 < len(outs):
+            np.maximum(z, 0.0, out=z)
+            np.matmul(z, net.later[layer], out=outs[layer + 1])
+    return outs[-1][:, :, 0]
+
+
+def _mse_stack(out: np.ndarray, y: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Each member's mean squared error (P,) of outputs (P, n) against targets (n,)."""
+    np.subtract(out, y, out=buf.err)
+    np.multiply(buf.err, buf.err, out=buf.sq)
+    np.add.reduce(buf.sq, axis=1, out=buf.mse)
+    buf.mse /= len(y)
+    return buf.mse
+
+
+def _gradient_stack(net: _Stack, grad: _Stack, xs, y: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Each member's batch-MSE gradient, written into grad; returns the MSEs (P,)."""
+    mse = _mse_stack(_forward_stack(net, xs, buf), y, buf)
+    np.multiply(buf.err, 2.0, out=buf.deltas[-1][:, :, 0])
+    buf.deltas[-1] /= len(y)
+    for layer in range(len(buf.deltas) - 1, -1, -1):
+        delta = buf.deltas[layer]
+        np.add.reduce(delta, axis=1, out=grad.biases[layer])
+        if layer == 0:
+            for x, d, g in zip(xs, delta, grad.first):
+                np.matmul(x.T, d, out=g)
+            break
+        act = buf.outs[layer - 1]
+        np.matmul(act.transpose(0, 2, 1), delta, out=grad.later[layer - 1])
+        below = buf.deltas[layer - 1]
+        np.matmul(delta, net.later[layer - 1].transpose(0, 2, 1), out=below)
+        # a ReLU output is positive exactly where its input was
+        np.greater(act, 0.0, out=buf.masks[layer - 1])
+        np.multiply(below, buf.masks[layer - 1], out=below)
+    return mse
 
 
 def forward(m: Mlp, x: np.ndarray) -> np.ndarray:
@@ -114,7 +223,9 @@ def forward(m: Mlp, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != m.input_dim:
         raise DimensionMismatch(
             f"model expects {m.input_dim} features, got shape {x.shape}")
-    return _forward_batch(m, x)[0]
+    dims, sizes = [m.input_dim], m.layer_sizes[1:]
+    net = _Stack(dims, sizes, [(*m.weights, *m.biases)])
+    return _forward_stack(net, [x], _Buffers(dims, sizes, len(x)))[0]
 
 
 def predict_negativity(m: Mlp, features: np.ndarray) -> np.ndarray:
@@ -130,52 +241,30 @@ def predict_negativity(m: Mlp, features: np.ndarray) -> np.ndarray:
 
 
 def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
-    """Analytic gradient of the batch MSE; returns (weight grads, bias grads, mse)."""
+    """Analytic gradient of the batch MSE; returns (weight grads, bias grads, mse).
+
+    The one-member case of the lockstep gradient that train_many steps with.
+    """
     if len(x) == 0:
         raise EmptyDataset("gradient needs a non-empty batch")
     if x.shape[1] != m.input_dim:
         raise DimensionMismatch(
             f"model expects {m.input_dim} features, got shape {x.shape}")
-    out, acts = _forward_batch(m, x)
-    err = out - y
-    mse = float(np.mean(err**2))
-
-    grads_w = [np.empty(0)] * len(m.weights)
-    grads_b = [np.empty(0)] * len(m.biases)
-    delta = (2.0 * err / len(y))[:, None]
-    grads_w[-1] = acts[-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
-    for layer in range(len(m.weights) - 2, -1, -1):
-        # a ReLU output is positive exactly where its input was
-        delta = (delta @ m.weights[layer + 1].T) * (acts[layer + 1] > 0.0)
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-    return grads_w, grads_b, mse
+    dims, sizes = [m.input_dim], m.layer_sizes[1:]
+    grad = _Stack(dims, sizes)
+    mse = _gradient_stack(_Stack(dims, sizes, [(*m.weights, *m.biases)]), grad, [x], y,
+                          _Buffers(dims, sizes, len(x), backward=True))
+    arrays = grad.member(0)
+    layers = len(m.weights)
+    return list(arrays[:layers]), list(arrays[layers:]), float(mse[0])
 
 
-def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weights and biases as reshaped views of `flat`, in the order of `shapes`."""
-    ends = np.cumsum([np.prod(shape) for shape in shapes])
-    views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
-    half = len(shapes) // 2
-    return views[:half], views[half:]
-
-
-def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
-          on_epoch=None) -> TrainResult:
-    """Mini-batch Adam on MSE; returns the best-validation-epoch snapshot.
-
-    Deterministic given cfg.seed: shuffling uses a dedicated stream and
-    every reduction has a fixed order. `on_epoch(epoch, train_mse, val_mse)`
-    is called after each epoch when given. Datasets of two presets raise
-    ModelMismatch. The model's meta records the preset's kind, name and pairs.
-    """
+def _check_member(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig) -> None:
     preset = train_ds.preset
     if preset != val_ds.preset:
         raise ModelMismatch(f"preset mismatch: train has {preset.name} ({preset.kind.value}), "
                             f"validation has {val_ds.preset.name} ({val_ds.kind.value})")
-    x_train, y_train = train_ds.features, train_ds.negativities
-    x_val, y_val = val_ds.features, val_ds.negativities
+    x_train, x_val = train_ds.features, val_ds.features
     n = len(x_train)
     if n == 0 or len(x_val) == 0:
         raise EmptyDataset("training and validation sets must be non-empty")
@@ -192,51 +281,136 @@ def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
         raise ValueError(f"learning_rate must be a positive finite number, "
                          f"got {cfg.learning_rate}")
 
-    rng = make_rng(cfg.seed, _SHUFFLE_STREAM)
-    # weights then biases, in layer order, as views of one flat buffer: an
-    # Adam step is then one elementwise update, with the same bits per entry
-    # as a per-array update
-    arrays = (*m.weights, *m.biases)
-    shapes = [a.shape for a in arrays]
-    params = np.concatenate([a.ravel() for a in arrays], dtype=float)
-    m.weights, m.biases = _layer_views(params, shapes)
-    mom1 = np.zeros_like(params)
-    mom2 = np.zeros_like(params)
-    step = 0
-    stopper = EarlyStopper(cfg.patience)
-    best_params = params.copy()
 
+def _same_records(a: Dataset, b: Dataset) -> bool:
+    return (np.array_equal(a.negativities, b.negativities)
+            and np.array_equal(a.stream_indices, b.stream_indices))
+
+
+def _adam_step(params: np.ndarray, grad: np.ndarray, mom1: np.ndarray, mom2: np.ndarray,
+               tmp: np.ndarray, tmp2: np.ndarray, step: int, learning_rate: float) -> None:
+    """One Adam update of `params` in place, with the bits of
+
+        mom1 = BETA1 * mom1 + (1 - BETA1) * g
+        mom2 = BETA2 * mom2 + (1 - BETA2) * g * g
+        params -= lr * (mom1 / corr1) / (sqrt(mom2 / corr2) + EPSILON)
+
+    (elementwise IEEE products and sums commute, so only the grouping matters).
+    """
+    corr1 = 1.0 - BETA1**step
+    corr2 = 1.0 - BETA2**step
+    mom1 *= BETA1
+    np.multiply(grad, 1.0 - BETA1, out=tmp)
+    mom1 += tmp
+    mom2 *= BETA2
+    np.multiply(grad, 1.0 - BETA2, out=tmp)
+    tmp *= grad
+    mom2 += tmp
+    np.divide(mom1, corr1, out=tmp)
+    tmp *= learning_rate
+    np.divide(mom2, corr2, out=tmp2)
+    np.sqrt(tmp2, out=tmp2)
+    tmp2 += EPSILON
+    tmp /= tmp2
+    params -= tmp
+
+
+def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Dataset],
+               cfg: TrainConfig, on_epoch=None) -> list[TrainResult]:
+    """Train several models in lockstep; returns each one's result, as train would.
+
+    The members share their records (the same negativities and draw indices,
+    as column projections of one split are) and differ only in their
+    preset's columns, so they share one shuffle and one Adam step counter:
+    each step is one stacked gradient of every member and one Adam update of
+    one flat buffer. Every member stops on its own EarlyStopper; a stopped
+    member leaves the stack and the rest are re-stacked. Each member gets the
+    bits train would give it alone. `on_epoch(index, epoch, train_mse,
+    val_mse)` is called for each member still training after each epoch,
+    `index` being its position in `models`. A diverging member raises
+    DivergedTraining for the group. Members whose records differ raise
+    ValueError, and members whose layers after the first differ raise
+    DimensionMismatch.
+    """
+    if not models or not len(models) == len(train_sets) == len(val_sets):
+        raise ValueError("train_many needs one training and one validation set per model")
+    for m, train_ds, val_ds in zip(models, train_sets, val_sets):
+        _check_member(m, train_ds, val_ds, cfg)
+    if not all(_same_records(tr, train_sets[0]) and _same_records(va, val_sets[0])
+               for tr, va in zip(train_sets, val_sets)):
+        raise ValueError("lockstep members must share their training and validation records")
+    sizes = models[0].layer_sizes[1:]
+    if any(m.layer_sizes[1:] != sizes for m in models):
+        raise DimensionMismatch("lockstep members must share every layer after the first")
+
+    y_train, y_val = train_sets[0].negativities, val_sets[0].negativities
+    n = len(y_train)
+    rng = make_rng(cfg.seed, _SHUFFLE_STREAM)
+    active = list(range(len(models)))  # members still training, in stack order
+    net = _Stack([m.input_dim for m in models], sizes, [(*m.weights, *m.biases) for m in models])
+    mom1, mom2 = _Stack(net.dims, sizes), _Stack(net.dims, sizes)
+    stoppers = [EarlyStopper(cfg.patience) for _ in models]
+    # each member's best epoch, laid out as its own model: weights then biases by layer
+    shapes = [[a.shape for a in (*m.weights, *m.biases)] for m in models]
+    best = [np.concatenate([a.ravel() for a in (*m.weights, *m.biases)], dtype=float)
+            for m in models]
+    results: list[TrainResult | None] = [None] * len(models)
+    step = 0
+    rows = {min(cfg.batch_size, n - lo) for lo in range(0, n, cfg.batch_size)}
+    work = _Work(net.dims, sizes, rows, len(y_val))
+    x_trains = [train_ds.features for train_ds in train_sets]
+    x_vals = [val_ds.features for val_ds in val_sets]
     for epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(n)
-        sq_err_sum = 0.0
+        sq_err_sum = np.zeros(len(active))
         for lo in range(0, n, cfg.batch_size):
             batch = perm[lo: lo + cfg.batch_size]
-            grads_w, grads_b, mse = gradient(m, x_train[batch], y_train[batch])
-            if not np.isfinite(mse):
+            buf = work.batches[len(batch)]
+            # a permutation's indices are in range; "clip" spares take's buffered copy
+            np.take(y_train, batch, out=buf.y, mode="clip")
+            for x, xb in zip(x_trains, buf.x):
+                np.take(x, batch, axis=0, out=xb, mode="clip")
+            mse = _gradient_stack(net, work.grad, buf.x, buf.y, buf)
+            if not np.isfinite(mse).all():
                 raise DivergedTraining(f"training loss became non-finite at epoch {epoch}")
             sq_err_sum += mse * len(batch)
             step += 1
-            corr1 = 1.0 - BETA1**step
-            corr2 = 1.0 - BETA2**step
-            g = np.concatenate([a.ravel() for a in (*grads_w, *grads_b)])
-            mom1 = BETA1 * mom1 + (1.0 - BETA1) * g
-            mom2 = BETA2 * mom2 + (1.0 - BETA2) * g * g
-            params -= cfg.learning_rate * (mom1 / corr1) / (np.sqrt(mom2 / corr2) + EPSILON)
+            _adam_step(net.flat, work.grad.flat, mom1.flat, mom2.flat, work.tmp, work.tmp2,
+                       step, cfg.learning_rate)
         train_mse = sq_err_sum / n
-        val_mse = float(np.mean((_forward_batch(m, x_val)[0] - y_val) ** 2))
-        if not np.isfinite(val_mse):
+        val_mse = _mse_stack(_forward_stack(net, x_vals, work.val), y_val, work.val)
+        if not np.isfinite(val_mse).all():
             raise DivergedTraining(f"validation loss became non-finite at epoch {epoch}")
-        should_stop = stopper.update(val_mse)
-        if stopper.best_index == epoch:
-            best_params = params.copy()
-        if on_epoch is not None:
-            on_epoch(epoch, train_mse, val_mse)
-        if should_stop:
+        keep = []
+        for slot, i in enumerate(active):
+            stopper = stoppers[i]
+            should_stop = stopper.update(float(val_mse[slot]))
+            if stopper.best_index == epoch:
+                for dst, src in zip(_views(best[i], shapes[i]), net.member(slot)):
+                    dst[...] = src
+            if on_epoch is not None:
+                on_epoch(i, epoch, float(train_mse[slot]), float(val_mse[slot]))
+            if should_stop or epoch == cfg.max_epochs:
+                results[i] = _finish(models[i], train_sets[i].preset, best[i], shapes[i],
+                                     cfg, epoch, stopper, step)
+            else:
+                keep.append(slot)
+        if not keep:
             break
+        if len(keep) < len(active):
+            active, x_trains, x_vals = ([a[slot] for slot in keep]
+                                        for a in (active, x_trains, x_vals))
+            net, mom1, mom2 = (s.restack(keep) for s in (net, mom1, mom2))
+            work = _Work(net.dims, sizes, rows, len(y_val))
+    return results
 
-    m.weights, m.biases = _layer_views(best_params, shapes)
+
+def _finish(m: Mlp, preset, best: np.ndarray, shapes, cfg: TrainConfig, epoch: int,
+            stopper: EarlyStopper, step: int) -> TrainResult:
+    """Restore m's best epoch and record its training in its meta."""
+    views = _views(best, shapes)
+    m.weights, m.biases = views[:len(shapes) // 2], views[len(shapes) // 2:]
     # eval refuses test data whose kind or pairs differ from these
-    # max_epochs >= 1, so the loop ran and `epoch` is the last epoch run
     m.meta.update({
         "kind": preset.kind.value,
         "preset": preset.name,
@@ -246,6 +420,20 @@ def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
         "val_mse": stopper.best,
     })
     return TrainResult(m, epoch, stopper.best_index, stopper.best, step)
+
+
+def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
+          on_epoch=None) -> TrainResult:
+    """Mini-batch Adam on MSE; returns the best-validation-epoch snapshot.
+
+    Deterministic given cfg.seed: shuffling uses a dedicated stream and
+    every reduction has a fixed order. `on_epoch(epoch, train_mse, val_mse)`
+    is called after each epoch when given. Datasets of two presets raise
+    ModelMismatch. The model's meta records the preset's kind, name and pairs.
+    This is train_many with one member.
+    """
+    report = None if on_epoch is None else (lambda _, *row: on_epoch(*row))
+    return train_many([m], [train_ds], [val_ds], cfg, report)[0]
 
 
 def save_model(m: Mlp, path: str) -> None:

@@ -588,6 +588,48 @@ def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, cpus):
     assert _file_bytes(tmp_path / "pool" / "summary.csv") == "\n".join(summary + [""]).encode()
 
 
+def test_run_sweep_pooled_matches_one_cpu(tmp_path, cpus):
+    # on two CPUs B1 and B3 train in lockstep in one worker and B10 in the
+    # other; on one CPU all three train in lockstep in this process
+    args = SystemKind.TWO_QUBIT, ["B1", "B3", "B10"], (600, 200, 200), 24
+    cfg = TrainConfig(batch_size=64, max_epochs=30, patience=1, seed=24)
+    for count in (2, 1):
+        cpus(count)
+        rows = run_sweep(*args, str(tmp_path / str(count)), cfg=cfg)
+    assert len({r["epochs"] for r in rows}) > 1
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "2")) and len(names) == 7
+    for name in names:
+        assert _file_bytes(tmp_path / "2" / name) == _file_bytes(tmp_path / "1" / name), name
+
+
+@pytest.mark.parametrize("count, groups", [
+    (1, [["B1", "B3", "B5", "B7", "B10"]]),
+    (2, [["B1", "B3", "B5"], ["B7", "B10"]]),
+    (3, [["B1", "B3"], ["B5", "B7"], ["B10"]]),
+    (8, [["B1"], ["B3"], ["B5"], ["B7"], ["B10"]]),
+])
+def test_the_sweep_trains_one_contiguous_group_per_worker(tmp_path, cpus, monkeypatch,
+                                                          count, groups):
+    cpus(count)
+    trained = []
+
+    def in_this_process(fn, jobs, job_count):
+        jobs = list(jobs)
+        assert job_count == len(jobs)
+        trained.extend([tr.preset.name for tr in job[0]] for job in jobs)
+        return (fn(job) for job in jobs)
+    monkeypatch.setattr(cli, "ordered_map", in_this_process)
+    presets = ["B1", "B3", "B5", "B7", "B10"]
+    rows = run_sweep(SystemKind.TWO_QUBIT, presets, (256, 50, 50), 5, str(tmp_path),
+                     cfg=TrainConfig(max_epochs=1, seed=5))
+    assert trained == groups
+    assert [r["preset"] for r in rows] == presets
+    # a group's presets share one training time
+    times = {r["preset"]: r["stats"]["train_s"] for r in rows}
+    assert all(len({times[name] for name in group}) == 1 for group in groups)
+
+
 def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, cpus):
     cpus(2)
     cfg = TrainConfig(learning_rate=1e300, batch_size=64, max_epochs=3, seed=3)

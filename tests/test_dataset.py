@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -81,6 +82,23 @@ def test_a_dataset_is_frozen():
     ds = generate(KIND, B1, 20, seed=64)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ds.seed = 2
+
+
+@pytest.mark.parametrize("protocol", [4, 5])
+def test_a_pickled_dataset_drops_its_states_and_stays_read_only(protocol):
+    ds = generate(KIND, B1, 20, seed=64)
+    bare = pickle.dumps(ds, protocol=protocol)
+    assert "states" not in vars(ds) and ds.states.size and "states" in vars(ds)
+    shipped = pickle.dumps(ds, protocol=protocol)
+    assert len(shipped) == len(bare)
+    copy = pickle.loads(shipped)
+    assert "states" not in vars(copy)
+    for field in ("negativities", "stream_indices"):
+        assert np.array_equal(getattr(copy, field), getattr(ds, field))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(copy, field)[0] = 0
+    copy.features[0, 0] = 0.5
+    assert np.array_equal(copy.states, ds.states)
 
 
 def test_a_replaced_dataset_regenerates_its_own_states():
@@ -463,8 +481,9 @@ def corruption(draw):
 
 def _corrupt(lines: list[bytes], edits) -> bytes:
     rows = [line + b"\n" for line in lines[1:]]
-    # edits apply from the last row up, so each names a row of the saved file
-    for edit, row, arg in sorted(edits, key=lambda e: -e[1]):
+    # edits apply from the last row up, so each names a row of the saved file;
+    # a row's delete comes after its other edits, which then still find it
+    for edit, row, arg in sorted(edits, key=lambda e: (-e[1], e[0] == "delete")):
         line = rows[row][:-1]
         if edit == "insert":
             text, at = arg
@@ -496,9 +515,15 @@ def _outcome(loader, path):
                        ds.labels.tolist(), ds.stream_indices.tolist())
 
 
+def _one_delete_per_row(edits) -> bool:
+    deleted = [row for edit, row, _ in edits if edit == "delete"]
+    return len(deleted) == len(set(deleted))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(corruption(), max_size=3))
+@given(st.lists(corruption(), max_size=3).filter(_one_delete_per_row))
 @example([("cell", LOAD_BLOCK + 3, (0, b"0.25,0.25")), ("drop", LOAD_BLOCK + 9, (0, None))])
+@example([("delete", BLOCK_RECORDS - 1, None), ("crlf", BLOCK_RECORDS - 1, None)])
 def test_load_parses_blocks_as_the_per_line_parser_does(block_csv, edits):
     lines, path = block_csv
     with open(path, "wb") as fh:

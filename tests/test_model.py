@@ -3,7 +3,7 @@ import pytest
 
 from cewlab import model
 
-from cewlab.dataset import Dataset, generate, split
+from cewlab.dataset import Dataset, generate, restrict, split
 from cewlab.errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
                            ModelMismatch, TooFewRecords)
 from cewlab.measure import MeasurementPreset, preset_by_name
@@ -18,6 +18,7 @@ from cewlab.model import (
     predict_negativity,
     save_model,
     train,
+    train_many,
 )
 from cewlab.qlinalg import make_rng
 from cewlab.states import SystemKind
@@ -310,6 +311,83 @@ def test_train_matches_the_per_array_adam_oracle(problem, tmp_path):
     save_model(result.model, str(tmp_path / "flat.json"))
     save_model(expected, str(tmp_path / "oracle.json"))
     assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+
+def projected_splits(names, n=800, seed=72):
+    """Training and validation sets of each named two-qubit preset, projected from one split."""
+    kind = SystemKind.TWO_QUBIT
+    tr, va, _ = split(generate(kind, preset_by_name(kind, "B10"), n, seed=seed), (0.6, 0.2, 0.2))
+    presets = [preset_by_name(kind, name) for name in names]
+    return [restrict(tr, p) for p in presets], [restrict(va, p) for p in presets]
+
+
+def model_bytes(m, path) -> bytes:
+    save_model(m, str(path))
+    return path.read_bytes()
+
+
+def test_lockstep_training_matches_separate_training(tmp_path):
+    names = ["B1", "B3", "B5", "B10"]
+    trains, vals = projected_splits(names)
+    cfg = TrainConfig(batch_size=64, max_epochs=40, patience=2, seed=8)
+    histories = [[] for _ in names]
+    results = train_many([init_mlp(tr.preset.b, cfg) for tr in trains], trains, vals, cfg,
+                         lambda i, *row: histories[i].append(row))
+    epochs = set()
+    for i, (tr, va) in enumerate(zip(trains, vals)):
+        alone, on_epoch = epoch_log()
+        expected = train(init_mlp(tr.preset.b, cfg), tr, va, cfg, on_epoch)
+        got = results[i]
+        assert ([(e, *row) for e, row in enumerate(alone, 1)] == histories[i]), names[i]
+        assert (got.epochs_run, got.best_epoch, got.steps, got.best_val_mse) == (
+            expected.epochs_run, expected.best_epoch, expected.steps, expected.best_val_mse)
+        assert model_bytes(got.model, tmp_path / "lockstep.json") == model_bytes(
+            expected.model, tmp_path / "alone.json"), names[i]
+        epochs.add(got.epochs_run)
+    # each member left the stack at its own epoch, and the rest were re-stacked
+    assert len(epochs) == len(names)
+
+
+def test_stacked_gradient_is_each_members_own_gradient():
+    trains, _ = projected_splits(["B3", "B7"])
+    cfg = TrainConfig(seed=23)
+    models = [init_mlp(tr.preset.b, cfg) for tr in trains]
+    x = [tr.features[:50] for tr in trains]
+    y = trains[0].negativities[:50]
+    dims, sizes = [m.input_dim for m in models], models[0].layer_sizes[1:]
+    net = model._Stack(dims, sizes, [(*m.weights, *m.biases) for m in models])
+    grad = model._Stack(dims, sizes)
+    mse = model._gradient_stack(net, grad, x, y, model._Buffers(dims, sizes, 50, backward=True))
+    for p, m in enumerate(models):
+        grads_w, grads_b, alone = gradient(m, x[p], y)
+        assert mse[p] == alone
+        for got, want in zip(grad.member(p), grads_w + grads_b):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_a_diverging_member_raises_for_its_group():
+    trains, vals = projected_splits(["B1", "B3"])
+    cfg = TrainConfig(batch_size=64, max_epochs=5, seed=9)
+    models = [init_mlp(tr.preset.b, cfg) for tr in trains]
+    models[1].weights = [w * 1e200 for w in models[1].weights]  # overflows its outputs
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedTraining) as raised:
+            train_many(models, trains, vals, cfg)
+    assert str(raised.value) == "training loss became non-finite at epoch 1"
+
+
+def test_train_many_refuses_members_that_cannot_share_a_stack():
+    trains, vals = projected_splits(["B1", "B3"])
+    cfg = TrainConfig(batch_size=64, max_epochs=1, seed=9)
+    models = [init_mlp(tr.preset.b, cfg) for tr in trains]
+    with pytest.raises(ValueError, match="share their training and validation records"):
+        train_many(models, [trains[0], trains[1]], [vals[0], trains[1]], cfg)
+    models[1].weights[1] = models[1].weights[1][:, :8]
+    models[1].weights[2] = models[1].weights[2][:8]
+    models[1].biases[1] = models[1].biases[1][:8]
+    with pytest.raises(DimensionMismatch, match="every layer after the first"):
+        train_many(models, trains, vals, cfg)
 
 
 def test_train_diverges_on_absurd_learning_rate():
