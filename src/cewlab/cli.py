@@ -129,21 +129,23 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     One balanced master dataset is generated at the kind's largest preset
     and every requested preset is a column projection of it, so all models
     see the same states. Generation, splitting and projection run here; the
-    presets are then trained in parallel (pool.ordered_map), one forked
-    worker process per usable CPU (at most one per preset), each with one
-    BLAS thread. Every artifact has the same bytes as a one-process run.
-    Where fork is unavailable, only one CPU is usable, or the BLAS thread
-    count cannot be pinned, the presets are trained one after another in
-    this process. A preset named twice, or a split size that is not a
-    positive even number (each split takes half its records from each
-    class), is refused with ValueError before anything is generated, and
-    so is an out_dir that cannot be made (OSError).
+    presets are then cut into one contiguous group per worker and the
+    groups trained in parallel (pool.ordered_map), one forked worker process
+    per usable CPU (at most one per preset), each with one BLAS thread. A
+    worker trains its group in lockstep (model.train_many). Every artifact
+    has the same bytes as a one-process run. Where fork is unavailable, only
+    one CPU is usable, or the BLAS thread count cannot be pinned, all
+    presets form one group trained in this process. A preset named twice,
+    or a split size that is not a positive even number (each split takes
+    half its records from each class), is refused with ValueError before
+    anything is generated, and so is an out_dir that cannot be made
+    (OSError).
 
     Returns one summary row per preset, in the requested order; files land
     in out_dir, and `log` and the summary rewrites follow the same order.
-    Each row's "stats" holds the preset's training time, epochs and
-    gradient steps, as measured by its worker. An error raised while
-    training a preset propagates with its own type.
+    Each row's "stats" holds its group's training time and the preset's
+    epochs and gradient steps, as measured by its worker. An error raised
+    while training a preset propagates with its own type.
     """
     if not preset_names:
         raise ValueError("preset list is empty")
@@ -173,10 +175,10 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     groups = [presets[a:b] for a, b in zip(starts, starts[1:])]
 
     def job(group):
-        return (*([restrict(part, preset) for preset in group]
-                  for part in (train_ds, val_ds, test_ds)),
-                cfg, [os.path.join(out_dir, f"{kind.value}-{preset.name}") for preset in group],
-                svg)
+        trains, vals, tests = ([restrict(part, preset) for preset in group]
+                               for part in (train_ds, val_ds, test_ds))
+        stems = [os.path.join(out_dir, f"{kind.value}-{preset.name}") for preset in group]
+        return trains, vals, tests, cfg, stems, svg
 
     rows: list[dict] = []
     # lazy, so training in this process holds one group's projections at a time

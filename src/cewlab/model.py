@@ -2,7 +2,9 @@
 
 Layer layout is fixed at [B, 32, 16, 1] by init(); the forward/backward
 code itself handles any chain of ReLU hidden layers with an affine output,
-which keeps toy nets testable by hand.
+which keeps toy nets testable by hand. Nets that differ only in their input
+width run as one stack (train_many trains them in lockstep); a single net is
+a stack of one.
 """
 from __future__ import annotations
 
