@@ -233,20 +233,23 @@ def _header(b: int) -> str:
 def _format_rows(block: tuple) -> str:
     """CSV lines, each ending in a newline, of one (features, negativities, labels) block."""
     features, negs, labels = block
-    # repr per cell is the floor: numpy's float-to-string casts
-    # (astype(StringDType) or "U32") give the same strings but measured slower,
-    # about 1.1-1.2 s against 0.55-0.7 s for the 900k feature cells of a
-    # qubit-qutrit B45 dataset of 20000 records. Rows are converted one at a
-    # time: features.tolist() would hold the block's floats as objects at once.
-    return "".join(f"{','.join(map(repr, row.tolist()))},{neg!r},{int(lab)}\n"
-                   for row, neg, lab in zip(features, negs.tolist(), labels.tolist()))
+    # "%.17g" (17 significant digits, C's max_digits10) reads back as the same
+    # double, like repr, without repr's search for the shortest such string,
+    # which is the cost: 20000 qubit-qutrit B45 rows format in about 0.7 s
+    # against 0.9-1.1 s with repr, at 18.7 against 18.5 characters per cell.
+    # One % formats the whole block; the labels become 0.0/1.0, written %d.
+    n, b = features.shape
+    cells = np.column_stack((features, negs, labels)).ravel().tolist()
+    return (("%.17g," * (b + 1) + "%d\n") * n) % tuple(cells)
 
 
 def save(ds: Dataset, path: str) -> None:
     """CSV of features and labels plus a .meta sidecar (both deterministic).
 
-    Rows are formatted CHUNK at a time in the process pool (one block or
-    fewer in this process) and written in order as each block arrives.
+    Every float cell has 17 significant digits and reads back as the same
+    double; load also reads the shortest-repr cells of older files. Rows are
+    formatted CHUNK at a time in the process pool (one block or fewer in this
+    process) and written in order as each block arrives.
     """
     starts = range(0, ds.count, CHUNK)
     columns = (ds.features, ds.negativities, ds.labels)
@@ -261,8 +264,10 @@ def save(ds: Dataset, path: str) -> None:
         "seed": ds.seed,
         "count": ds.count,
         "prevalence": ds.prevalence,
-        "stream_indices": [int(s) for s in ds.stream_indices],
+        "stream_indices": ds.stream_indices.tolist(),
     }
+    # streamed: json.dumps would hold every token of the indices at once
+    # (2.4 MB against 0.9 MB for 20000 of them) to save about 1 ms
     with open(path + ".meta", "w", newline="\n") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

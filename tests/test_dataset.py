@@ -320,16 +320,25 @@ def test_save_load_round_trip(tmp_path):
 
 def test_save_is_byte_stable(tmp_path):
     ds = generate(KIND, preset_by_name(KIND, "B3"), 100, seed=60)
-    # extremes of repr: exact 0 and 1, exponent notation, the smallest subnormal
+    # extremes of the 17-digit cells: exact 0 and 1, exponent notation, the
+    # smallest subnormal, and a negative zero
     ds.features[:4, 1] = [0.0, 1.0, 1e-05, 5e-324]
+    negs = ds.negativities.copy()
+    negs[4] = -0.0
+    ds = dataclasses.replace(ds, negativities=negs)
     p1 = str(tmp_path / "a.csv")
     p2 = str(tmp_path / "b.csv")
     save(ds, p1)
-    lines = ["f1,f2,f3,negativity,label"] + [
-        ",".join([repr(float(v)) for v in row] + [repr(float(neg)), str(int(lab))])
-        for row, neg, lab in zip(ds.features, ds.negativities, ds.labels)]
     with open(p1, "rb") as fh:
-        assert fh.read() == ("\n".join(lines) + "\n").encode()
+        text = fh.read()
+    rows = [line.split(",") for line in text.decode().splitlines()[1:]]
+    assert [row[1] for row in rows[:4]] == ["0", "1", "1.0000000000000001e-05",
+                                           "4.9406564584124654e-324"]
+    assert rows[4][3:] == ["-0", "0"]
+    lines = ["f1,f2,f3,negativity,label"] + [
+        ",".join(["%.17g" % v for v in row] + ["%.17g" % neg, str(int(lab))])
+        for row, neg, lab in zip(ds.features, ds.negativities, ds.labels)]
+    assert text == ("\n".join(lines) + "\n").encode()
     save(load(p1), p2)
     for suffix in ("", ".meta"):
         with open(p1 + suffix, "rb") as fh:
@@ -337,6 +346,47 @@ def test_save_is_byte_stable(tmp_path):
         with open(p2 + suffix, "rb") as fh:
             second = fh.read()
         assert first == second
+
+
+# sign, an exponent field short of 0x7ff (inf and NaN), and the mantissa: every
+# finite double, with the zero exponent field giving +-0 and the subnormals
+_FINITE_BITS = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                         st.integers(0, 1), st.integers(0, 0x7fe), st.integers(0, 2**52 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FINITE_BITS, min_size=1, max_size=40))
+@example([0, 1 << 63, 1, 2**52 - 1, 0x7fefffffffffffff, 0x3ff0000000000000, 0x3fb999999999999a])
+def test_every_finite_double_reads_back_with_its_bits(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    labels = np.arange(len(values)) % 2 == 1
+    text = dataset._format_rows((values[:, None], values, labels))
+    rows = [line.split(",") for line in text.splitlines()]
+    assert text.endswith("\n") and len(rows) == len(values)
+    back = np.array([[float(row[0]), float(row[1])] for row in rows])
+    assert np.array_equal(back.view(np.int64), np.column_stack((values, values)).view(np.int64))
+    assert [row[2] for row in rows] == ["1" if lab else "0" for lab in labels]
+
+
+def test_a_csv_written_with_repr_cells_loads_to_the_same_arrays(tmp_path):
+    # CSVs written before the 17-digit cells spell every cell with repr
+    ds = generate(KIND, preset_by_name(KIND, "B10"), 300, seed=61)
+    ds.features[:3, 0] = [0.0, 1.0, 5e-324]
+    now, old = str(tmp_path / "now.csv"), str(tmp_path / "old.csv")
+    save(ds, now)
+    lines = [dataset._header(ds.preset.b)] + [
+        ",".join([repr(v) for v in row] + [repr(neg), str(int(lab))])
+        for row, neg, lab in zip(ds.features.tolist(), ds.negativities.tolist(), ds.labels.tolist())]
+    with open(old, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(now + ".meta", "rb") as src, open(old + ".meta", "wb") as dst:
+        dst.write(src.read())
+    assert _file_bytes(old) != _file_bytes(now)
+    a, b = load(old), load(now)
+    for field in ("features", "negativities", "stream_indices", "labels"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert np.array_equal(a.features.view(np.int64), ds.features.view(np.int64))
+    assert np.array_equal(a.negativities.view(np.int64), ds.negativities.view(np.int64))
 
 
 def test_pooled_save_writes_the_same_bytes(tmp_path, monkeypatch, cpus):

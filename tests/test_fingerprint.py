@@ -28,13 +28,13 @@ SEED = 1
 PRESET = {SystemKind.TWO_QUBIT: "B10", SystemKind.QUBIT_QUTRIT: "B13"}
 PINNED = {
     SystemKind.TWO_QUBIT: {
-        "csv": "a2946ef9c0368addfc92ac8e29293ecc7f19604bf49ba058bc422856450789ea",
+        "csv": "46377b19aa345eebff3c8eb29a09f67519bf238f83999d3ba4bf70cfe3a2dec2",
         "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
         "model": "9098d58cb1964b0e89afcb119bdd6fbca7f7cb52b9a1aaae2a2eed1ce0561ea7",
         "roc": "454c0dcc623b879e071bfee267f5942bc888c1075fde019c0c462406b8c28d11",
     },
     SystemKind.QUBIT_QUTRIT: {
-        "csv": "48f6f89a2159d10207b43a170bcb912a1c46c68178ed2e9ce7595cfe89982c08",
+        "csv": "6918932315d606d3642fad8d9b9ede89f874ebc1d0996773e2b108f3b28fd997",
         "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
         "model": "a9fdfb1439144481cc6ee41b8ea3de4723d71165244e10b43e9f05e20b5f215a",
         "roc": "41be2f2e695661704369d5b58200cf725633b1563386e22af90d066b061109a2",
