@@ -128,11 +128,12 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
 
     One balanced master dataset is generated at the kind's largest preset
     and every requested preset is a column projection of it, so all models
-    see the same states. Generation, splitting and projection run here; the
-    presets are then cut into one contiguous group per worker and the
-    groups trained in parallel (pool.ordered_map), one forked worker process
-    per usable CPU (at most one per preset), each with one BLAS thread. A
-    worker trains its group in lockstep (model.train_many). Every artifact
+    see the same states. The presets are cut into one contiguous group per
+    worker and the groups trained in parallel (pool.ordered_map), one forked
+    worker process per usable CPU (at most one per preset), each with one
+    BLAS thread, training its group in lockstep (model.train_many). Workers
+    only train: this process generates, splits and projects, then scores
+    each model on the test split and writes every artifact. Every artifact
     has the same bytes as a one-process run. Where fork is unavailable, only
     one CPU is usable, or the BLAS thread count cannot be pinned, all
     presets form one group trained in this process. A preset named twice,
@@ -143,8 +144,8 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
 
     Returns one summary row per preset, in the requested order; files land
     in out_dir, and `log` and the summary rewrites follow the same order.
-    Each row's "stats" holds its group's training time and the preset's
-    epochs and gradient steps, as measured by its worker. An error raised
+    Each row's "stats" holds its group's training time, as measured by its
+    worker, and the preset's epochs and gradient steps. An error raised
     while training a preset propagates with its own type.
     """
     if not preset_names:
@@ -173,53 +174,46 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     size, extra = divmod(len(presets), workers)
     starts = [g * size + min(g, extra) for g in range(workers + 1)]
     groups = [presets[a:b] for a, b in zip(starts, starts[1:])]
-
-    def job(group):
-        trains, vals, tests = ([restrict(part, preset) for preset in group]
-                               for part in (train_ds, val_ds, test_ds))
-        stems = [os.path.join(out_dir, f"{kind.value}-{preset.name}") for preset in group]
-        return trains, vals, tests, cfg, stems, svg
+    jobs = [([restrict(train_ds, preset) for preset in group],
+             [restrict(val_ds, preset) for preset in group], cfg) for group in groups]
 
     rows: list[dict] = []
-    # lazy, so training in this process holds one group's projections at a time
-    with closing(ordered_map(_fit_presets, map(job, groups), len(groups))) as results:
-        for row in (row for group_rows in results for row in group_rows):
-            rows.append(row)
-            if log is not None:
-                log(f"{row['preset']}: B={row['b']} auc={row['auc']:.4f} "
-                    f"tpr@fpr0.10={row['tpr_at_fpr10']:.4f} epochs={row['epochs']}")
-            _write_summary(out_dir, rows)
+    with closing(ordered_map(_train_group, jobs)) as trained:
+        for group, (results, train_s) in zip(groups, trained):
+            for preset, result in zip(group, results):
+                stem = os.path.join(out_dir, f"{kind.value}-{preset.name}")
+                model_path, roc_path = stem + ".mlp.json", stem + ".roc.csv"
+                save_model(result.model, model_path)
+                points = _score(result.model, restrict(test_ds, preset), roc_path,
+                                stem + ".svg" if svg else None)
+                rows.append({
+                    "preset": preset.name,
+                    "b": preset.b,
+                    **points,
+                    "epochs": result.epochs_run,
+                    "model": model_path,
+                    "roc": roc_path,
+                    "stats": {"train_s": train_s, "epochs": result.epochs_run,
+                              "steps": result.steps},
+                })
+                if log is not None:
+                    log(f"{preset.name}: B={preset.b} auc={points['auc']:.4f} "
+                        f"tpr@fpr0.10={points['tpr_at_fpr10']:.4f} epochs={result.epochs_run}")
+                _write_summary(out_dir, rows)
     return rows
 
 
-def _fit_presets(job: tuple) -> list[dict]:
-    """Train one group of presets in lockstep, then score and write each; returns their rows.
+def _train_group(job: tuple) -> tuple[list, float]:
+    """Train one group of presets in lockstep; returns train_many's results and the seconds taken.
 
-    `job` is (training sets, validation sets, test sets, cfg, path stems,
-    svg), one set and one stem per preset. Runs in a pool worker, so it is a
-    module-level function of picklable arguments. Each row's train_s is the
-    group's shared training time.
+    `job` is (training sets, validation sets, cfg), one set of each per
+    preset. Runs in a pool worker, so it is a module-level function of
+    picklable arguments.
     """
-    trains, vals, tests, cfg, stems, svg = job
+    trains, vals, cfg = job
     started = time.perf_counter()
     results = train_many([init_mlp(tr.preset.b, cfg) for tr in trains], trains, vals, cfg)
-    train_s = round(time.perf_counter() - started, 3)
-    rows = []
-    for tr, te, stem, result in zip(trains, tests, stems, results):
-        model_path = stem + ".mlp.json"
-        roc_path = stem + ".roc.csv"
-        save_model(result.model, model_path)
-        points = _score(result.model, te, roc_path, stem + ".svg" if svg else None)
-        rows.append({
-            "preset": tr.preset.name,
-            "b": tr.preset.b,
-            **points,
-            "epochs": result.epochs_run,
-            "model": model_path,
-            "roc": roc_path,
-            "stats": {"train_s": train_s, "epochs": result.epochs_run, "steps": result.steps},
-        })
-    return rows
+    return results, round(time.perf_counter() - started, 3)
 
 
 _SUMMARY_COLUMNS = ("preset", "b", "auc", "tpr_at_fpr10", "tpr_at_fpr0", "epochs")

@@ -118,8 +118,7 @@ def _chunks(preset: MeasurementPreset, seed: int, max_chunks: int):
     worker; the rest are drawn in the process pool.
     """
     yield _draw_chunk((preset, seed, 0))
-    yield from ordered_map(_draw_chunk, ((preset, seed, i) for i in range(1, max_chunks)),
-                           max_chunks - 1)
+    yield from ordered_map(_draw_chunk, [(preset, seed, i) for i in range(1, max_chunks)])
 
 
 def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
@@ -251,11 +250,10 @@ def save(ds: Dataset, path: str) -> None:
     formatted CHUNK at a time in the process pool (one block or fewer in this
     process) and written in order as each block arrives.
     """
-    starts = range(0, ds.count, CHUNK)
     columns = (ds.features, ds.negativities, ds.labels)
-    blocks = (tuple(column[i:i + CHUNK] for column in columns) for i in starts)
-    with open(path, "w", newline="\n") as fh, \
-            closing(ordered_map(_format_rows, blocks, len(starts))) as texts:
+    blocks = [tuple(column[i:i + CHUNK] for column in columns)
+              for i in range(0, ds.count, CHUNK)]
+    with open(path, "w", newline="\n") as fh, closing(ordered_map(_format_rows, blocks)) as texts:
         fh.write(_header(ds.preset.b) + "\n")
         fh.writelines(texts)
     meta = {
@@ -319,8 +317,11 @@ def load(path: str) -> Dataset:
         preset = MeasurementPreset(kind, meta["preset"]["name"],
                                    tuple(tuple(p) for p in meta["preset"]["pairs"]))
         check_pairs(kind, preset.pairs)
+        if type(preset.name) is not str:
+            raise ValueError("preset name must be a string")
         seed = meta["seed"]
         count = meta["count"]
+        prevalence = meta["prevalence"]
         # save writes the seed and count as JSON integers, and generate takes
         # seeds in [0, 2**64) only; a float would otherwise be truncated
         if type(seed) is not int or not 0 <= seed < 2**64:
@@ -385,4 +386,8 @@ def load(path: str) -> Dataset:
     if bad.any():
         row = int(bad.any(axis=0).argmax())
         raise FormatError(f"{path}:{row + 2}: {checks[int(bad[:, row].argmax())][0]}")
+    # save writes the labels' mean as a JSON float
+    if type(prevalence) is not float or prevalence != ds.prevalence:
+        raise FormatError(f"{path}.meta: prevalence must be the loaded labels' "
+                          f"{ds.prevalence!r}, got {prevalence!r}")
     return ds

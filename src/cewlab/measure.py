@@ -36,11 +36,6 @@ _TETRA_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
 @dataclass(frozen=True)
-class LocalEffect:
-    mat: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeasurementPreset:
     kind: SystemKind
     name: str
@@ -51,19 +46,18 @@ class MeasurementPreset:
         return len(self.pairs)
 
 
-def qubit_tetrahedron() -> tuple[LocalEffect, ...]:
-    """Four subnormalized effects whose Bloch vectors form a regular tetrahedron.
+def qubit_tetrahedron() -> np.ndarray:
+    """Four subnormalized effects (4, 2, 2) whose Bloch vectors form a regular tetrahedron.
 
     Kept at trace 1/2 exactly as defined; the conditional-probability ratio
     cancels the normalization anyway.
     """
-    return tuple(LocalEffect((np.eye(2) + (s1 * SIGMA_X + s2 * SIGMA_Y + s3 * SIGMA_Z)
-                              / np.sqrt(3)) / 4.0)
-                 for s1, s2, s3 in _TETRA_SIGNS)
+    return np.array([(np.eye(2) + (s1 * SIGMA_X + s2 * SIGMA_Y + s3 * SIGMA_Z) / np.sqrt(3)) / 4.0
+                     for s1, s2, s3 in _TETRA_SIGNS])
 
 
-def qutrit_nine() -> tuple[LocalEffect, ...]:
-    """Nine rank-1 projectors covering the three 2-dimensional subspaces.
+def qutrit_nine() -> np.ndarray:
+    """Nine rank-1 projectors (9, 3, 3) covering the three 2-dimensional subspaces.
 
     Each subspace pair carries the three relative phase patterns built from
     the cube roots of unity; together the projectors sum to 3I.
@@ -78,17 +72,18 @@ def qutrit_nine() -> tuple[LocalEffect, ...]:
             ket[u] = alpha
             ket[v] = beta
             ket /= np.sqrt(2.0)
-            effects.append(LocalEffect(np.outer(ket, ket.conj())))
-    return tuple(effects)
+            effects.append(np.outer(ket, ket.conj()))
+    return np.array(effects)
 
 
 @lru_cache(maxsize=None)
-def local_effects(kind: SystemKind) -> tuple[LocalEffect, ...]:
-    """The local-measurement set for the kind's second (non-Bell) subsystem;
-    a preset's effect index k names the k-th (1-based) of them."""
-    if kind is SystemKind.TWO_QUBIT:
-        return qubit_tetrahedron()
-    return qutrit_nine()
+def local_effects(kind: SystemKind) -> np.ndarray:
+    """The local-measurement set for the kind's second (non-Bell) subsystem,
+    one read-only (K, d2, d2) stack shared by every caller; a preset's
+    effect index k names the k-th (1-based) of them."""
+    effects = qubit_tetrahedron() if kind is SystemKind.TWO_QUBIT else qutrit_nine()
+    effects.flags.writeable = False
+    return effects
 
 
 _TWO_QUBIT_TABLE = (
@@ -145,7 +140,7 @@ def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
     d1, d2 = kind.dims
     # sigma[m, (a, b), x] = sum_ij rho[m, (a, i), (b, j)] E_x[j, i]
     rho = mats.reshape(m, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(m, d1 * d1, d2 * d2)
-    sigma = rho @ np.array([e.mat.T.ravel() for e in effects]).T
+    sigma = rho @ effects.transpose(0, 2, 1).reshape(len(effects), d2 * d2).T
     ix = [x - 1 for x, _ in pairs]
     iy = [y - 1 for _, y in pairs]
     trace = sigma[:, ::d1 + 1].real.sum(axis=1)

@@ -122,8 +122,9 @@ class _Stack:
                   + [(count, i, o) for i, o in zip(sizes[:-1], sizes[1:])]
                   + [(count, o) for o in sizes])
         self.dims, self.sizes = dims, sizes
-        self.flat = np.zeros(sum(math.prod(s) for s in shapes))
-        views = _views(self.flat, shapes)
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        self.flat = np.zeros(ends[-1])
+        views = [part.reshape(s) for part, s in zip(np.split(self.flat, ends[:-1]), shapes)]
         self.first = views[:count]
         self.later = views[count:count + len(sizes) - 1]
         self.biases = views[count + len(sizes) - 1:]
@@ -164,16 +165,9 @@ class _Work:
 
     def __init__(self, dims: list[int], sizes: list[int], batch_rows, val_rows: int):
         self.grad = _Stack(dims, sizes)
-        self.tmp = np.empty_like(self.grad.flat)  # Adam's two temporaries
-        self.tmp2 = np.empty_like(self.grad.flat)
+        self.tmp = np.empty_like(self.grad.flat)  # Adam's temporary
         self.batches = {rows: _Buffers(dims, sizes, rows, backward=True) for rows in batch_rows}
         self.val = _Buffers(dims, sizes, val_rows)
-
-
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive parts of `flat`, reshaped to `shapes` in order."""
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 def _forward_stack(net: _Stack, xs, buf: _Buffers) -> np.ndarray:
@@ -290,7 +284,7 @@ def _same_records(a: Dataset, b: Dataset) -> bool:
 
 
 def _adam_step(params: np.ndarray, grad: np.ndarray, mom1: np.ndarray, mom2: np.ndarray,
-               tmp: np.ndarray, tmp2: np.ndarray, step: int, learning_rate: float) -> None:
+               tmp: np.ndarray, step: int, learning_rate: float) -> None:
     """One Adam update of `params` in place, with the bits of
 
         mom1 = BETA1 * mom1 + (1 - BETA1) * g
@@ -298,6 +292,8 @@ def _adam_step(params: np.ndarray, grad: np.ndarray, mom1: np.ndarray, mom2: np.
         params -= lr * (mom1 / corr1) / (sqrt(mom2 / corr2) + EPSILON)
 
     (elementwise IEEE products and sums commute, so only the grouping matters).
+    Once both moments are updated the gradient is dead, so `grad` is
+    overwritten as the second temporary.
     """
     corr1 = 1.0 - BETA1**step
     corr2 = 1.0 - BETA2**step
@@ -310,13 +306,14 @@ def _adam_step(params: np.ndarray, grad: np.ndarray, mom1: np.ndarray, mom2: np.
     mom2 += tmp
     np.divide(mom1, corr1, out=tmp)
     tmp *= learning_rate
-    np.divide(mom2, corr2, out=tmp2)
-    np.sqrt(tmp2, out=tmp2)
-    tmp2 += EPSILON
-    tmp /= tmp2
+    np.divide(mom2, corr2, out=grad)
+    np.sqrt(grad, out=grad)
+    grad += EPSILON
+    tmp /= grad
     params -= tmp
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Dataset],
                cfg: TrainConfig, on_epoch=None) -> list[TrainResult]:
     """Train several models in lockstep; returns each one's result, as train would.
@@ -330,7 +327,8 @@ def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Data
     bits train would give it alone. `on_epoch(index, epoch, train_mse,
     val_mse)` is called for each member still training after each epoch,
     `index` being its position in `models`. A diverging member raises
-    DivergedTraining for the group. Members whose records differ raise
+    DivergedTraining for the group, and numpy's overflow warnings, which
+    would only repeat that, are off. Members whose records differ raise
     ValueError, and members whose layers after the first differ raise
     DimensionMismatch.
     """
@@ -352,10 +350,8 @@ def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Data
     net = _Stack([m.input_dim for m in models], sizes, [(*m.weights, *m.biases) for m in models])
     mom1, mom2 = _Stack(net.dims, sizes), _Stack(net.dims, sizes)
     stoppers = [EarlyStopper(cfg.patience) for _ in models]
-    # each member's best epoch, laid out as its own model: weights then biases by layer
-    shapes = [[a.shape for a in (*m.weights, *m.biases)] for m in models]
-    best = [np.concatenate([a.ravel() for a in (*m.weights, *m.biases)], dtype=float)
-            for m in models]
+    # each member's best epoch so far: its arrays in model order (_Stack.member)
+    best = [[*m.weights, *m.biases] for m in models]
     results: list[TrainResult | None] = [None] * len(models)
     step = 0
     rows = {min(cfg.batch_size, n - lo) for lo in range(0, n, cfg.batch_size)}
@@ -377,8 +373,8 @@ def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Data
                 raise DivergedTraining(f"training loss became non-finite at epoch {epoch}")
             sq_err_sum += mse * len(batch)
             step += 1
-            _adam_step(net.flat, work.grad.flat, mom1.flat, mom2.flat, work.tmp, work.tmp2,
-                       step, cfg.learning_rate)
+            _adam_step(net.flat, work.grad.flat, mom1.flat, mom2.flat, work.tmp, step,
+                       cfg.learning_rate)
         train_mse = sq_err_sum / n
         val_mse = _mse_stack(_forward_stack(net, x_vals, work.val), y_val, work.val)
         if not np.isfinite(val_mse).all():
@@ -388,13 +384,12 @@ def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Data
             stopper = stoppers[i]
             should_stop = stopper.update(float(val_mse[slot]))
             if stopper.best_index == epoch:
-                for dst, src in zip(_views(best[i], shapes[i]), net.member(slot)):
-                    dst[...] = src
+                best[i] = [a.copy() for a in net.member(slot)]
             if on_epoch is not None:
                 on_epoch(i, epoch, float(train_mse[slot]), float(val_mse[slot]))
             if should_stop or epoch == cfg.max_epochs:
-                results[i] = _finish(models[i], train_sets[i].preset, best[i], shapes[i],
-                                     cfg, epoch, stopper, step)
+                results[i] = _finish(models[i], train_sets[i].preset, best[i], cfg, epoch,
+                                     stopper, step)
             else:
                 keep.append(slot)
         if not keep:
@@ -407,11 +402,10 @@ def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Data
     return results
 
 
-def _finish(m: Mlp, preset, best: np.ndarray, shapes, cfg: TrainConfig, epoch: int,
+def _finish(m: Mlp, preset, best: list[np.ndarray], cfg: TrainConfig, epoch: int,
             stopper: EarlyStopper, step: int) -> TrainResult:
-    """Restore m's best epoch and record its training in its meta."""
-    views = _views(best, shapes)
-    m.weights, m.biases = views[:len(shapes) // 2], views[len(shapes) // 2:]
+    """Restore m's best epoch (its arrays in model order) and record its training in its meta."""
+    m.weights, m.biases = best[:len(m.weights)], best[len(m.weights):]
     # eval refuses test data whose kind or pairs differ from these
     m.meta.update({
         "kind": preset.kind.value,
@@ -452,15 +446,25 @@ def save_model(m: Mlp, path: str) -> None:
         fh.write("\n")
 
 
+def _floats(value) -> np.ndarray:
+    """A nested JSON list of the floats save_model writes; refuses strings, booleans and ints."""
+    cells = np.array(value, dtype=object)
+    if not all(type(cell) is float for cell in cells.flat):
+        raise ValueError("a weight or bias is not a JSON float")
+    return cells.astype(float)
+
+
 def load_model(path: str) -> Mlp:
     try:
         with open(path) as fh:
             doc = json.load(fh)
         sizes = list(doc["layer_sizes"])
         layout = (doc["activation"], doc["output"])
-        weights = [np.array(w, dtype=float) for w in doc["weights"]]
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
-        meta = dict(doc.get("meta", {}))
+        weights = [_floats(w) for w in doc["weights"]]
+        biases = [_floats(b) for b in doc["biases"]]
+        meta = doc.get("meta", {})
+        if type(meta) is not dict:
+            raise ValueError("meta is not a JSON object")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     # the only net save_model writes and forward computes

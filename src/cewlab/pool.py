@@ -1,9 +1,9 @@
 """The package's one process pool: an ordered, windowed map over forked workers.
 
-`ordered_map` runs the sweep's presets, `generate`'s chunks after the first
-and `save`'s row blocks. Every job is a module-level function of picklable
-arguments, so a job's result does not depend on where it ran and the bytes
-of every artifact match a one-process run.
+`ordered_map` runs the sweep's training groups, `generate`'s chunks after
+the first and `save`'s row blocks. Every job is a module-level function of
+picklable arguments, so a job's result does not depend on where it ran and
+the bytes of every artifact match a one-process run.
 """
 from __future__ import annotations
 
@@ -15,19 +15,19 @@ from itertools import islice
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def ordered_map(fn, jobs, count: int):
-    """Yield fn(job) for each job of the iterable `jobs`, in job order.
+def ordered_map(fn, jobs):
+    """Yield fn(job) for each job of the sequence `jobs`, in job order.
 
-    `count` bounds how many jobs will be asked for; it caps the worker count
-    (see `_pool_plan`). Where the plan is one process, this is the builtin
-    `map`. Otherwise jobs run in forked worker processes, pulled from `jobs`
-    lazily with at most one more in flight than there are workers; closing
-    the generator, or an error in a job or in the consumer, cancels the jobs
-    not yet started. A job's exception is raised here with its own type.
-    Close the generator (`contextlib.closing`) where the consumer may stop
-    early, so that the workers stop then and not when it is collected.
+    The job count caps the worker count (see `_pool_plan`). Where the plan
+    is one process, this is the builtin `map`. Otherwise jobs run in forked
+    worker processes, submitted in order with at most one more in flight
+    than there are workers; closing the generator, or an error in a job or
+    in the consumer, cancels the jobs not yet started. A job's exception is
+    raised here with its own type. Close the generator
+    (`contextlib.closing`) where the consumer may stop early, so that the
+    workers stop then and not when it is collected.
     """
-    workers, pin_blas = _pool_plan(count)
+    workers, pin_blas = _pool_plan(len(jobs))
     if workers == 1:
         yield from map(fn, jobs)
         return

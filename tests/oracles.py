@@ -18,9 +18,8 @@ import numpy as np
 from cewlab import dataset
 from cewlab.errors import CewlabError, DimensionMismatch, FormatError
 from cewlab.evaluate import _MAGIC, chsh_m_value_stack, fef_stack
-from cewlab.measure import (DENOM_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, LocalEffect,
-                            MeasurementPreset, check_pairs, conditional_probabilities,
-                            feature_traces_stack)
+from cewlab.measure import (DENOM_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, MeasurementPreset,
+                            check_pairs, conditional_probabilities, feature_traces_stack)
 from cewlab.qlinalg import (complex_normals_from_uniforms, haar_from_ginibre,
                             hermitian_eigenvalues_stack)
 from cewlab.states import (ENTANGLE_EPS, SystemKind, _density_from_uniforms, _state_uniforms,
@@ -165,18 +164,18 @@ def bell_singlet() -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def p_xy(rho_t: CollectiveState, x: LocalEffect, y: LocalEffect) -> float:
-    """Conditional singlet probability for one local pair.
+def p_xy(rho_t: CollectiveState, x: np.ndarray, y: np.ndarray) -> float:
+    """Conditional singlet probability for one local pair of effects (d2, d2).
 
     Numerator projects the middle qubit pair onto the singlet; the
     denominator conditions on the local outcomes alone.
     """
     d2 = rho_t.kind.dims[1]
-    if x.mat.shape != (d2, d2) or y.mat.shape != (d2, d2):
+    if x.shape != (d2, d2) or y.shape != (d2, d2):
         raise DimensionMismatch(
             f"local effects must be {d2}x{d2} for {rho_t.kind.value}")
-    numerator_op = np.kron(x.mat, np.kron(bell_singlet(), y.mat))
-    denominator_op = np.kron(x.mat, np.kron(np.eye(4), y.mat))
+    numerator_op = np.kron(x, np.kron(bell_singlet(), y))
+    denominator_op = np.kron(x, np.kron(np.eye(4), y))
     numerator = np.einsum('ij,ji->', rho_t.mat, numerator_op).real
     denominator = np.einsum('ij,ji->', rho_t.mat, denominator_op).real
     if denominator < DENOM_TOL:
@@ -266,8 +265,11 @@ def load_by_line(path: str) -> dataset.Dataset:
         preset = MeasurementPreset(kind, meta["preset"]["name"],
                                    tuple(tuple(p) for p in meta["preset"]["pairs"]))
         check_pairs(kind, preset.pairs)
+        if type(preset.name) is not str:
+            raise ValueError("preset name must be a string")
         seed = meta["seed"]
         count = meta["count"]
+        prevalence = meta["prevalence"]
         # save writes the seed and count as JSON integers, and generate takes
         # seeds in [0, 2**64) only; a float would otherwise be truncated
         if type(seed) is not int or not 0 <= seed < 2**64:
@@ -338,4 +340,8 @@ def load_by_line(path: str) -> dataset.Dataset:
     if bad.any():
         row = int(bad.any(axis=0).argmax())
         raise FormatError(f"{path}:{row + 2}: {checks[int(bad[:, row].argmax())][0]}")
+    # save writes the labels' mean as a JSON float
+    if type(prevalence) is not float or prevalence != ds.prevalence:
+        raise FormatError(f"{path}.meta: prevalence must be the loaded labels' "
+                          f"{ds.prevalence!r}, got {prevalence!r}")
     return ds

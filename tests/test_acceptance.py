@@ -92,8 +92,8 @@ def test_criterion_2_measurement_symmetry():
 
 
 def test_criterion_3_projector_identities():
-    tetra = [e.mat for e in qubit_tetrahedron()]
-    nine = [e.mat for e in qutrit_nine()]
+    tetra = qubit_tetrahedron()
+    nine = qutrit_nine()
     worst = np.abs(sum(tetra) - np.eye(2)).max()
     for i, a in enumerate(tetra):
         for j, b in enumerate(tetra):

@@ -638,6 +638,26 @@ def test_load_rejects_pairs_generate_cannot_write(tmp_path, kind, pairs):
         load(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["preset"].update(name=5), "preset name must be a string"),
+    (lambda meta: meta.update(prevalence=0.9), "prevalence must be the loaded labels' 0.5, got 0.9"),
+    (lambda meta: meta.update(prevalence=True), "prevalence must be .*, got True"),
+    (lambda meta: meta.update(prevalence="0.5"), "prevalence must be .*, got '0.5'"),
+], ids=["name-5", "prevalence-0.9", "prevalence-true", "prevalence-string"])
+def test_load_rejects_names_and_prevalences_save_cannot_write(tmp_path, edit, message):
+    # a balanced set: save writes its prevalence as the float 0.5
+    path = str(tmp_path / "d.csv")
+    save(generate(KIND, B1, 4, seed=66), path)
+    with open(path + ".meta") as fh:
+        meta = json.load(fh)
+    edit(meta)
+    with open(path + ".meta", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(FormatError, match=f"^{re.escape(path)}\\.meta: {message}$"):
+        load(path)
+    assert _outcome(load_by_line, path) == _outcome(load, path)
+
+
 def test_load_missing_sidecar(tmp_path):
     path = str(tmp_path / "missing.csv")
     with pytest.raises(FileNotFoundError):

@@ -25,14 +25,14 @@ def singlet_state():
 def test_tetrahedron_identities():
     effects = qubit_tetrahedron()
     assert len(effects) == 4
-    total = sum(e.mat for e in effects)
+    total = sum(effects)
     np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
     for e in effects:
-        assert abs(np.trace(e.mat) - 0.5) < 1e-12
-        assert np.linalg.eigvalsh(e.mat).min() > -1e-12
+        assert abs(np.trace(e) - 0.5) < 1e-12
+        assert np.linalg.eigvalsh(e).min() > -1e-12
     for i, a in enumerate(effects):
         for j, b in enumerate(effects):
-            overlap = np.trace(a.mat @ b.mat).real
+            overlap = np.trace(a @ b).real
             expected = 0.25 if i == j else 1.0 / 12.0
             assert abs(overlap - expected) < 1e-12
 
@@ -40,13 +40,13 @@ def test_tetrahedron_identities():
 def test_qutrit_nine_identities():
     effects = qutrit_nine()
     assert len(effects) == 9
-    total = sum(e.mat for e in effects)
+    total = sum(effects)
     np.testing.assert_allclose(total, 3.0 * np.eye(3), atol=1e-12)
     for e in effects:
-        assert abs(np.trace(e.mat) - 1.0) < 1e-12
+        assert abs(np.trace(e) - 1.0) < 1e-12
         # rank-1 projectors square to themselves
-        np.testing.assert_allclose(e.mat @ e.mat, e.mat, atol=1e-12)
-    overlap = np.trace(effects[0].mat @ effects[1].mat).real
+        np.testing.assert_allclose(e @ e, e, atol=1e-12)
+    overlap = np.trace(effects[0] @ effects[1]).real
     assert abs(overlap - 0.25) < 1e-12
 
 
@@ -65,6 +65,19 @@ def test_bell_singlet_projector():
 def test_local_effects_by_kind():
     assert len(local_effects(SystemKind.TWO_QUBIT)) == 4
     assert len(local_effects(SystemKind.QUBIT_QUTRIT)) == 9
+
+
+def test_the_shared_effects_cannot_be_edited_in_place():
+    # every feature of a kind reads this one cached stack
+    rho = sample_density_stack(SystemKind.TWO_QUBIT, 39, 0, 4)
+    before = feature_traces_stack(rho, SystemKind.TWO_QUBIT, ((1, 1), (1, 2)))
+    for kind in SystemKind:
+        effects = local_effects(kind)
+        assert effects.shape == (len(effects), kind.dims[1], kind.dims[1])
+        with pytest.raises(ValueError, match="read-only"):
+            effects[0, 0, 0] += 0.1
+    after = feature_traces_stack(rho, SystemKind.TWO_QUBIT, ((1, 1), (1, 2)))
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 def test_two_qubit_preset_table():
@@ -161,7 +174,7 @@ def test_feature_scale_invariance():
 def test_degenerate_conditioning_raises():
     # product state whose local part is the null vector of effect 1
     effect = qubit_tetrahedron()[0]
-    vals, vecs = np.linalg.eigh(effect.mat)
+    vals, vecs = np.linalg.eigh(effect)
     null = vecs[:, np.argmin(vals)]
     mat = np.kron(np.eye(2, dtype=complex) / 2.0, np.outer(null, null.conj()))
     rho = DensityMatrix(SystemKind.TWO_QUBIT, mat)
@@ -250,3 +263,36 @@ def test_feature_traces_match_the_collective_state_oracle(seed, stream, kind):
     swapped = tuple((iy, ix) for ix, iy in pairs)
     assert np.array_equal(conditional_probabilities(*feature_traces_stack(mats, kind, swapped))[0],
                           values)
+
+
+def _every_pair(kind: SystemKind) -> tuple[tuple[int, int], ...]:
+    k = len(local_effects(kind))
+    return tuple((x, y) for x in range(1, k + 1) for y in range(1, k + 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**62 - 1),
+       kind=st.sampled_from(list(SystemKind)))
+def test_features_ignore_a_local_unitary_on_the_bell_qubit(seed, stream, kind):
+    # sigma_x = Tr_2[rho (I x E_x)] only rotates under U x I, so no P_xy moves
+    mats = sample_density_streams(kind, seed, [stream])
+    d1, d2 = kind.dims
+    # the unitary comes from a stream no sampled state uses
+    u = np.kron(haar_unitary(d1, make_rng(seed, stream + 2**62)), np.eye(d2))
+    pairs = _every_pair(kind)
+    values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, pairs))
+    moved, moved_valid = conditional_probabilities(
+        *feature_traces_stack(u @ mats @ u.conj().T, kind, pairs))
+    assert valid[0] and moved_valid[0]
+    np.testing.assert_allclose(moved, values, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**62 - 1),
+       kind=st.sampled_from(list(SystemKind)))
+def test_every_valid_feature_lies_in_zero_to_one_half(seed, stream, kind):
+    # a singlet projection of a product of two qubit states cannot exceed 1/2,
+    # while conditional_probabilities clips only to [0, 1]
+    mats = sample_density_streams(kind, seed, [stream])
+    values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, _every_pair(kind)))
+    assert ((values[valid] >= 0.0) & (values[valid] <= 0.5)).all()

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -474,6 +477,24 @@ def test_load_model_error_paths(tmp_path):
         save_model(m, path)
         with pytest.raises(FormatError, match="bad.mlp.json: a weight or bias is NaN or infinite"):
             load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["weights"][0][0].__setitem__(0, "0.25"), "a weight or bias is not a JSON float"),
+    (lambda doc: doc["biases"][1].__setitem__(3, True), "a weight or bias is not a JSON float"),
+    (lambda doc: doc["biases"][0].__setitem__(0, 10**400), "a weight or bias is not a JSON float"),
+    (lambda doc: doc.update(meta=list(doc["meta"].items())), "meta is not a JSON object"),
+], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs"])
+def test_load_model_refuses_what_save_model_cannot_write(tmp_path, edit, message):
+    path = str(tmp_path / "m.mlp.json")
+    save_model(init_mlp(2, TrainConfig(seed=15)), path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(FormatError, match=f"^{re.escape(path)}: {message}$"):
+        load_model(path)
 
 
 def test_model_rejects_features_of_other_preset():

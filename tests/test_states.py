@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from cewlab.dataset import CHUNK
 from cewlab.qlinalg import haar_from_ginibre, make_rng
-from cewlab.states import (SystemKind, negativity_stack, sample_density_stack,
-                           sample_density_streams)
+from cewlab.states import (SystemKind, negativity_stack, partial_transpose_stack,
+                           sample_density_stack, sample_density_streams)
 from cewlab.states import _state_inputs, _state_uniforms
 from oracles import (DensityMatrix, NotHermitian, collective_state, collective_state_stack,
                      complex_normals, haar_unitary, hermitian_eigenvalues, is_entangled,
@@ -178,6 +178,16 @@ def test_negativity_local_unitary_invariant(seed, stream, kind):
     u = np.kron(haar_unitary(d1, rng), haar_unitary(d2, rng))
     rotated = DensityMatrix(kind, u @ rho.mat @ u.conj().T)
     assert abs(negativity(rotated) - negativity(rho)) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**62 - 1),
+       kind=st.sampled_from(list(SystemKind)))
+def test_negativity_at_most_one_half_and_partial_transpose_of_trace_one(seed, stream, kind):
+    # (d_min - 1) / 2 bounds the negativity, and it is 1/2 for both 2x2 and 2x3
+    mats = sample_density_streams(kind, seed, [stream])
+    assert 0.0 <= negativity_stack(mats, kind)[0] <= 0.5
+    assert abs(np.trace(partial_transpose_stack(mats, *kind.dims)[0]) - 1.0) < 1e-12
 
 
 def test_negativity_rejects_non_hermitian_input():
