@@ -129,24 +129,26 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     One balanced master dataset is generated at the kind's largest preset
     and every requested preset is a column projection of it, so all models
     see the same states. The presets are cut into one contiguous group per
-    worker and the groups trained in parallel (pool.ordered_map), one forked
-    worker process per usable CPU (at most one per preset), each with one
-    BLAS thread, training its group in lockstep (model.train_many). Workers
-    only train: this process generates, splits and projects, then scores
-    each model on the test split and writes every artifact. Every artifact
-    has the same bytes as a one-process run. Where fork is unavailable, only
-    one CPU is usable, or the BLAS thread count cannot be pinned, all
-    presets form one group trained in this process. A preset named twice,
-    or a split size that is not a positive even number (each split takes
-    half its records from each class), is refused with ValueError before
-    anything is generated, and so is an out_dir that cannot be made
-    (OSError).
+    worker, the longer ones last, and the groups trained in parallel
+    (pool.ordered_map), one forked worker process per usable CPU (at most
+    one per preset), each with one BLAS thread, training its group in
+    lockstep (model.train_many projects the shared splits). Workers only
+    train: this process generates and splits, then scores each model on the
+    test split and writes every artifact, the first groups' while the last
+    ones train. Every artifact has the same bytes as a one-process run.
+    Where fork is unavailable, only one CPU is usable, or the BLAS thread
+    count cannot be pinned, all presets form one group trained in this
+    process. A preset named twice, or a split size that is not a positive
+    even number (each split takes half its records from each class), is
+    refused with ValueError before anything is generated, and so is an
+    out_dir that cannot be made (OSError).
 
-    Returns one summary row per preset, in the requested order; files land
-    in out_dir, and `log` and the summary rewrites follow the same order.
-    Each row's "stats" holds its group's training time, as measured by its
-    worker, and the preset's epochs and gradient steps. An error raised
-    while training a preset propagates with its own type.
+    Returns one summary row per preset, in the requested order, with the
+    paths of its model, ROC table and SVG (None without svg) in out_dir;
+    `log` and the summary rewrites follow the same order. Each row's
+    "stats" holds its group's training time, as measured by its worker, and
+    the preset's epochs and gradient steps. An error raised while training
+    a preset propagates with its own type.
     """
     if not preset_names:
         raise ValueError("preset list is empty")
@@ -168,14 +170,13 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     total = sum(sizes)
     ds = generate(kind, master, total, seed)
     train_ds, val_ds, test_ds = split(ds, tuple(n / total for n in sizes))
-    # contiguous groups, one per worker and the first ones a preset longer;
-    # each group trains in lockstep (train_many)
+    # contiguous groups, one per worker and the last ones a preset longer, so
+    # that the first are scored here while the longest still train (in lockstep)
     workers = worker_count(len(presets))
     size, extra = divmod(len(presets), workers)
-    starts = [g * size + min(g, extra) for g in range(workers + 1)]
+    starts = [g * size + max(0, g - workers + extra) for g in range(workers + 1)]
     groups = [presets[a:b] for a, b in zip(starts, starts[1:])]
-    jobs = [([restrict(train_ds, preset) for preset in group],
-             [restrict(val_ds, preset) for preset in group], cfg) for group in groups]
+    jobs = [(train_ds, val_ds, group, cfg) for group in groups]
 
     rows: list[dict] = []
     with closing(ordered_map(_train_group, jobs)) as trained:
@@ -183,9 +184,9 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
             for preset, result in zip(group, results):
                 stem = os.path.join(out_dir, f"{kind.value}-{preset.name}")
                 model_path, roc_path = stem + ".mlp.json", stem + ".roc.csv"
+                svg_path = stem + ".svg" if svg else None
                 save_model(result.model, model_path)
-                points = _score(result.model, restrict(test_ds, preset), roc_path,
-                                stem + ".svg" if svg else None)
+                points = _score(result.model, restrict(test_ds, preset), roc_path, svg_path)
                 rows.append({
                     "preset": preset.name,
                     "b": preset.b,
@@ -193,6 +194,7 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
                     "epochs": result.epochs_run,
                     "model": model_path,
                     "roc": roc_path,
+                    "svg": svg_path,
                     "stats": {"train_s": train_s, "epochs": result.epochs_run,
                               "steps": result.steps},
                 })
@@ -206,13 +208,13 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
 def _train_group(job: tuple) -> tuple[list, float]:
     """Train one group of presets in lockstep; returns train_many's results and the seconds taken.
 
-    `job` is (training sets, validation sets, cfg), one set of each per
-    preset. Runs in a pool worker, so it is a module-level function of
-    picklable arguments.
+    `job` is (training split, validation split, presets, cfg); train_many
+    projects each preset's columns. Runs in a pool worker, so it is a
+    module-level function of picklable arguments.
     """
-    trains, vals, cfg = job
+    train_ds, val_ds, group, cfg = job
     started = time.perf_counter()
-    results = train_many([init_mlp(tr.preset.b, cfg) for tr in trains], trains, vals, cfg)
+    results = train_many({p: init_mlp(p.b, cfg) for p in group}, train_ds, val_ds, cfg)
     return results, round(time.perf_counter() - started, 3)
 
 
@@ -233,7 +235,8 @@ def cmd_sweep(args: argparse.Namespace) -> tuple:
     print(f"wrote {summary}")
     stats = {"workers": worker_count(len(rows)),
              "presets": {r["preset"]: r["stats"] for r in rows}}
-    return summary, [], [summary] + [r["model"] for r in rows] + [r["roc"] for r in rows], stats
+    outputs = [summary] + [r[key] for key in ("model", "roc", "svg") for r in rows if r[key]]
+    return summary, [], outputs, stats
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,9 +45,9 @@ class Dataset:
     Frozen: no field is reassigned, and the arrays that fix the records'
     states and labels (negativities, stream_indices) are made read-only, so
     no write through the Dataset makes the states memo stale.
-    dataclasses.replace, split and restrict build new Datasets, each
-    regenerating its own states, and a pickled copy carries no states and
-    keeps both arrays read-only. Features stay writable.
+    dataclasses.replace, split and restrict (onto another preset) build new
+    Datasets, each regenerating its own states, and a pickled copy carries
+    no states and keeps both arrays read-only. Features stay writable.
     """
     preset: MeasurementPreset
     features: np.ndarray  # (n, B) float64, values in [0, 1]
@@ -183,7 +183,9 @@ def regenerate_states(ds: Dataset) -> np.ndarray:
 
 
 def restrict(ds: Dataset, preset: MeasurementPreset) -> Dataset:
-    """Project onto a preset whose pairs are a subset of ds's preset."""
+    """Project onto a preset whose pairs are a subset of ds's preset; ds itself for its own."""
+    if preset == ds.preset:
+        return ds  # the column lookup below would misread a preset that repeats a pair
     if preset.kind is not ds.kind:
         raise ValueError(f"preset is for {preset.kind.value}, dataset is {ds.kind.value}")
     positions = {pair: i for i, pair in enumerate(ds.preset.pairs)}

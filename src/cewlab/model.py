@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, restrict
 from .errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
                      ModelMismatch, TooFewRecords)
 from .qlinalg import make_rng, standard_normals
@@ -255,18 +255,14 @@ def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
     return list(arrays[:layers]), list(arrays[layers:]), float(mse[0])
 
 
-def _check_member(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig) -> None:
+def _check_splits(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig) -> None:
     preset = train_ds.preset
     if preset != val_ds.preset:
         raise ModelMismatch(f"preset mismatch: train has {preset.name} ({preset.kind.value}), "
                             f"validation has {val_ds.preset.name} ({val_ds.kind.value})")
-    x_train, x_val = train_ds.features, val_ds.features
-    n = len(x_train)
-    if n == 0 or len(x_val) == 0:
+    n = len(train_ds.features)
+    if n == 0 or len(val_ds.features) == 0:
         raise EmptyDataset("training and validation sets must be non-empty")
-    if x_train.shape[1] != m.input_dim or x_val.shape[1] != m.input_dim:
-        raise DimensionMismatch(
-            f"model expects {m.input_dim} features, got {x_train.shape[1]} train / {x_val.shape[1]} val")
     if cfg.batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if cfg.batch_size > n:
@@ -276,11 +272,6 @@ def _check_member(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig) 
     if not 0.0 < cfg.learning_rate < np.inf:  # false for NaN too
         raise ValueError(f"learning_rate must be a positive finite number, "
                          f"got {cfg.learning_rate}")
-
-
-def _same_records(a: Dataset, b: Dataset) -> bool:
-    return (np.array_equal(a.negativities, b.negativities)
-            and np.array_equal(a.stream_indices, b.stream_indices))
 
 
 def _adam_step(params: np.ndarray, grad: np.ndarray, mom1: np.ndarray, mom2: np.ndarray,
@@ -314,36 +305,37 @@ def _adam_step(params: np.ndarray, grad: np.ndarray, mom1: np.ndarray, mom2: np.
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Dataset],
-               cfg: TrainConfig, on_epoch=None) -> list[TrainResult]:
-    """Train several models in lockstep; returns each one's result, as train would.
+def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
+               on_epoch=None) -> list[TrainResult]:
+    """Train {preset: model} in lockstep on one split; returns each result, in mapping order.
 
-    The members share their records (the same negativities and draw indices,
-    as column projections of one split are) and differ only in their
-    preset's columns, so they share one shuffle and one Adam step counter:
-    each step is one stacked gradient of every member and one Adam update of
-    one flat buffer. Every member stops on its own EarlyStopper; a stopped
-    member leaves the stack and the rest are re-stacked. Each member gets the
-    bits train would give it alone. `on_epoch(index, epoch, train_mse,
-    val_mse)` is called for each member still training after each epoch,
-    `index` being its position in `models`. A diverging member raises
+    Each member trains on its preset's columns (restrict) of the same
+    records, so all share one shuffle and one Adam step counter: each step
+    is one stacked gradient of every member and one Adam update of one flat
+    buffer. Every member stops on its own EarlyStopper; a stopped member
+    leaves the stack and the rest are re-stacked. Each member gets the bits
+    train would give it alone. `on_epoch(index, epoch, train_mse, val_mse)`
+    is called for each member still training after each epoch, `index`
+    being its position in `models`. A diverging member raises
     DivergedTraining for the group, and numpy's overflow warnings, which
-    would only repeat that, are off. Members whose records differ raise
-    ValueError, and members whose layers after the first differ raise
-    DimensionMismatch.
+    would only repeat that, are off. A preset the split did not measure
+    raises ValueError; a model whose width is not its preset's, or whose
+    layers after the first differ from the others', DimensionMismatch.
     """
-    if not models or not len(models) == len(train_sets) == len(val_sets):
-        raise ValueError("train_many needs one training and one validation set per model")
-    for m, train_ds, val_ds in zip(models, train_sets, val_sets):
-        _check_member(m, train_ds, val_ds, cfg)
-    if not all(_same_records(tr, train_sets[0]) and _same_records(va, val_sets[0])
-               for tr, va in zip(train_sets, val_sets)):
-        raise ValueError("lockstep members must share their training and validation records")
+    if not models:
+        raise ValueError("train_many needs at least one model")
+    _check_splits(train_ds, val_ds, cfg)
+    presets, models = list(models), list(models.values())
+    x_trains, x_vals = ([restrict(ds, p).features for p in presets] for ds in (train_ds, val_ds))
+    for preset, m, x in zip(presets, models, x_trains):
+        if x.shape[1] != m.input_dim:
+            raise DimensionMismatch(
+                f"model expects {m.input_dim} features, preset {preset.name} has {x.shape[1]}")
     sizes = models[0].layer_sizes[1:]
     if any(m.layer_sizes[1:] != sizes for m in models):
         raise DimensionMismatch("lockstep members must share every layer after the first")
 
-    y_train, y_val = train_sets[0].negativities, val_sets[0].negativities
+    y_train, y_val = train_ds.negativities, val_ds.negativities
     n = len(y_train)
     rng = make_rng(cfg.seed, _SHUFFLE_STREAM)
     active = list(range(len(models)))  # members still training, in stack order
@@ -356,8 +348,6 @@ def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Data
     step = 0
     rows = {min(cfg.batch_size, n - lo) for lo in range(0, n, cfg.batch_size)}
     work = _Work(net.dims, sizes, rows, len(y_val))
-    x_trains = [train_ds.features for train_ds in train_sets]
-    x_vals = [val_ds.features for val_ds in val_sets]
     for epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(n)
         sq_err_sum = np.zeros(len(active))
@@ -388,8 +378,7 @@ def train_many(models: list[Mlp], train_sets: list[Dataset], val_sets: list[Data
             if on_epoch is not None:
                 on_epoch(i, epoch, float(train_mse[slot]), float(val_mse[slot]))
             if should_stop or epoch == cfg.max_epochs:
-                results[i] = _finish(models[i], train_sets[i].preset, best[i], cfg, epoch,
-                                     stopper, step)
+                results[i] = _finish(models[i], presets[i], best[i], cfg, epoch, stopper, step)
             else:
                 keep.append(slot)
         if not keep:
@@ -429,7 +418,7 @@ def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
     This is train_many with one member.
     """
     report = None if on_epoch is None else (lambda _, *row: on_epoch(*row))
-    return train_many([m], [train_ds], [val_ds], cfg, report)[0]
+    return train_many({train_ds.preset: m}, train_ds, val_ds, cfg, report)[0]
 
 
 def save_model(m: Mlp, path: str) -> None:
@@ -471,6 +460,9 @@ def load_model(path: str) -> Mlp:
     if layout != ("relu", "affine"):
         raise FormatError(f"{path}: activation {layout[0]!r} with output {layout[1]!r} "
                           "is not relu with an affine output")
+    if not all(type(s) is int and s >= 1 for s in sizes):  # True == 1 and 3.0 == 3
+        raise FormatError(f"{path}: layer_sizes {sizes} holds a size that is not "
+                          "a JSON integer of at least 1")
     if len(sizes) < 2 or sizes[-1] != 1:
         raise FormatError(f"{path}: layer_sizes {sizes} is not one or more layers "
                           "ending in one output")

@@ -452,6 +452,9 @@ def test_sweep_writes_per_preset_artifacts(tmp_path, capsys):
     with open(f"{out_dir}/summary.csv.manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["command"] == "sweep"
+    stems = [f"{out_dir}/two-qubit-{preset}" for preset in ("B1", "B3")]
+    assert manifest["outputs"] == [f"{out_dir}/summary.csv"] + [
+        stem + ext for ext in (".mlp.json", ".roc.csv", ".svg") for stem in stems]
     stats = manifest["stats"]
     assert stats["workers"] >= 1
     assert list(stats["presets"]) == ["B1", "B3"]
@@ -602,7 +605,7 @@ def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, cpus):
 
 
 def test_run_sweep_pooled_matches_one_cpu(tmp_path, cpus):
-    # on two CPUs B1 and B3 train in lockstep in one worker and B10 in the
+    # on two CPUs B1 trains in one worker and B3 and B10 in lockstep in the
     # other; on one CPU all three train in lockstep in this process
     args = SystemKind.TWO_QUBIT, ["B1", "B3", "B10"], (600, 200, 200), 24
     cfg = TrainConfig(batch_size=64, max_epochs=30, patience=1, seed=24)
@@ -618,8 +621,8 @@ def test_run_sweep_pooled_matches_one_cpu(tmp_path, cpus):
 
 @pytest.mark.parametrize("count, groups", [
     (1, [["B1", "B3", "B5", "B7", "B10"]]),
-    (2, [["B1", "B3", "B5"], ["B7", "B10"]]),
-    (3, [["B1", "B3"], ["B5", "B7"], ["B10"]]),
+    (2, [["B1", "B3"], ["B5", "B7", "B10"]]),
+    (3, [["B1"], ["B3", "B5"], ["B7", "B10"]]),
     (8, [["B1"], ["B3"], ["B5"], ["B7"], ["B10"]]),
 ])
 def test_the_sweep_trains_one_contiguous_group_per_worker(tmp_path, cpus, monkeypatch,
@@ -628,7 +631,7 @@ def test_the_sweep_trains_one_contiguous_group_per_worker(tmp_path, cpus, monkey
     trained = []
 
     def in_this_process(fn, jobs):
-        trained.extend([tr.preset.name for tr in job[0]] for job in jobs)
+        trained.extend([preset.name for preset in job[2]] for job in jobs)
         return (fn(job) for job in jobs)
     monkeypatch.setattr(cli, "ordered_map", in_this_process)
     presets = ["B1", "B3", "B5", "B7", "B10"]

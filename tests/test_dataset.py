@@ -676,6 +676,15 @@ def test_restrict_projects_columns():
         assert np.array_equal(sub.stream_indices, ds.stream_indices)
 
 
+def test_restrict_onto_its_own_preset_is_the_dataset_itself():
+    ds = generate(KIND, preset_by_name(KIND, "B5"), 60, seed=64)
+    assert restrict(ds, ds.preset) is ds
+    assert restrict(ds, preset_by_name(KIND, "B5")) is ds
+    # a column lookup would project every column of a repeated pair onto its last one
+    toy = dataclasses.replace(ds, preset=MeasurementPreset(KIND, "toy", ((1, 1),) * 5))
+    assert restrict(toy, toy.preset) is toy
+
+
 def test_restrict_rejects_missing_pairs():
     ds = generate(KIND, preset_by_name(KIND, "B3"), 60, seed=63)
     stranger = MeasurementPreset(KIND, "offdiag", ((2, 1),))

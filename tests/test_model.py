@@ -316,11 +316,21 @@ def test_train_matches_the_per_array_adam_oracle(problem, tmp_path):
     assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
 
-def projected_splits(names, n=800, seed=72):
-    """Training and validation sets of each named two-qubit preset, projected from one split."""
+def two_qubit_splits(n=800, seed=72):
+    """One two-qubit B10 training and validation split, which every two-qubit preset projects."""
     kind = SystemKind.TWO_QUBIT
     tr, va, _ = split(generate(kind, preset_by_name(kind, "B10"), n, seed=seed), (0.6, 0.2, 0.2))
-    presets = [preset_by_name(kind, name) for name in names]
+    return tr, va
+
+
+def two_qubit_presets(names):
+    return [preset_by_name(SystemKind.TWO_QUBIT, name) for name in names]
+
+
+def projected_splits(names, n=800, seed=72):
+    """Training and validation sets of each named two-qubit preset, projected from one split."""
+    tr, va = two_qubit_splits(n, seed)
+    presets = two_qubit_presets(names)
     return [restrict(tr, p) for p in presets], [restrict(va, p) for p in presets]
 
 
@@ -331,15 +341,18 @@ def model_bytes(m, path) -> bytes:
 
 def test_lockstep_training_matches_separate_training(tmp_path):
     names = ["B1", "B3", "B5", "B10"]
-    trains, vals = projected_splits(names)
+    presets = two_qubit_presets(names)
+    tr, va = two_qubit_splits()
     cfg = TrainConfig(batch_size=64, max_epochs=40, patience=2, seed=8)
     histories = [[] for _ in names]
-    results = train_many([init_mlp(tr.preset.b, cfg) for tr in trains], trains, vals, cfg,
+    # train_many projects the unprojected B10 split itself; train is given projected copies
+    results = train_many({p: init_mlp(p.b, cfg) for p in presets}, tr, va, cfg,
                          lambda i, *row: histories[i].append(row))
     epochs = set()
-    for i, (tr, va) in enumerate(zip(trains, vals)):
+    for i, preset in enumerate(presets):
         alone, on_epoch = epoch_log()
-        expected = train(init_mlp(tr.preset.b, cfg), tr, va, cfg, on_epoch)
+        expected = train(init_mlp(preset.b, cfg), restrict(tr, preset), restrict(va, preset),
+                         cfg, on_epoch)
         got = results[i]
         assert ([(e, *row) for e, row in enumerate(alone, 1)] == histories[i]), names[i]
         assert (got.epochs_run, got.best_epoch, got.steps, got.best_val_mse) == (
@@ -370,27 +383,44 @@ def test_stacked_gradient_is_each_members_own_gradient():
 
 
 def test_a_diverging_member_raises_for_its_group():
-    trains, vals = projected_splits(["B1", "B3"])
+    tr, va = two_qubit_splits()
     cfg = TrainConfig(batch_size=64, max_epochs=5, seed=9)
-    models = [init_mlp(tr.preset.b, cfg) for tr in trains]
-    models[1].weights = [w * 1e200 for w in models[1].weights]  # overflows its outputs
+    models = {p: init_mlp(p.b, cfg) for p in two_qubit_presets(["B1", "B3"])}
+    m = list(models.values())[1]
+    m.weights = [w * 1e200 for w in m.weights]  # overflows its outputs
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergedTraining) as raised:
-            train_many(models, trains, vals, cfg)
+            train_many(models, tr, va, cfg)
     assert str(raised.value) == "training loss became non-finite at epoch 1"
 
 
 def test_train_many_refuses_members_that_cannot_share_a_stack():
-    trains, vals = projected_splits(["B1", "B3"])
+    tr, va = two_qubit_splits()
     cfg = TrainConfig(batch_size=64, max_epochs=1, seed=9)
-    models = [init_mlp(tr.preset.b, cfg) for tr in trains]
-    with pytest.raises(ValueError, match="share their training and validation records"):
-        train_many(models, [trains[0], trains[1]], [vals[0], trains[1]], cfg)
-    models[1].weights[1] = models[1].weights[1][:, :8]
-    models[1].weights[2] = models[1].weights[2][:8]
-    models[1].biases[1] = models[1].biases[1][:8]
+    models = {p: init_mlp(p.b, cfg) for p in two_qubit_presets(["B1", "B3"])}
+    m = list(models.values())[1]
+    m.weights[1] = m.weights[1][:, :8]
+    m.weights[2] = m.weights[2][:8]
+    m.biases[1] = m.biases[1][:8]
     with pytest.raises(DimensionMismatch, match="every layer after the first"):
-        train_many(models, trains, vals, cfg)
+        train_many(models, tr, va, cfg)
+
+
+def test_train_many_refuses_a_preset_the_split_did_not_measure():
+    b3, b5 = two_qubit_presets(["B3", "B5"])
+    tr, va = (restrict(part, b3) for part in two_qubit_splits())
+    cfg = TrainConfig(batch_size=64, max_epochs=1, seed=9)
+    missing = next(pair for pair in b5.pairs if pair not in b3.pairs)
+    with pytest.raises(ValueError, match=re.escape(f"pair {missing} not measured in preset B3")):
+        train_many({b3: init_mlp(3, cfg), b5: init_mlp(5, cfg)}, tr, va, cfg)
+
+
+def test_train_many_refuses_a_model_of_another_width_than_its_preset():
+    tr, va = two_qubit_splits()
+    b1, b3 = two_qubit_presets(["B1", "B3"])
+    cfg = TrainConfig(batch_size=64, max_epochs=1, seed=9)
+    with pytest.raises(DimensionMismatch, match="^model expects 5 features, preset B3 has 3$"):
+        train_many({b1: init_mlp(1, cfg), b3: init_mlp(5, cfg)}, tr, va, cfg)
 
 
 def test_train_diverges_on_absurd_learning_rate():
@@ -484,7 +514,12 @@ def test_load_model_error_paths(tmp_path):
     (lambda doc: doc["biases"][1].__setitem__(3, True), "a weight or bias is not a JSON float"),
     (lambda doc: doc["biases"][0].__setitem__(0, 10**400), "a weight or bias is not a JSON float"),
     (lambda doc: doc.update(meta=list(doc["meta"].items())), "meta is not a JSON object"),
-], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs"])
+    # each compares equal to the sizes saved, and the weights' shapes match them
+    *((lambda doc, sizes=sizes: doc.update(layer_sizes=sizes),
+       re.escape(f"layer_sizes {sizes} holds a size that is not a JSON integer of at least 1"))
+      for sizes in ([2.0, 32, 16, True], [2, 32.0, 16, 1], [2, 32, 16, True])),
+], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs",
+        "float-and-true-sizes", "float-hidden-size", "true-output-size"])
 def test_load_model_refuses_what_save_model_cannot_write(tmp_path, edit, message):
     path = str(tmp_path / "m.mlp.json")
     save_model(init_mlp(2, TrainConfig(seed=15)), path)
