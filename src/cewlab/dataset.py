@@ -21,6 +21,7 @@ from .errors import (DegenerateLabels, DimensionMismatch, DrawBudgetExhausted, E
 from .measure import (MeasurementPreset, check_pairs, conditional_probabilities,
                       feature_traces_stack)
 from .pool import ordered_map
+from .qlinalg import _mulhilo
 from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_stack,
                      sample_density_streams)
 
@@ -231,32 +232,110 @@ def _header(b: int) -> str:
     return ",".join([f"f{i}" for i in range(1, b + 1)] + ["negativity", "label"])
 
 
-def _format_rows(block: tuple) -> str:
-    """CSV lines, each ending in a newline, of one (features, negativities, labels) block."""
+# %.17g cells (_format_cells). A cell's slot is seven 4-byte words: its
+# text, left-aligned, and a separator in the last byte. The longest text is
+# 24 bytes, "-2.2250738585072014e-308". The fast path writes the fixed text
+# "0.000" + 17 digits at bytes 2..23, so that "000" and the leading digit
+# fill one word and the other 16 digits four, each looked up whole in
+# _DIGITS4.
+_SLOT = 28
+# the doubles 1e-4, 1e-3, 1e-2 and 1e-1 each lie just above their power of
+# ten, so a double's decade (searchsorted to the right) is 1, 2, 3 or 4
+# exactly when 10**(decade - 5) <= x < 10**(decade - 4), and 0 or 5 outside
+# [1e-4, 1)
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+# 5**k by decade, for k = 21 - decade, the power of ten that puts a cell's
+# 17 digits before the point (decades 0 and 5 leave the fast path)
+_POW5 = np.array([1] + [5**(21 - decade) for decade in range(1, 5)] + [1], dtype=np.uint64)
+_POINT = np.frombuffer(b"\0\0" + b"0.", dtype=np.uint32)[0]
+_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# bytes kept of the fast path's text, by decade and index of the last
+# nonzero digit: "0.", 4 - decade zeros, and the digits up to that one (%g
+# drops trailing zeros)
+_KEEP = np.zeros((6, 17, _SLOT), dtype=bool)
+_KEEP[1:5, :, 7:24] = np.tri(17, dtype=bool)
+for _decade in range(1, 5):
+    _KEEP[_decade, :, 2:8 - _decade] = True
+_HALF = np.uint64(1 << 63)
+
+
+def _format_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """("%.17g" % v) of each double v of x in a (len(x), _SLOT) byte slot, and the bytes to keep.
+
+    A cell in [1e-4, 1), x = m·2**q with a 53-bit m, gets its 17 digits
+    D = round-half-even(m·5**k·2**(q + k)), from the exact 128-bit product
+    m·5**k (k <= 20, so 5**k fits in 47 bits): the correctly rounded digits
+    that %.17g writes (Gay 1990; Adams, "Ryu revisited", 2019). A cell whose
+    D falls outside [10**16, 10**17) (it rounds up into the next decade),
+    and every cell outside [1e-4, 1), is formatted by % once per bit
+    pattern, so that 0.0 and -0.0 keep their own text. The last byte of
+    each slot is left for a separator.
+    """
+    bits = x.view(np.uint64)
+    decade = np.searchsorted(_DECADES, x, side="right")
+    mantissa = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)
+    hi, lo = _mulhilo(_POW5[decade], mantissa)
+    # D = (hi, lo) >> s, s = -(q + k), which is in [36, 50] on the fast path
+    biased_exponent = (bits >> 52 & 0x7ff).astype(np.int64)
+    s = np.clip(1054 + decade - biased_exponent, 1, 63).astype(np.uint64)
+    digits = (hi << (64 - s)) | (lo >> s)
+    dropped = lo << (64 - s)  # the bits shifted out, as a fraction of 2**64
+    digits += (dropped > _HALF) | ((dropped == _HALF) & (digits & 1 == 1))
+    fast = (decade % 5 != 0) & (digits >= 10**16) & (digits < 10**17)
+    slow = np.flatnonzero(~fast)
+    digits[slow] = 10**16  # in range for the tables; the slot is overwritten below
+    head, tail = digits // 10**12, digits % 10**12
+    chars = np.empty((len(x), _SLOT), dtype=np.uint8)
+    words = chars.view(np.uint32)
+    words[:, 0] = _POINT
+    words[:, 1] = _DIGITS4[head // 10**4]
+    words[:, 2] = _DIGITS4[head % 10**4]
+    words[:, 3] = _DIGITS4[tail // 10**8]
+    words[:, 4] = _DIGITS4[tail // 10**4 % 10**4]
+    words[:, 5] = _DIGITS4[tail % 10**4]
+    last = 16 - np.argmax(chars[:, 23:6:-1] != ord("0"), axis=1)
+    keep = _KEEP[decade, last]
+    if len(slow):
+        patterns, which = np.unique(bits[slow], return_inverse=True)
+        texts = np.array(["%.17g" % v for v in patterns.view(np.float64).tolist()],
+                         dtype=f"S{_SLOT}").view(np.uint8).reshape(len(patterns), _SLOT)
+        chars[slow] = texts[which]
+        keep[slow] = chars[slow] != 0
+    return chars, keep
+
+
+def _format_rows(block: tuple) -> bytes:
+    """CSV lines, each ending in a newline, of one (features, negativities, labels) block.
+
+    Every float cell is "%.17g" % v, byte for byte (_format_cells): 17
+    significant digits (C's max_digits10), which read back as the same
+    double. The labels, as the doubles 0.0 and 1.0, are written 0 and 1.
+    """
     features, negs, labels = block
-    # "%.17g" (17 significant digits, C's max_digits10) reads back as the same
-    # double, like repr, without repr's search for the shortest such string,
-    # which is the cost: 20000 qubit-qutrit B45 rows format in about 0.7 s
-    # against 0.9-1.1 s with repr, at 18.7 against 18.5 characters per cell.
-    # One % formats the whole block; the labels become 0.0/1.0, written %d.
-    n, b = features.shape
-    cells = np.column_stack((features, negs, labels)).ravel().tolist()
-    return (("%.17g," * (b + 1) + "%d\n") * n) % tuple(cells)
+    b = features.shape[1]
+    chars, keep = _format_cells(np.column_stack((features, negs, labels)).ravel())
+    chars[:, -1] = ord(",")
+    chars[b + 1::b + 2, -1] = ord("\n")
+    keep[:, -1] = True
+    return chars[keep].tobytes()
 
 
 def save(ds: Dataset, path: str) -> None:
     """CSV of features and labels plus a .meta sidecar (both deterministic).
 
-    Every float cell has 17 significant digits and reads back as the same
-    double; load also reads the shortest-repr cells of older files. Rows are
-    formatted CHUNK at a time in the process pool (one block or fewer in this
-    process) and written in order as each block arrives.
+    Every float cell is "%.17g" % v, byte for byte, and reads back as the
+    same double; load also reads the shortest-repr cells of older files.
+    Rows are formatted CHUNK at a time in the process pool (one block or
+    fewer in this process) by numpy (_format_rows: 9-11 ms per 1024
+    qubit-qutrit B45 rows on a 2-core Xeon, against 25-31 ms for one %
+    operation), and each block's bytes are written in order as it arrives.
     """
     columns = (ds.features, ds.negativities, ds.labels)
     blocks = [tuple(column[i:i + CHUNK] for column in columns)
               for i in range(0, ds.count, CHUNK)]
-    with open(path, "w", newline="\n") as fh, closing(ordered_map(_format_rows, blocks)) as texts:
-        fh.write(_header(ds.preset.b) + "\n")
+    with open(path, "wb") as fh, closing(ordered_map(_format_rows, blocks)) as texts:
+        fh.write(_header(ds.preset.b).encode() + b"\n")
         fh.writelines(texts)
     meta = {
         "kind": ds.kind.value,

@@ -3,7 +3,9 @@
 `ordered_map` runs the sweep's training groups, `generate`'s chunks after
 the first and `save`'s row blocks. Every job is a module-level function of
 picklable arguments, so a job's result does not depend on where it ran and
-the bytes of every artifact match a one-process run.
+the bytes of every artifact match a one-process run. The BLAS library's
+functions are looked up here too: its thread setter, which pins each
+worker, and `blas_kernel`, the name of the kernel it runs.
 """
 from __future__ import annotations
 
@@ -104,7 +106,33 @@ def _pool_plan(jobs: int):
 
 
 def _blas_thread_setter():
-    """`openblas_set_num_threads` of the OpenBLAS numpy links, or None.
+    """`openblas_set_num_threads` of the OpenBLAS numpy links, or None."""
+    setter = _openblas_function("set_num_threads")
+    if setter is not None:
+        import ctypes
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+    return setter
+
+
+def blas_kernel() -> str | None:
+    """Name of the kernel the OpenBLAS numpy links runs (`openblas_get_corename`), or None.
+
+    A DYNAMIC_ARCH build picks its kernel for the CPU, or as the
+    environment variable OPENBLAS_CORETYPE names it, and the last bits of
+    its results depend on that choice.
+    """
+    corename = _openblas_function("get_corename")
+    if corename is None:
+        return None
+    import ctypes
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _openblas_function(name: str):
+    """The function `openblas_<name>` of the OpenBLAS numpy links, or None.
 
     numpy's wheels bundle scipy-openblas, whose symbols carry a `scipy_`
     prefix and, for 64-bit integers, a `64_` suffix. A symbol looked up in
@@ -117,11 +145,9 @@ def _blas_thread_setter():
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            return setter
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            function = getattr(lib, prefix + name + suffix, None)
+            if function is not None:
+                return function
     return None

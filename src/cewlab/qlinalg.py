@@ -62,13 +62,15 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products m * x, from 32-bit halves.
 
-    Schoolbook carries: no partial sum below reaches 2**64, so every add
+    m is an integer below 2**64 or a uint64 array that broadcasts against
+    x. Schoolbook carries: no partial sum below reaches 2**64, so every add
     is exact and can be done in place.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    m = np.asarray(m, dtype=np.uint64)
+    m_lo, m_hi = m & _LO32, m >> np.uint64(32)
     x_lo, x_hi = x & _LO32, x >> 32
     u = m_hi * x_lo
     u += (m_lo * x_lo) >> 32
@@ -77,7 +79,7 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hi = m_hi * x_hi
     hi += u >> 32
     hi += w >> 32
-    return hi, np.uint64(m) * x  # uint64 array products wrap mod 2**64
+    return hi, m * x  # uint64 array products wrap mod 2**64
 
 
 def philox_raw(seed: int, streams, words: int) -> np.ndarray:

@@ -670,6 +670,12 @@ def test_the_blas_thread_setter_is_found_where_numpy_uses_openblas():
     assert "openblas" not in blas.lower() or pool._blas_thread_setter() is not None
 
 
+def test_the_blas_kernel_is_named_where_numpy_uses_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    kernel = pool.blas_kernel()
+    assert "openblas" not in blas.lower() or (isinstance(kernel, str) and kernel)
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
     # a 200-record gen fits in generate's first chunk and save's first block,
     # so it runs in this process and starts no pool either, even where a BLAS

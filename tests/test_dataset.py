@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import pickle
 import re
@@ -359,13 +360,50 @@ _FINITE_BITS = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent 
 @example([0, 1 << 63, 1, 2**52 - 1, 0x7fefffffffffffff, 0x3ff0000000000000, 0x3fb999999999999a])
 def test_every_finite_double_reads_back_with_its_bits(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    labels = np.arange(len(values)) % 2 == 1
-    text = dataset._format_rows((values[:, None], values, labels))
-    rows = [line.split(",") for line in text.splitlines()]
-    assert text.endswith("\n") and len(rows) == len(values)
+    rows = _format_two_columns(values)
     back = np.array([[float(row[0]), float(row[1])] for row in rows])
     assert np.array_equal(back.view(np.int64), np.column_stack((values, values)).view(np.int64))
+
+
+def _format_two_columns(values):
+    """_format_rows' cells of values as a feature and a negativity column, checked against %."""
+    labels = np.arange(len(values)) % 2 == 1
+    text = dataset._format_rows((values[:, None], values, labels)).decode()
+    rows = [line.split(",") for line in text.splitlines()]
+    assert text.endswith("\n") and len(rows) == len(values)
+    reference = ["%.17g" % v for v in values.tolist()]
+    assert [row[0] for row in rows] == [row[1] for row in rows] == reference
     assert [row[2] for row in rows] == ["1" if lab else "0" for lab in labels]
+    return rows
+
+
+# the doubles 0 to 3 ulps either side of the double nearest each 10**-j, j = 0..4
+_NEAR_POWERS = sorted({float(v) for j in range(5) for toward in (0.0, 2.0)
+                       for v in itertools.accumulate(range(3), lambda v, _: np.nextafter(v, toward),
+                                                     initial=float(f"1e-{j}"))})
+
+
+def _tie(j: int, i: int) -> float:
+    """An odd multiple of 2**-(17 + j) in [10**-j, 10**(1 - j)): its 18th digit is a final 5.
+
+    Its decimal expansion ends at the (17 + j)th place after the point, in a
+    5, and its first j - 1 places are zeros, so its 17 significant digits
+    are an exact tie, which %.17g rounds to the even digit.
+    """
+    t = 17 + j
+    first, end = -(-2**t // 10**j) // 2, 2**t * 10 // 10**j // 2
+    return (2 * (first + i % (end - first)) + 1) * 2.0**-t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.floats(1e-4, 1.0, exclude_max=True), st.sampled_from(_NEAR_POWERS),
+                          st.builds(_tie, st.integers(1, 4), st.integers(0, 2**20))),
+                min_size=1, max_size=200))
+@example([_tie(1, 0), _tie(4, 0), 1e-4, 0.1, float(np.nextafter(0.1, 0.0)), 0.5 + 2**-18])
+def test_fast_path_cells_are_the_reference_text(values):
+    # one block: its cells near 1e-4 and 1 and at ties take the fast path,
+    # and its two zeros the per-bit-pattern fallback
+    _format_two_columns(np.array(values + [0.0, -0.0]))
 
 
 def test_a_csv_written_with_repr_cells_loads_to_the_same_arrays(tmp_path):

@@ -1,12 +1,15 @@
 """Byte fingerprint of the pipeline: gen CSV and sidecar, a trained model, its ROC table.
 
 A refactor must leave these digests unchanged, or re-pin them and record
-the deviation in CHANGES.md. Bytes are promised on one machine only (see
-the `qlinalg` docstring): on another CPU, BLAS kernels and numpy's exp and
-log may differ in the last bits. So a mismatch is reported with the largest
-feature and negativity deviation and the number of label flips, measured
-against the reference CSV under `tests/fingerprint/`, which is the pinned
-CSV itself. Deviations of order 1e-15 with no label flip point to such a
+the deviation in CHANGES.md. The last bits of the QR, eigensolve and
+matrix products depend on the kernel OpenBLAS runs (see the `qlinalg`
+docstring), so the digests are pinned per kernel, by the name
+`pool.blas_kernel` reads: SkylakeX, and Haswell, which any x86-64 CPU with
+AVX2 and FMA runs under OPENBLAS_CORETYPE=Haswell. A kernel with no digests
+fails, never skips. A mismatch is reported with the kernel's name, the
+largest feature and negativity deviation and the number of label flips,
+measured against the reference CSV under `tests/fingerprint/`, which is the
+SkylakeX CSV. Deviations of order 1e-15 with no label flip point to a
 platform difference; anything larger, or any flip, is a change of behaviour.
 The digests were pinned on the machine named in the README.
 """
@@ -20,24 +23,42 @@ from cewlab.dataset import generate, save, split
 from cewlab.evaluate import roc_curve, write_roc
 from cewlab.measure import preset_by_name
 from cewlab.model import TrainConfig, init_mlp, predict_negativity, save_model, train
+from cewlab.pool import blas_kernel
 from cewlab.states import SystemKind
 
 REFERENCE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fingerprint")
 N = 200
 SEED = 1
 PRESET = {SystemKind.TWO_QUBIT: "B10", SystemKind.QUBIT_QUTRIT: "B13"}
+REFERENCE_KERNEL = "SkylakeX"
 PINNED = {
-    SystemKind.TWO_QUBIT: {
-        "csv": "46377b19aa345eebff3c8eb29a09f67519bf238f83999d3ba4bf70cfe3a2dec2",
-        "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
-        "model": "9098d58cb1964b0e89afcb119bdd6fbca7f7cb52b9a1aaae2a2eed1ce0561ea7",
-        "roc": "454c0dcc623b879e071bfee267f5942bc888c1075fde019c0c462406b8c28d11",
+    "SkylakeX": {
+        SystemKind.TWO_QUBIT: {
+            "csv": "46377b19aa345eebff3c8eb29a09f67519bf238f83999d3ba4bf70cfe3a2dec2",
+            "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
+            "model": "9098d58cb1964b0e89afcb119bdd6fbca7f7cb52b9a1aaae2a2eed1ce0561ea7",
+            "roc": "454c0dcc623b879e071bfee267f5942bc888c1075fde019c0c462406b8c28d11",
+        },
+        SystemKind.QUBIT_QUTRIT: {
+            "csv": "6918932315d606d3642fad8d9b9ede89f874ebc1d0996773e2b108f3b28fd997",
+            "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
+            "model": "a9fdfb1439144481cc6ee41b8ea3de4723d71165244e10b43e9f05e20b5f215a",
+            "roc": "41be2f2e695661704369d5b58200cf725633b1563386e22af90d066b061109a2",
+        },
     },
-    SystemKind.QUBIT_QUTRIT: {
-        "csv": "6918932315d606d3642fad8d9b9ede89f874ebc1d0996773e2b108f3b28fd997",
-        "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
-        "model": "a9fdfb1439144481cc6ee41b8ea3de4723d71165244e10b43e9f05e20b5f215a",
-        "roc": "41be2f2e695661704369d5b58200cf725633b1563386e22af90d066b061109a2",
+    "Haswell": {
+        SystemKind.TWO_QUBIT: {
+            "csv": "b0ace3724391e18cf39e28210b7e4294f1cc4fdebf7496b8789136f8af15e9ec",
+            "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
+            "model": "e20709cfaad55090056ff87d6a8b5f9713256a684cedd4778970447e06bec38b",
+            "roc": "a400379126c6c56592d163a906943d5d1449ba514892958f09e6b7116a5c19ee",
+        },
+        SystemKind.QUBIT_QUTRIT: {
+            "csv": "c3df360072f8fe91e9eeb177b00971b282c8d1c03b8228b4bc08749f3715b7c7",
+            "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
+            "model": "f4bde9508f87d9e2d316832c6719f40b68b829bc2a66cbe70ebf11f132d4a1e4",
+            "roc": "43ff8121e100d43a9dc4da22fbcb7d78ea2ec8aa666c7d02eb62e0a342c96d50",
+        },
     },
 }
 
@@ -85,13 +106,16 @@ def deviation_report(ds, kind):
 
 @pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
 def test_reference_csv_is_the_pinned_one(kind):
-    assert sha256_file(reference_path(kind)) == PINNED[kind]["csv"]
+    assert sha256_file(reference_path(kind)) == PINNED[REFERENCE_KERNEL][kind]["csv"]
 
 
 @pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
 def test_artifact_digests_are_pinned(kind, tmp_path):
     ds, digests = pipeline_digests(kind, str(tmp_path))
-    changed = [name for name, digest in digests.items() if digest != PINNED[kind][name]]
-    assert not changed, (
-        f"{kind.value} {PRESET[kind]} fingerprint differs in {', '.join(changed)}: "
-        f"{deviation_report(ds, kind)} against {reference_path(kind)}; got {digests}")
+    kernel = blas_kernel()
+    pinned = PINNED.get(kernel, {}).get(kind)
+    changed = [name for name, digest in digests.items() if pinned is None or digest != pinned[name]]
+    assert pinned is not None and not changed, (
+        f"{kind.value} {PRESET[kind]} fingerprint under BLAS kernel {kernel}: "
+        + ("no digests pinned" if pinned is None else f"differs in {', '.join(changed)}")
+        + f"; {deviation_report(ds, kind)} against {reference_path(kind)}; got {digests}")
