@@ -352,41 +352,50 @@ def save(ds: Dataset, path: str) -> None:
         fh.write("\n")
 
 
+def _foreign(text: str) -> bool:
+    """Whether text holds a character no saved cell does: non-ASCII, space, tab, "_" or "+".
+
+    float() and numpy read " 0.25", "+0.25", "0.2_5" and "٠.25" (an
+    Arabic-Indic zero) as 0.25; load refuses them as save cannot write them.
+    The other characters float() skips, "\\n", "\\r", "\\v" and "\\f", never
+    reach a cell: str.splitlines ends a line at each.
+    """
+    return not text.isascii() or " " in text or "\t" in text or "_" in text or "+" in text
+
+
 def _parse_rows(lines: list[str], feats: np.ndarray, negs: np.ndarray,
                 labels: np.ndarray) -> tuple[int, ValueError] | None:
     """Parse CSV record lines into the given rows; (position, error) of the first bad line.
 
-    A block whose every line has the right field count and a 0/1 label is
-    converted by one numpy call, which turns each string into the float
-    float() gives. Any other block, and a block holding a cell numpy cannot
-    convert, is parsed line by line, which alone words the errors.
+    One numpy call converts the cells as float() would, or fails with its message (a test
+    pins both); a block that fails is parsed again, a line at a time, by this function.
     """
     b = feats.shape[1]
-    if all(line.count(",") == b + 1 for line in lines):
-        cells = ",".join(lines).split(",")
-        if set(cells[b + 1::b + 2]) <= {"0", "1"}:
-            try:
-                values = np.array(cells, dtype=float).reshape(len(lines), b + 2)
-            except ValueError:
-                pass
-            else:
-                feats[:] = values[:, :b]
-                negs[:] = values[:, b]
-                labels[:] = values[:, b + 1] == 1.0
-                return None
-    for i, line in enumerate(lines):
-        try:
-            cells = line.split(",")
-            if len(cells) != b + 2:
-                raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
-            feats[i] = [float(c) for c in cells[:b]]
-            negs[i] = float(cells[b])
-            label = cells[b + 1]
+    try:
+        for line in lines:
+            if line.count(",") != b + 1:
+                raise ValueError(f"expected {b + 2} fields, got {line.count(',') + 1}")
+        text = ",".join(lines)
+        cells = text.split(",")
+        if _foreign(text):
+            cell = next(c for c in cells if _foreign(c))
+            raise ValueError(f"a cell must be ASCII without space, tab, '_' or '+', got {cell!r}")
+        label_cells = cells[b + 1::b + 2]
+        del cells[b + 1::b + 2]
+        values = np.array(cells, dtype=float).reshape(len(lines), b + 1)
+        for label in label_cells:
             if label not in ("0", "1"):
                 raise ValueError(f"label must be 0 or 1, got {label!r}")
-            labels[i] = label == "1"
-        except ValueError as exc:
-            return i, exc
+        feats[:] = values[:, :b]
+        negs[:] = values[:, b]
+        labels[:] = np.array(label_cells) == "1"
+    except ValueError as exc:
+        if len(lines) == 1:
+            return 0, exc
+        for i, line in enumerate(lines):
+            bad = _parse_rows([line], feats[i:i + 1], negs[i:i + 1], labels[i:i + 1])
+            if bad is not None:
+                return i, bad[1]
     return None
 
 
@@ -417,16 +426,16 @@ def load(path: str) -> Dataset:
         streams = np.array(streams, dtype=np.int64)
         if len(np.unique(streams)) != len(streams):
             raise ValueError("stream_indices repeat a draw index")
+        if len(streams) != count:
+            raise ValueError(f"stream_indices hold {len(streams)} draw indices for count {count}")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError, DimensionMismatch) as exc:
         raise FormatError(f"{path}.meta: {exc}") from exc
 
     b = preset.b
     expected_header = _header(b)
-    # arrays only for a count the sidecar backs with as many draw indices
-    rows = count if len(streams) == count else 0
-    feats = np.empty((rows, b))
-    negs = np.empty(rows)
-    label_column = np.empty(rows, dtype=bool)
+    feats = np.empty((count, b))
+    negs = np.empty(count)
+    label_column = np.empty(count, dtype=bool)
     bad_line = None
     try:
         with open(path, encoding="utf-8") as fh:
@@ -441,7 +450,7 @@ def load(path: str) -> Dataset:
                 # text, header, record count, then the first bad line (a block
                 # past the sidecar's count is not parsed: the count error wins)
                 end = records + len(block)
-                if bad_line is None and header == expected_header and end <= rows:
+                if bad_line is None and header == expected_header and end <= count:
                     bad = _parse_rows(block, feats[records:end], negs[records:end],
                                       label_column[records:end])
                     if bad is not None:
@@ -451,7 +460,7 @@ def load(path: str) -> Dataset:
         raise FormatError(f"{path}: {exc}") from exc
     if header != expected_header:
         raise FormatError(f"{path}:1: expected header {expected_header!r}")
-    if records != count or len(streams) != count:
+    if records != count:
         raise FormatError(f"{path}: record count does not match sidecar count {count}")
     if bad_line is not None:
         ln, exc = bad_line

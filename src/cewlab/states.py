@@ -92,4 +92,5 @@ def negativity_stack(mats: np.ndarray, kind: SystemKind) -> np.ndarray:
     """Absolute sum of each matrix's negative partial-transpose eigenvalues, in [0, 0.5]."""
     d1, d2 = kind.dims
     ev = hermitian_eigenvalues_stack(partial_transpose_stack(mats, d1, d2))
-    return -np.minimum(ev, 0.0).sum(axis=1)
+    # a positive eigenvalue adds +0.0, so a separable state's sum is +0.0, not -0.0 ("-0" in a CSV)
+    return np.maximum(-ev, 0.0).sum(axis=1)

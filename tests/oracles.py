@@ -5,21 +5,21 @@ runs. These are the one-state forms: the Generator-path sampler, checked
 scalar wrappers, and the literal two-copy collective state with the
 singlet projector, against which the conditional-state features are
 checked. Beside them are the forms the package's faster paths replaced:
-the witness maps as einsums and the CSV loader that converts one cell at a
-time. Nothing under `src/` imports this module.
+the witness maps as einsums and the CSV row parser that converts one cell
+at a time with float(). Nothing under `src/` imports this module.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 from cewlab import dataset
-from cewlab.errors import CewlabError, DimensionMismatch, FormatError
+from cewlab.errors import CewlabError, DimensionMismatch
 from cewlab.evaluate import _MAGIC, chsh_m_value_stack, fef_stack
 from cewlab.measure import (DENOM_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, MeasurementPreset,
-                            check_pairs, conditional_probabilities, feature_traces_stack)
+                            conditional_probabilities, feature_traces_stack)
 from cewlab.qlinalg import (complex_normals_from_uniforms, haar_from_ginibre,
                             hermitian_eigenvalues_stack)
 from cewlab.states import (ENTANGLE_EPS, SystemKind, _density_from_uniforms, _state_uniforms,
@@ -252,96 +252,36 @@ def fef_by_einsum(mats: np.ndarray) -> np.ndarray:
 
 # --- persistence -------------------------------------------------------------
 
-def load_by_line(path: str) -> dataset.Dataset:
-    """dataset.load parsing one line at a time with one float() per cell.
+def _rows_by_float(lines: list[str], feats: np.ndarray, negs: np.ndarray,
+                   labels: np.ndarray) -> tuple[int, ValueError] | None:
+    """dataset._parse_rows with one float() per cell and the cell rule checked cell by cell."""
+    b = feats.shape[1]
+    for i, line in enumerate(lines):
+        try:
+            cells = line.split(",")
+            if len(cells) != b + 2:
+                raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
+            for cell in cells:
+                if not cell.isascii() or any(c in cell for c in " \t_+"):
+                    raise ValueError("a cell must be ASCII without space, tab, '_' or '+', "
+                                     f"got {cell!r}")
+            feats[i] = [float(c) for c in cells[:b]]
+            negs[i] = float(cells[b])
+            label = cells[b + 1]
+            if label not in ("0", "1"):
+                raise ValueError(f"label must be 0 or 1, got {label!r}")
+            labels[i] = label == "1"
+        except ValueError as exc:
+            return i, exc
+    return None
 
-    The reference for load's block conversion: the same result or the same
+
+def load_by_line(path: str) -> dataset.Dataset:
+    """dataset.load reading one line per block, which _rows_by_float converts.
+
+    The reference for load's row conversion: the same result or the same
     FormatError, message and line number, for any file.
     """
-    try:
-        with open(path + ".meta") as fh:
-            meta = json.load(fh)
-        kind = SystemKind(meta["kind"])
-        preset = MeasurementPreset(kind, meta["preset"]["name"],
-                                   tuple(tuple(p) for p in meta["preset"]["pairs"]))
-        check_pairs(kind, preset.pairs)
-        if type(preset.name) is not str:
-            raise ValueError("preset name must be a string")
-        seed = meta["seed"]
-        count = meta["count"]
-        prevalence = meta["prevalence"]
-        # save writes the seed and count as JSON integers, and generate takes
-        # seeds in [0, 2**64) only; a float would otherwise be truncated
-        if type(seed) is not int or not 0 <= seed < 2**64:
-            raise ValueError("seed must be an integer in [0, 2**64)")
-        if type(count) is not int or count < 0:
-            raise ValueError("count must be a non-negative integer")
-        streams = meta["stream_indices"]
-        # generate writes distinct non-negative int64 draw indices; regeneration
-        # would silently sample the wrong stream for anything else
-        if not isinstance(streams, list) or not all(type(v) is int and 0 <= v < 2**63 for v in streams):
-            raise ValueError("stream_indices must be non-negative 64-bit integers")
-        streams = np.array(streams, dtype=np.int64)
-        if len(np.unique(streams)) != len(streams):
-            raise ValueError("stream_indices repeat a draw index")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError, DimensionMismatch) as exc:
-        raise FormatError(f"{path}.meta: {exc}") from exc
-
-    b = preset.b
-    expected_header = dataset._header(b)
-    # arrays only for a count the sidecar backs with as many draw indices
-    rows = count if len(streams) == count else 0
-    feats = np.empty((rows, b))
-    negs = np.empty(rows)
-    label_column = np.empty(rows, dtype=bool)
-    bad_line = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            # splitting each line read splits where splitlines() on the whole text
-            # would (universal newlines leave no "\r"), without holding the file
-            # and its lines at once
-            lines = (part for line in fh for part in line.splitlines())
-            header = next(lines, None)
-            records = 0
-            for line in lines:
-                # the whole file is read, so errors keep their order: unreadable
-                # text, header, record count, then the first bad line
-                if bad_line is None and header == expected_header and records < rows:
-                    try:
-                        cells = line.split(",")
-                        if len(cells) != b + 2:
-                            raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
-                        feats[records] = [float(c) for c in cells[:b]]
-                        negs[records] = float(cells[b])
-                        label = cells[b + 1]
-                        if label not in ("0", "1"):
-                            raise ValueError(f"label must be 0 or 1, got {label!r}")
-                        label_column[records] = label == "1"
-                    except ValueError as exc:
-                        bad_line = (records + 2, exc)
-                records += 1
-    except UnicodeDecodeError as exc:  # a data error, not the usage error a ValueError is
-        raise FormatError(f"{path}: {exc}") from exc
-    if header != expected_header:
-        raise FormatError(f"{path}:1: expected header {expected_header!r}")
-    if records != count or len(streams) != count:
-        raise FormatError(f"{path}: record count does not match sidecar count {count}")
-    if bad_line is not None:
-        ln, exc = bad_line
-        raise FormatError(f"{path}:{ln}: {exc}") from exc
-    ds = dataset.Dataset(preset, feats, negs, seed, streams)
-    # generate writes nothing else; the 1e-12 leaves room for eigensolver noise
-    checks = (
-        ("a feature is NaN or outside [0, 1]", ~((feats >= 0.0) & (feats <= 1.0)).all(axis=1)),
-        ("negativity is NaN or outside [0, 0.5]", ~((negs >= 0.0) & (negs <= 0.5 + 1e-12))),
-        (f"label disagrees with negativity > {ENTANGLE_EPS:g}", label_column != ds.labels),
-    )
-    bad = np.array([rows for _, rows in checks])
-    if bad.any():
-        row = int(bad.any(axis=0).argmax())
-        raise FormatError(f"{path}:{row + 2}: {checks[int(bad[:, row].argmax())][0]}")
-    # save writes the labels' mean as a JSON float
-    if type(prevalence) is not float or prevalence != ds.prevalence:
-        raise FormatError(f"{path}.meta: prevalence must be the loaded labels' "
-                          f"{ds.prevalence!r}, got {prevalence!r}")
-    return ds
+    with (mock.patch.object(dataset, "LOAD_BLOCK", 1),
+          mock.patch.object(dataset, "_parse_rows", _rows_by_float)):
+        return dataset.load(path)

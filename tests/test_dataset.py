@@ -449,6 +449,34 @@ def _file_bytes(path) -> bytes:
         return fh.read()
 
 
+# cell text: digits, ".", "e", signs, "_", spaces, non-ASCII digits and
+# spaces, arbitrary text, and the repr and %.17g of any double
+_CELL_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789.eE+-_ \t\u0660\u0969\uff11\u00a0"), max_size=10),
+    st.text(max_size=10),
+    st.floats().map(repr),
+    st.floats().map(lambda v: "%.17g" % v),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CELL_TEXT, min_size=1, max_size=10))
+@example(["0.25", "1_0", " 0.5", "+1", "\u0660.25", "\uff11", "-nan", "1e999"])
+@example(["0.5", "x", "0.5\x00"])
+def test_numpy_converts_cell_text_as_float_does(cells):
+    # the premise of dataset._parse_rows: one numpy call gives each cell the
+    # bits float() gives it, or fails with float()'s message for the first
+    # cell float() refuses
+    try:
+        want = np.array([float(c) for c in cells])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            np.array(cells, dtype=float)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array(cells, dtype=float).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 def test_load_reports_bad_lines(tmp_path):
     # several features per row, so a bad cell must be caught beside good ones
     ds = generate(KIND, preset_by_name(KIND, "B5"), 10, seed=61)
@@ -501,6 +529,16 @@ def test_load_reports_bad_lines(tmp_path):
         cells[column] = value
         rewrite(lines[:row] + [",".join(cells)] + lines[row + 1:])
         with pytest.raises(FormatError, match=f":{row + 1}: .*{message}"):
+            load(path)
+
+    # cells float() reads as 0.25 or 1.0 but save never writes: the line is
+    # ASCII and holds no space, tab, "_" or "+"
+    for row, value in enumerate(["0.2_5", " 0.25", "+0.25", "\u0660.25", "\uff11"], start=2):
+        cells = lines[row].split(",")
+        cells[1] = value
+        rewrite(lines[:row] + [",".join(cells)] + lines[row + 1:])
+        with pytest.raises(FormatError, match=f":{row + 1}: a cell must be ASCII without space, "
+                                              f"tab, '_' or '\\+', got {re.escape(repr(value))}$"):
             load(path)
 
     # a wrong record count is reported before a bad line, wherever it is
@@ -619,11 +657,35 @@ def test_load_parses_blocks_as_the_per_line_parser_does(block_csv, edits):
     assert _outcome(load, path) == _outcome(load_by_line, path)
 
 
+def test_load_converts_a_clean_block_in_one_call(block_csv, monkeypatch):
+    # a block is parsed again line by line only when it fails, up to its bad line
+    lines, path = block_csv
+    calls = []
+    parse = dataset._parse_rows
+
+    def counted(block, *rows):
+        calls.append(len(block))
+        return parse(block, *rows)
+
+    monkeypatch.setattr(dataset, "_parse_rows", counted)
+    with open(path, "wb") as fh:
+        fh.write(_corrupt(lines, []))
+    assert load(path).count == BLOCK_RECORDS
+    assert calls == [LOAD_BLOCK, LOAD_BLOCK, BLOCK_RECORDS - 2 * LOAD_BLOCK]
+    calls.clear()
+    with open(path, "wb") as fh:
+        fh.write(_corrupt(lines, [("cell", LOAD_BLOCK + 5, (0, b"x"))]))
+    with pytest.raises(FormatError, match=f":{LOAD_BLOCK + 7}: could not convert string "):
+        load(path)
+    assert calls == [LOAD_BLOCK, LOAD_BLOCK] + [1] * 6
+
+
 @pytest.mark.parametrize("streams, message", [
     ([0, 1, 2, -4], "non-negative"),
     ([0, 2, 2, 5], "repeat"),
     ([0, 1, 2, 2**63], "non-negative"),
     ([0, 1, 1.5, 3], "non-negative"),
+    ([0, 1, 2, 3, 4], "stream_indices hold 5 draw indices for count 4"),
 ])
 def test_load_rejects_streams_generate_cannot_write(tmp_path, streams, message):
     ds = generate(KIND, B1, 4, seed=64)
@@ -634,7 +696,7 @@ def test_load_rejects_streams_generate_cannot_write(tmp_path, streams, message):
     meta["stream_indices"] = streams
     with open(path + ".meta", "w") as fh:
         json.dump(meta, fh)
-    with pytest.raises(FormatError, match=message):
+    with pytest.raises(FormatError, match=f"^{re.escape(path)}\\.meta: .*{message}"):
         load(path)
 
 
@@ -693,7 +755,6 @@ def test_load_rejects_names_and_prevalences_save_cannot_write(tmp_path, edit, me
         json.dump(meta, fh)
     with pytest.raises(FormatError, match=f"^{re.escape(path)}\\.meta: {message}$"):
         load(path)
-    assert _outcome(load_by_line, path) == _outcome(load, path)
 
 
 def test_load_missing_sidecar(tmp_path):

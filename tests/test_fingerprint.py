@@ -34,13 +34,13 @@ REFERENCE_KERNEL = "SkylakeX"
 PINNED = {
     "SkylakeX": {
         SystemKind.TWO_QUBIT: {
-            "csv": "46377b19aa345eebff3c8eb29a09f67519bf238f83999d3ba4bf70cfe3a2dec2",
+            "csv": "c0d9fab85bddf89b157402d83af8d59db2f31be2f5d2250c008fe6e841db054e",
             "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
             "model": "9098d58cb1964b0e89afcb119bdd6fbca7f7cb52b9a1aaae2a2eed1ce0561ea7",
             "roc": "454c0dcc623b879e071bfee267f5942bc888c1075fde019c0c462406b8c28d11",
         },
         SystemKind.QUBIT_QUTRIT: {
-            "csv": "6918932315d606d3642fad8d9b9ede89f874ebc1d0996773e2b108f3b28fd997",
+            "csv": "c2e2c95d9818dc00d25820f25fcc18263c615bf5115fb0c4310deb46b6159b06",
             "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
             "model": "a9fdfb1439144481cc6ee41b8ea3de4723d71165244e10b43e9f05e20b5f215a",
             "roc": "41be2f2e695661704369d5b58200cf725633b1563386e22af90d066b061109a2",
@@ -48,13 +48,13 @@ PINNED = {
     },
     "Haswell": {
         SystemKind.TWO_QUBIT: {
-            "csv": "b0ace3724391e18cf39e28210b7e4294f1cc4fdebf7496b8789136f8af15e9ec",
+            "csv": "3f6572ef50af09bbe46b6be0cca81a86e7628b9e1fd05f14c4c4be98f4c3e32e",
             "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
             "model": "e20709cfaad55090056ff87d6a8b5f9713256a684cedd4778970447e06bec38b",
             "roc": "a400379126c6c56592d163a906943d5d1449ba514892958f09e6b7116a5c19ee",
         },
         SystemKind.QUBIT_QUTRIT: {
-            "csv": "c3df360072f8fe91e9eeb177b00971b282c8d1c03b8228b4bc08749f3715b7c7",
+            "csv": "1d83624eb8ad95f3f9d13a8674f1fbfe674eb822d741c77311e3e217ca770d53",
             "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
             "model": "f4bde9508f87d9e2d316832c6719f40b68b829bc2a66cbe70ebf11f132d4a1e4",
             "roc": "43ff8121e100d43a9dc4da22fbcb7d78ea2ec8aa666c7d02eb62e0a342c96d50",

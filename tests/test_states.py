@@ -190,6 +190,14 @@ def test_negativity_at_most_one_half_and_partial_transpose_of_trace_one(seed, st
     assert abs(np.trace(partial_transpose_stack(mats, *kind.dims)[0]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
+def test_no_negativity_has_its_sign_bit_set(kind):
+    # a separable state's negativity is +0.0, which save writes "0", not "-0"
+    neg = negativity_stack(sample_density_stack(kind, 1, 0, CHUNK), kind)
+    assert (neg == 0.0).any() and (neg > 0.0).any()
+    assert not np.signbit(neg).any()
+
+
 def test_negativity_rejects_non_hermitian_input():
     with pytest.raises(NotHermitian):
         negativity(two_qubit(np.triu(singlet_matrix())))
