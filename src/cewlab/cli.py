@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 Artifact-producing commands return what they wrote, and main drops a
-"<out>.manifest.json" beside it recording flags, seeds, paths and timing.
+"<out>.manifest.json" beside it recording flags, seeds, paths, timing, and
+the numpy version and OpenBLAS kernel it ran with.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import sys
 import time
 from contextlib import closing
 
+import numpy as np
+
 from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
 from .errors import (CewlabError, ModelMismatch, TooFewRecords, UnknownPreset,
@@ -22,7 +25,7 @@ from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr, witnesses
 from .measure import builtin_presets, preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
                     save_model, train, train_many)
-from .pool import ordered_map, worker_count
+from .pool import blas_kernel, ordered_map, worker_count
 from .states import SystemKind
 
 _KIND_NAMES = [k.value for k in SystemKind]
@@ -38,6 +41,8 @@ def _write_manifest(args: argparse.Namespace, started: float, out_path: str,
         "inputs": inputs,
         "outputs": outputs,
         "version": __version__,
+        "numpy": np.__version__,
+        "blas_kernel": blas_kernel(),
         "duration_s": round(time.monotonic() - started, 3),
     }
     if stats is not None:
@@ -261,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training dataset CSV")
     p.add_argument("--val", required=True, help="validation dataset CSV")
     p.add_argument("--out", required=True, help="output model path (.mlp.json)")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="write the ROC of a model on a test dataset")

@@ -399,6 +399,10 @@ def _parse_rows(lines: list[str], feats: np.ndarray, negs: np.ndarray,
     return None
 
 
+# the keys of the .meta sidecar save writes, and the only ones load reads
+_META_KEYS = {"kind", "preset", "seed", "count", "prevalence", "stream_indices"}
+
+
 def load(path: str) -> Dataset:
     try:
         with open(path + ".meta") as fh:
@@ -409,6 +413,11 @@ def load(path: str) -> Dataset:
         check_pairs(kind, preset.pairs)
         if type(preset.name) is not str:
             raise ValueError("preset name must be a string")
+        for doc, known, what in ((meta, _META_KEYS, "key"),
+                                 (meta["preset"], {"name", "pairs"}, "preset key")):
+            extra = sorted(set(doc) - known)
+            if extra:
+                raise ValueError(f"unknown {what} {extra[0]!r}")
         seed = meta["seed"]
         count = meta["count"]
         prevalence = meta["prevalence"]

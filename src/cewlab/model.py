@@ -65,30 +65,6 @@ class TrainResult:
     steps: int  # Adam updates, one per mini-batch
 
 
-class EarlyStopper:
-    """Track the running best; stop after `patience` epochs without improvement."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValueError("patience must be at least 1")
-        self.patience = patience
-        self.best = np.inf
-        self.best_index = 0
-        self.bad = 0
-        self.index = 0
-
-    def update(self, value: float) -> bool:
-        """Record one epoch's monitored value; True means stop now."""
-        self.index += 1
-        if value < self.best:
-            self.best = value
-            self.best_index = self.index
-            self.bad = 0
-        else:
-            self.bad += 1
-        return self.bad >= self.patience
-
-
 def init_mlp(input_dim: int, cfg: TrainConfig) -> Mlp:
     """He-scaled normal weights, zero biases, deterministic in cfg.seed."""
     if input_dim < 1:
@@ -236,25 +212,6 @@ def predict_negativity(m: Mlp, features: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 0.5)
 
 
-def gradient(m: Mlp, x: np.ndarray, y: np.ndarray):
-    """Analytic gradient of the batch MSE; returns (weight grads, bias grads, mse).
-
-    The one-member case of the lockstep gradient that train_many steps with.
-    """
-    if len(x) == 0:
-        raise EmptyDataset("gradient needs a non-empty batch")
-    if x.shape[1] != m.input_dim:
-        raise DimensionMismatch(
-            f"model expects {m.input_dim} features, got shape {x.shape}")
-    dims, sizes = [m.input_dim], m.layer_sizes[1:]
-    grad = _Stack(dims, sizes)
-    mse = _gradient_stack(_Stack(dims, sizes, [(*m.weights, *m.biases)]), grad, [x], y,
-                          _Buffers(dims, sizes, len(x), backward=True))
-    arrays = grad.member(0)
-    layers = len(m.weights)
-    return list(arrays[:layers]), list(arrays[layers:]), float(mse[0])
-
-
 def _check_splits(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig) -> None:
     preset = train_ds.preset
     if preset != val_ds.preset:
@@ -269,6 +226,8 @@ def _check_splits(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig) -> None:
         raise TooFewRecords(f"batch_size {cfg.batch_size} exceeds the {n} training records")
     if cfg.max_epochs < 1:
         raise ValueError("max_epochs must be at least 1")
+    if cfg.patience < 1:
+        raise ValueError("patience must be at least 1")
     if not 0.0 < cfg.learning_rate < np.inf:  # false for NaN too
         raise ValueError(f"learning_rate must be a positive finite number, "
                          f"got {cfg.learning_rate}")
@@ -312,11 +271,14 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
     Each member trains on its preset's columns (restrict) of the same
     records, so all share one shuffle and one Adam step counter: each step
     is one stacked gradient of every member and one Adam update of one flat
-    buffer. Every member stops on its own EarlyStopper; a stopped member
-    leaves the stack and the rest are re-stacked. Each member gets the bits
-    train would give it alone. `on_epoch(index, epoch, train_mse, val_mse)`
-    is called for each member still training after each epoch, `index`
-    being its position in `models`. A diverging member raises
+    buffer. Each member's lowest validation MSE and its epoch are kept in
+    two arrays; only a strictly lower MSE is an improvement, and a member
+    stops `patience` epochs after its best one, or at `max_epochs`. A
+    stopped member leaves the stack and the rest are re-stacked. Each
+    member gets the bits train would give it alone.
+    `on_epoch(index, epoch, train_mse, val_mse)` is called for each member
+    still training after each epoch, `index` being its position in
+    `models`. A diverging member raises
     DivergedTraining for the group, and numpy's overflow warnings, which
     would only repeat that, are off. A preset the split did not measure
     raises ValueError; a model whose width is not its preset's, or whose
@@ -341,8 +303,9 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
     active = list(range(len(models)))  # members still training, in stack order
     net = _Stack([m.input_dim for m in models], sizes, [(*m.weights, *m.biases) for m in models])
     mom1, mom2 = _Stack(net.dims, sizes), _Stack(net.dims, sizes)
-    stoppers = [EarlyStopper(cfg.patience) for _ in models]
-    # each member's best epoch so far: its arrays in model order (_Stack.member)
+    # each member's best epoch so far: its validation MSE, its index, and its
+    # arrays in model order (_Stack.member)
+    best_mse, best_epoch = np.full(len(models), np.inf), np.zeros(len(models), dtype=int)
     best = [[*m.weights, *m.biases] for m in models]
     results: list[TrainResult | None] = [None] * len(models)
     step = 0
@@ -371,14 +334,14 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
             raise DivergedTraining(f"validation loss became non-finite at epoch {epoch}")
         keep = []
         for slot, i in enumerate(active):
-            stopper = stoppers[i]
-            should_stop = stopper.update(float(val_mse[slot]))
-            if stopper.best_index == epoch:
+            if val_mse[slot] < best_mse[i]:
+                best_mse[i], best_epoch[i] = val_mse[slot], epoch
                 best[i] = [a.copy() for a in net.member(slot)]
             if on_epoch is not None:
                 on_epoch(i, epoch, float(train_mse[slot]), float(val_mse[slot]))
-            if should_stop or epoch == cfg.max_epochs:
-                results[i] = _finish(models[i], presets[i], best[i], cfg, epoch, stopper, step)
+            if epoch - best_epoch[i] >= cfg.patience or epoch == cfg.max_epochs:
+                results[i] = _finish(models[i], presets[i], best[i], cfg, epoch,
+                                     int(best_epoch[i]), float(best_mse[i]), step)
             else:
                 keep.append(slot)
         if not keep:
@@ -392,7 +355,7 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
 
 
 def _finish(m: Mlp, preset, best: list[np.ndarray], cfg: TrainConfig, epoch: int,
-            stopper: EarlyStopper, step: int) -> TrainResult:
+            best_epoch: int, best_mse: float, step: int) -> TrainResult:
     """Restore m's best epoch (its arrays in model order) and record its training in its meta."""
     m.weights, m.biases = best[:len(m.weights)], best[len(m.weights):]
     # eval refuses test data whose kind or pairs differ from these
@@ -402,9 +365,9 @@ def _finish(m: Mlp, preset, best: list[np.ndarray], cfg: TrainConfig, epoch: int
         "pairs": [list(p) for p in preset.pairs],
         "seed": cfg.seed,
         "epochs_run": epoch,
-        "val_mse": stopper.best,
+        "val_mse": best_mse,
     })
-    return TrainResult(m, epoch, stopper.best_index, stopper.best, step)
+    return TrainResult(m, epoch, best_epoch, best_mse, step)
 
 
 def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
@@ -454,6 +417,11 @@ def load_model(path: str) -> Mlp:
         meta = doc.get("meta", {})
         if type(meta) is not dict:
             raise ValueError("meta is not a JSON object")
+        # the keys save_model writes; meta's own keys are free
+        extra = sorted(set(doc) - {"layer_sizes", "activation", "output", "weights", "biases",
+                                   "meta"})
+        if extra:
+            raise ValueError(f"unknown key {extra[0]!r}")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     # the only net save_model writes and forward computes

@@ -5,8 +5,9 @@ runs. These are the one-state forms: the Generator-path sampler, checked
 scalar wrappers, and the literal two-copy collective state with the
 singlet projector, against which the conditional-state features are
 checked. Beside them are the forms the package's faster paths replaced:
-the witness maps as einsums and the CSV row parser that converts one cell
-at a time with float(). Nothing under `src/` imports this module.
+the witness maps as einsums, the CSV row parser that converts one cell
+at a time with float(), and training's per-member early stopper and
+one-member gradient. Nothing under `src/` imports this module.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from unittest import mock
 
 import numpy as np
 
-from cewlab import dataset
-from cewlab.errors import CewlabError, DimensionMismatch
+from cewlab import dataset, model
+from cewlab.errors import CewlabError, DimensionMismatch, EmptyDataset
 from cewlab.evaluate import _MAGIC, chsh_m_value_stack, fef_stack
 from cewlab.measure import (DENOM_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, MeasurementPreset,
                             conditional_probabilities, feature_traces_stack)
@@ -285,3 +286,48 @@ def load_by_line(path: str) -> dataset.Dataset:
     with (mock.patch.object(dataset, "LOAD_BLOCK", 1),
           mock.patch.object(dataset, "_parse_rows", _rows_by_float)):
         return dataset.load(path)
+
+
+# --- training ----------------------------------------------------------------
+
+class EarlyStopper:
+    """Track the running best; stop after `patience` epochs without improvement."""
+
+    def __init__(self, patience: int):
+        if patience < 1:
+            raise ValueError("patience must be at least 1")
+        self.patience = patience
+        self.best = np.inf
+        self.best_index = 0
+        self.bad = 0
+        self.index = 0
+
+    def update(self, value: float) -> bool:
+        """Record one epoch's monitored value; True means stop now."""
+        self.index += 1
+        if value < self.best:
+            self.best = value
+            self.best_index = self.index
+            self.bad = 0
+        else:
+            self.bad += 1
+        return self.bad >= self.patience
+
+
+def gradient(m: model.Mlp, x: np.ndarray, y: np.ndarray):
+    """Analytic gradient of the batch MSE; returns (weight grads, bias grads, mse).
+
+    The one-member case of the lockstep gradient that train_many steps with.
+    """
+    if len(x) == 0:
+        raise EmptyDataset("gradient needs a non-empty batch")
+    if x.shape[1] != m.input_dim:
+        raise DimensionMismatch(
+            f"model expects {m.input_dim} features, got shape {x.shape}")
+    dims, sizes = [m.input_dim], m.layer_sizes[1:]
+    grad = model._Stack(dims, sizes)
+    mse = model._gradient_stack(model._Stack(dims, sizes, [(*m.weights, *m.biases)]), grad,
+                                [x], y, model._Buffers(dims, sizes, len(x), backward=True))
+    arrays = grad.member(0)
+    layers = len(m.weights)
+    return list(arrays[:layers]), list(arrays[layers:]), float(mse[0])

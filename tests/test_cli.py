@@ -112,7 +112,7 @@ def test_train_manifest(workspace):
     with open(workspace["model"] + ".manifest.json") as fh:
         doc = json.load(fh)
     assert set(doc) == {"command", "flags", "seeds", "inputs", "outputs",
-                        "version", "duration_s"}
+                        "version", "numpy", "blas_kernel", "duration_s"}
     assert doc["command"] == "train"
     assert doc["seeds"] == {"seed": 5}
     assert doc["inputs"] == [workspace["train"], workspace["val"]]
@@ -219,6 +219,28 @@ def test_a_learning_rate_that_is_not_positive_and_finite_exits_2(workspace, tmp_
     assert capsys.readouterr() == (
         "", f"error: learning_rate must be a positive finite number, got {float(lr)}\n")
     assert not out.exists()
+
+
+def test_a_patience_below_1_exits_2_writing_nothing(workspace, tmp_path, capsys):
+    out = tmp_path / "x.mlp.json"
+    rc = main(["train", "--train", workspace["train"], "--val", workspace["val"],
+               "--patience", "0", "--batch-size", "64", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: patience must be at least 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_defaults_are_train_configs(workspace, tmp_path, monkeypatch):
+    configs = []
+
+    def record(m, train_ds, val_ds, cfg, on_epoch=None):
+        configs.append(cfg)
+        raise DivergedTraining("recorded")
+
+    monkeypatch.setattr(cli, "train", record)
+    assert main(["train", "--train", workspace["train"], "--val", workspace["val"],
+                 "--out", str(tmp_path / "x.mlp.json")]) == 1
+    assert configs == [TrainConfig()]
 
 
 def test_a_diverging_train_prints_only_its_error(workspace, tmp_path):
@@ -551,6 +573,8 @@ def test_each_artifact_command_writes_one_manifest(workspace, tmp_path, capsys, 
     with open(manifests[0]) as fh:
         doc = json.load(fh)
     assert (doc["command"], doc["inputs"], doc["outputs"]) == (command, inputs, outputs)
+    # the last bits of every artifact depend on these (tests/test_fingerprint.py)
+    assert (doc["numpy"], doc["blas_kernel"]) == (np.__version__, pool.blas_kernel())
 
 
 def test_a_dataset_that_measures_no_pair_exits_1_naming_its_sidecar(workspace, tmp_path, capsys):

@@ -743,7 +743,10 @@ def test_load_rejects_pairs_generate_cannot_write(tmp_path, kind, pairs):
     (lambda meta: meta.update(prevalence=0.9), "prevalence must be the loaded labels' 0.5, got 0.9"),
     (lambda meta: meta.update(prevalence=True), "prevalence must be .*, got True"),
     (lambda meta: meta.update(prevalence="0.5"), "prevalence must be .*, got '0.5'"),
-], ids=["name-5", "prevalence-0.9", "prevalence-true", "prevalence-string"])
+    (lambda meta: meta.update(extra=1), "unknown key 'extra'"),
+    (lambda meta: meta["preset"].update(b=1), "unknown preset key 'b'"),
+], ids=["name-5", "prevalence-0.9", "prevalence-true", "prevalence-string", "extra-key",
+        "extra-preset-key"])
 def test_load_rejects_names_and_prevalences_save_cannot_write(tmp_path, edit, message):
     # a balanced set: save writes its prevalence as the float 0.5
     path = str(tmp_path / "d.csv")

@@ -11,11 +11,9 @@ from cewlab.errors import (DimensionMismatch, DivergedTraining, EmptyDataset, Fo
                            ModelMismatch, TooFewRecords)
 from cewlab.measure import MeasurementPreset, preset_by_name
 from cewlab.model import (
-    EarlyStopper,
     Mlp,
     TrainConfig,
     forward,
-    gradient,
     init_mlp,
     load_model,
     predict_negativity,
@@ -25,6 +23,7 @@ from cewlab.model import (
 )
 from cewlab.qlinalg import make_rng
 from cewlab.states import SystemKind
+from oracles import EarlyStopper, gradient
 
 
 def as_dataset(x, y):
@@ -364,6 +363,37 @@ def test_lockstep_training_matches_separate_training(tmp_path):
     assert len(epochs) == len(names)
 
 
+def test_each_member_stops_patience_epochs_after_its_own_best(monkeypatch):
+    # scripted validation MSEs, by epoch; member 0 ties its best at epochs 3
+    # and 5, which are no improvement
+    scripts = [[0.5, 0.4, 0.4, 0.45, 0.4], [0.9, 0.8, 0.7, 0.7, 0.6, 0.6, 0.6, 0.6]]
+    tr, va = two_qubit_splits()
+    assert (len(tr.negativities), len(va.negativities)) == (480, 160)  # batches of 64 and 32
+    mse_stack = model._mse_stack
+
+    def scripted(out, y, buf):
+        mse = mse_stack(out, y, buf)
+        if len(y) == len(va.negativities):
+            scripted.epoch += 1
+            # member 0 stops first, so a stack of one holds member 1
+            mse[:] = [script[scripted.epoch - 1] for script in scripts[-len(mse):]]
+        return mse
+
+    scripted.epoch = 0
+    monkeypatch.setattr(model, "_mse_stack", scripted)
+    cfg = TrainConfig(batch_size=64, max_epochs=20, patience=3, seed=9)
+    models = {p: init_mlp(p.b, cfg) for p in two_qubit_presets(["B1", "B3"])}
+    reported = []
+    results = train_many(models, tr, va, cfg,
+                         lambda i, epoch, _, val_mse: reported.append((i, epoch, val_mse)))
+    assert [(r.epochs_run, r.best_epoch, r.best_val_mse, r.steps) for r in results] == [
+        (5, 2, 0.4, 5 * 8), (8, 5, 0.6, 8 * 8)]
+    assert [(r.model.meta["epochs_run"], r.model.meta["val_mse"]) for r in results] == [
+        (5, 0.4), (8, 0.6)]
+    assert reported == [(i, epoch, script[epoch - 1]) for epoch in range(1, 9)
+                        for i, script in enumerate(scripts) if epoch <= len(script)]
+
+
 def test_stacked_gradient_is_each_members_own_gradient():
     trains, _ = projected_splits(["B3", "B7"])
     cfg = TrainConfig(seed=23)
@@ -441,6 +471,8 @@ def test_train_argument_checks():
         train(m, data, data, TrainConfig(batch_size=11))
     with pytest.raises(ValueError):
         train(m, data, data, TrainConfig(batch_size=10, max_epochs=0))
+    with pytest.raises(ValueError, match="^patience must be at least 1$"):
+        train(m, data, data, TrainConfig(batch_size=10, patience=0))
     for lr in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
             train(m, data, data, TrainConfig(learning_rate=lr, batch_size=10))
@@ -514,11 +546,12 @@ def test_load_model_error_paths(tmp_path):
     (lambda doc: doc["biases"][1].__setitem__(3, True), "a weight or bias is not a JSON float"),
     (lambda doc: doc["biases"][0].__setitem__(0, 10**400), "a weight or bias is not a JSON float"),
     (lambda doc: doc.update(meta=list(doc["meta"].items())), "meta is not a JSON object"),
+    (lambda doc: doc.update(extra=0), "unknown key 'extra'"),
     # each compares equal to the sizes saved, and the weights' shapes match them
     *((lambda doc, sizes=sizes: doc.update(layer_sizes=sizes),
        re.escape(f"layer_sizes {sizes} holds a size that is not a JSON integer of at least 1"))
       for sizes in ([2.0, 32, 16, True], [2, 32.0, 16, 1], [2, 32, 16, True])),
-], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs",
+], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs", "extra-key",
         "float-and-true-sizes", "float-hidden-size", "true-output-size"])
 def test_load_model_refuses_what_save_model_cannot_write(tmp_path, edit, message):
     path = str(tmp_path / "m.mlp.json")
