@@ -414,7 +414,7 @@ def load_model(path: str) -> Mlp:
         layout = (doc["activation"], doc["output"])
         weights = [_floats(w) for w in doc["weights"]]
         biases = [_floats(b) for b in doc["biases"]]
-        meta = doc.get("meta", {})
+        meta = doc["meta"]
         if type(meta) is not dict:
             raise ValueError("meta is not a JSON object")
         # the keys save_model writes; meta's own keys are free

@@ -20,8 +20,8 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def ordered_map(fn, jobs):
     """Yield fn(job) for each job of the sequence `jobs`, in job order.
 
-    The job count caps the worker count (see `_pool_plan`). Where the plan
-    is one process, this is the builtin `map`. Otherwise jobs run in forked
+    The job count caps the worker count (see `worker_count`). Where that
+    count is 1, this is the builtin `map`. Otherwise jobs run in forked
     worker processes, submitted in order with at most one more in flight
     than there are workers; closing the generator, or an error in a job or
     in the consumer, cancels the jobs not yet started. A job's exception is
@@ -29,7 +29,7 @@ def ordered_map(fn, jobs):
     (`contextlib.closing`) where the consumer may stop early, so that the
     workers stop then and not when it is collected.
     """
-    workers, pin_blas = _pool_plan(len(jobs))
+    workers = worker_count(len(jobs))
     if workers == 1:
         yield from map(fn, jobs)
         return
@@ -41,7 +41,8 @@ def ordered_map(fn, jobs):
     # executor forks every worker before it starts its threads, and OpenBLAS
     # stops its own thread pool at each fork.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(os.getpid(), pin_blas))
+                               initializer=_init_worker,
+                               initargs=(os.getpid(), _blas_thread_setter()))
     try:
         jobs = iter(jobs)
         pending = deque(pool.submit(fn, job) for job in islice(jobs, workers + 1))
@@ -75,19 +76,14 @@ def _init_worker(parent: int, pin_blas) -> None:
         pin_blas(1)
 
 
-def worker_count(count: int) -> int:
-    """Processes `ordered_map` would use for `count` jobs; 1 means this process."""
-    return _pool_plan(count)[0]
-
-
-def _pool_plan(jobs: int):
-    """(worker count, BLAS thread setter or None) for running `jobs` jobs.
+def worker_count(jobs: int) -> int:
+    """Processes `ordered_map` uses for `jobs` jobs; 1 means this process.
 
     One worker per usable CPU, at most one per job. Workers share the CPUs,
     so each must run one BLAS thread: unpinned, a two-worker pool was slower
     than one process. Each worker calls the setter of the BLAS library numpy
     loaded; without one, the pool runs only when the environment already
-    sets a BLAS thread count of 1. A count of 1 means run in this process.
+    sets a BLAS thread count of 1.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -95,24 +91,19 @@ def _pool_plan(jobs: int):
         cpus = os.cpu_count() or 1
     workers = min(jobs, cpus)
     if workers < 2:
-        return 1, None
+        return 1
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
-        return 1, None
-    setter = _blas_thread_setter()
-    if setter is None and not any(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS):
-        return 1, None
-    return workers, setter
+        return 1
+    if _blas_thread_setter() is None and "1" not in map(os.environ.get, _BLAS_THREAD_VARS):
+        return 1
+    return workers
 
 
 def _blas_thread_setter():
     """`openblas_set_num_threads` of the OpenBLAS numpy links, or None."""
-    setter = _openblas_function("set_num_threads")
-    if setter is not None:
-        import ctypes
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-    return setter
+    import ctypes
+    return _openblas_function("set_num_threads", None, ctypes.c_int)
 
 
 def blas_kernel() -> str | None:
@@ -122,17 +113,13 @@ def blas_kernel() -> str | None:
     environment variable OPENBLAS_CORETYPE names it, and the last bits of
     its results depend on that choice.
     """
-    corename = _openblas_function("get_corename")
-    if corename is None:
-        return None
     import ctypes
-    corename.argtypes = []
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
+    corename = _openblas_function("get_corename", ctypes.c_char_p)
+    return None if corename is None else corename().decode()
 
 
-def _openblas_function(name: str):
-    """The function `openblas_<name>` of the OpenBLAS numpy links, or None.
+def _openblas_function(name: str, restype, *argtypes):
+    """`openblas_<name>` of the OpenBLAS numpy links, typed `restype(*argtypes)`, or None.
 
     numpy's wheels bundle scipy-openblas, whose symbols carry a `scipy_`
     prefix and, for 64-bit integers, a `64_` suffix. A symbol looked up in
@@ -149,5 +136,6 @@ def _openblas_function(name: str):
         for suffix in ("64_", ""):
             function = getattr(lib, prefix + name + suffix, None)
             if function is not None:
+                function.restype, function.argtypes = restype, argtypes
                 return function
     return None

@@ -683,10 +683,29 @@ def test_the_pool_needs_a_blas_thread_pin(monkeypatch, cpus):
     monkeypatch.setattr(pool, "_blas_thread_setter", lambda: None)
     for var in pool._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    assert pool._pool_plan(5) == (1, None)
+    assert pool.worker_count(5) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert pool._pool_plan(5) == (2, None)
-    assert pool._pool_plan(1) == (1, None)
+    assert pool.worker_count(5) == 2
+    assert pool.worker_count(1) == 1
+
+
+def _start_and_sleep(job) -> int:
+    directory, index = job
+    open(os.path.join(directory, str(index)), "w").close()
+    time.sleep(0.2)
+    return index
+
+
+def test_closing_the_pool_early_starts_at_most_one_job_more_than_it_has_workers(
+        tmp_path, monkeypatch, cpus):
+    # a consumer that stops after one result, as generate does at its quota,
+    # waits for every job already started; the window bounds how many
+    cpus(2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    results = pool.ordered_map(_start_and_sleep, [(str(tmp_path), i) for i in range(20)])
+    assert next(results) == 0
+    results.close()
+    assert len(os.listdir(tmp_path)) <= 3
 
 
 def test_the_blas_thread_setter_is_found_where_numpy_uses_openblas():

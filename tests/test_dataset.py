@@ -189,14 +189,13 @@ def test_selection_matches_the_per_record_oracle(monkeypatch, kind, balanced, n,
 
 def _record_pool_workers(monkeypatch) -> list[int]:
     """The worker count of each pool.ordered_map started from here on, in order."""
-    plan = pool._pool_plan
+    count = pool.worker_count
     workers: list[int] = []
 
     def recorded(jobs):
-        planned = plan(jobs)
-        workers.append(planned[0])
-        return planned
-    monkeypatch.setattr(pool, "_pool_plan", recorded)
+        workers.append(count(jobs))
+        return workers[-1]
+    monkeypatch.setattr(pool, "worker_count", recorded)
     return workers
 
 
@@ -283,6 +282,9 @@ def test_split_empty_piece_rejected():
     ds = generate(KIND, B1, 100, seed=56)
     with pytest.raises(EmptyDataset):
         split(ds, (1.0, 0.0, 0.0))
+    with pytest.raises(EmptyDataset, match="^cannot split an empty dataset$"):
+        split(dataclasses.replace(ds, features=ds.features[:0], negativities=ds.negativities[:0],
+                                  stream_indices=ds.stream_indices[:0]), (0.6, 0.2, 0.2))
 
 
 def test_split_fraction_checks():

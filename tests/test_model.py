@@ -52,6 +52,8 @@ def test_init_shapes_and_param_count():
     assert sum(a.size for a in (*m.weights, *m.biases)) == 897
     for b in m.biases:
         assert np.all(b == 0.0)
+    with pytest.raises(ValueError, match="^input_dim must be at least 1$"):
+        init_mlp(0, TrainConfig())
 
 
 def test_init_deterministic_in_seed():
@@ -434,6 +436,8 @@ def test_train_many_refuses_members_that_cannot_share_a_stack():
     m.biases[1] = m.biases[1][:8]
     with pytest.raises(DimensionMismatch, match="every layer after the first"):
         train_many(models, tr, va, cfg)
+    with pytest.raises(ValueError, match="^train_many needs at least one model$"):
+        train_many({}, tr, va, cfg)
 
 
 def test_train_many_refuses_a_preset_the_split_did_not_measure():
@@ -469,6 +473,8 @@ def test_train_argument_checks():
         train(m, as_dataset(np.empty((0, 3)), np.empty(0)), data, cfg)
     with pytest.raises(TooFewRecords):
         train(m, data, data, TrainConfig(batch_size=11))
+    with pytest.raises(ValueError, match="^batch_size must be at least 1$"):
+        train(m, data, data, TrainConfig(batch_size=0))
     with pytest.raises(ValueError):
         train(m, data, data, TrainConfig(batch_size=10, max_epochs=0))
     with pytest.raises(ValueError, match="^patience must be at least 1$"):
@@ -547,11 +553,14 @@ def test_load_model_error_paths(tmp_path):
     (lambda doc: doc["biases"][0].__setitem__(0, 10**400), "a weight or bias is not a JSON float"),
     (lambda doc: doc.update(meta=list(doc["meta"].items())), "meta is not a JSON object"),
     (lambda doc: doc.update(extra=0), "unknown key 'extra'"),
+    (lambda doc: doc.pop("meta"), "'meta'"),
+    (lambda doc: doc["weights"].append([[0.25]]), "layer counts are inconsistent"),
     # each compares equal to the sizes saved, and the weights' shapes match them
     *((lambda doc, sizes=sizes: doc.update(layer_sizes=sizes),
        re.escape(f"layer_sizes {sizes} holds a size that is not a JSON integer of at least 1"))
       for sizes in ([2.0, 32, 16, True], [2, 32.0, 16, 1], [2, 32, 16, True])),
-], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs", "extra-key",
+], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs", "extra-key", "no-meta",
+         "fourth-weight",
         "float-and-true-sizes", "float-hidden-size", "true-output-size"])
 def test_load_model_refuses_what_save_model_cannot_write(tmp_path, edit, message):
     path = str(tmp_path / "m.mlp.json")
