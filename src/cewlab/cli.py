@@ -26,6 +26,7 @@ from .measure import builtin_presets, preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
                     save_model, train, train_many)
 from .pool import blas_kernel, ordered_map, worker_count
+from .qlinalg import _as_u64
 from .states import SystemKind
 
 _KIND_NAMES = [k.value for k in SystemKind]
@@ -143,10 +144,11 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     ones train. Every artifact has the same bytes as a one-process run.
     Where fork is unavailable, only one CPU is usable, or the BLAS thread
     count cannot be pinned, all presets form one group trained in this
-    process. A preset named twice, or a split size that is not a positive
-    even number (each split takes half its records from each class), is
-    refused with ValueError before anything is generated, and so is an
-    out_dir that cannot be made (OSError).
+    process. A preset named twice, a split size that is not a positive
+    even number (each split takes half its records from each class), or a
+    seed outside [0, 2**64) is refused with ValueError before out_dir is
+    made, and an out_dir that cannot be made (OSError) before anything is
+    generated.
 
     Returns one summary row per preset, in the requested order, with the
     paths of its model, ROC table and SVG (None without svg) in out_dir;
@@ -165,6 +167,7 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     if any(n < 1 or n % 2 for n in sizes):
         # the stratified split of a balanced master is exact only for even sizes
         raise ValueError(f"split sizes {' '.join(map(str, sizes))} must all be positive and even")
+    _as_u64(seed, "seed")  # the check generate makes, here before out_dir is made
     cfg = cfg if cfg is not None else TrainConfig(seed=seed)
     if sizes[0] < cfg.batch_size:
         raise TooFewRecords(f"TRAIN size {sizes[0]} is smaller than the training batch "
@@ -210,14 +213,13 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     return rows
 
 
-def _train_group(job: tuple) -> tuple[list, float]:
+def _train_group(train_ds: Dataset, val_ds: Dataset, group: list,
+                 cfg: TrainConfig) -> tuple[list, float]:
     """Train one group of presets in lockstep; returns train_many's results and the seconds taken.
 
-    `job` is (training split, validation split, presets, cfg); train_many
-    projects each preset's columns. Runs in a pool worker, so it is a
-    module-level function of picklable arguments.
+    train_many projects each preset's columns from the shared splits. Runs
+    in a pool worker, so it is a module-level function of picklable arguments.
     """
-    train_ds, val_ds, group, cfg = job
     started = time.perf_counter()
     results = train_many({p: init_mlp(p.b, cfg) for p in group}, train_ds, val_ds, cfg)
     return results, round(time.perf_counter() - started, 3)

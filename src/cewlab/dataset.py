@@ -12,7 +12,7 @@ import json
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -98,28 +98,16 @@ class Dataset:
         return float(self.labels.mean()) if self.count else 0.0
 
 
-def _draw_chunk(job: tuple):
+def _draw_chunk(preset: MeasurementPreset, seed: int, chunk_index: int):
     """Features, negativities, labels, and validity for draw indices in one chunk.
 
-    `job` is (preset, seed, chunk index). Runs in a pool worker, so it is a
-    module-level function of picklable arguments.
+    Runs in a pool worker, so it is a module-level function of picklable arguments.
     """
-    preset, seed, chunk_index = job
     kind = preset.kind
     mats = sample_density_stack(kind, seed, chunk_index * CHUNK, CHUNK)
     neg = negativity_stack(mats, kind)
     values, valid = conditional_probabilities(*feature_traces_stack(mats, kind, preset.pairs))
     return values, neg, neg > ENTANGLE_EPS, valid
-
-
-def _chunks(preset: MeasurementPreset, seed: int, max_chunks: int):
-    """_draw_chunk's result for chunk 0, 1, ... max_chunks - 1, in order.
-
-    Chunk 0 is drawn in this process, so a dataset that fits in it starts no
-    worker; the rest are drawn in the process pool.
-    """
-    yield _draw_chunk((preset, seed, 0))
-    yield from ordered_map(_draw_chunk, [(preset, seed, i) for i in range(1, max_chunks)])
 
 
 def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
@@ -130,8 +118,9 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     unfilled; unbalanced mode keeps everything and reproduces the natural
     prevalences. Degenerate-conditioning draws are discarded either way.
     A kept record holds its features, negativity and draw index, and its
-    label follows from the negativity. Chunks after the first are drawn in
-    parallel (pool.ordered_map); records are selected here, in draw order, so
+    label follows from the negativity. Chunk 0 is drawn in this process, so
+    a dataset that fits in it starts no worker; later chunks are drawn in
+    parallel (pool.ordered_map). Records are selected here, in draw order, so
     the result is the same. The dataset's kind is its preset's, so a preset
     of another kind raises ValueError.
     """
@@ -147,8 +136,10 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     # natural prevalences are >= 0.37 for both classes; this bound is never
     # approached unless the sampler itself is broken
     max_chunks = (8 * n) // CHUNK + 16
-    with closing(_chunks(preset, seed, max_chunks)) as chunks:
-        for chunk_index, (values, neg, entangled, valid) in enumerate(chunks):
+    first = _draw_chunk(preset, seed, 0)
+    rest = ordered_map(_draw_chunk, [(preset, seed, i) for i in range(1, max_chunks)])
+    with closing(rest):
+        for chunk_index, (values, neg, entangled, valid) in enumerate(chain([first], rest)):
             # in draw order, a valid record is kept while its class quota
             # (balanced mode) and the n-record total are unfilled
             keep = valid
@@ -305,14 +296,13 @@ def _format_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, keep
 
 
-def _format_rows(block: tuple) -> bytes:
-    """CSV lines, each ending in a newline, of one (features, negativities, labels) block.
+def _format_rows(features: np.ndarray, negs: np.ndarray, labels: np.ndarray) -> bytes:
+    """CSV lines, each ending in a newline, of one block of rows.
 
     Every float cell is "%.17g" % v, byte for byte (_format_cells): 17
     significant digits (C's max_digits10), which read back as the same
     double. The labels, as the doubles 0.0 and 1.0, are written 0 and 1.
     """
-    features, negs, labels = block
     b = features.shape[1]
     chars, keep = _format_cells(np.column_stack((features, negs, labels)).ravel())
     chars[:, -1] = ord(",")
@@ -404,6 +394,22 @@ _META_KEYS = {"kind", "preset", "seed", "count", "prevalence", "stream_indices"}
 
 
 def load(path: str) -> Dataset:
+    """The Dataset save wrote to path and path.meta; FormatError names what save cannot write.
+
+    A file that cannot be opened raises its OSError. The errors come in this
+    order, each naming its file (and line, for a CSV line): the sidecar
+    (JSON that does not decode, a missing or unknown key, an unknown kind, no
+    pairs or a pair of effect indices the kind lacks, a preset name that is
+    not a string, a seed outside [0, 2**64), a count that is
+    not a non-negative integer, stream_indices that are not count distinct
+    non-negative int64 draw indices), text that is not UTF-8, a header
+    other than save's, a record count other than the sidecar's, and the
+    first bad line (a field count other than the header's, a character no
+    saved cell holds, a cell float() cannot read, a label other than 0 or
+    1). Then the first row whose feature is NaN or outside [0, 1], whose
+    negativity is NaN or outside [0, 0.5], or whose label disagrees with its
+    negativity, and last a sidecar prevalence other than the labels' mean.
+    """
     try:
         with open(path + ".meta") as fh:
             meta = json.load(fh)

@@ -407,6 +407,17 @@ def _floats(value) -> np.ndarray:
 
 
 def load_model(path: str) -> Mlp:
+    """The net save_model wrote to path; FormatError names what train cannot write.
+
+    A file that cannot be opened raises its OSError. Refused first is a
+    document save_model cannot write: JSON that does not decode, a missing
+    or unknown key, a weight or bias that is not a JSON float, or a meta
+    that is not an object. Then, in order: an activation and output other
+    than relu and affine, a layer size that is not a JSON integer of at
+    least 1, layer_sizes other than an input size followed by HIDDEN_SIZES
+    and one output, weights or biases whose count or shapes disagree with
+    layer_sizes, and a NaN or infinite weight or bias.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -431,9 +442,9 @@ def load_model(path: str) -> Mlp:
     if not all(type(s) is int and s >= 1 for s in sizes):  # True == 1 and 3.0 == 3
         raise FormatError(f"{path}: layer_sizes {sizes} holds a size that is not "
                           "a JSON integer of at least 1")
-    if len(sizes) < 2 or sizes[-1] != 1:
-        raise FormatError(f"{path}: layer_sizes {sizes} is not one or more layers "
-                          "ending in one output")
+    if sizes[1:] != [*HIDDEN_SIZES, 1]:
+        raise FormatError(f"{path}: layer_sizes {sizes} is not an input size followed by "
+                          f"{[*HIDDEN_SIZES, 1]}")
     if len(weights) != len(sizes) - 1 or len(biases) != len(weights):
         raise FormatError(f"{path}: layer counts are inconsistent")
     for i, (w, b) in enumerate(zip(weights, biases)):

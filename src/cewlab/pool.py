@@ -1,27 +1,27 @@
 """The package's one process pool: an ordered, windowed map over forked workers.
 
 `ordered_map` runs the sweep's training groups, `generate`'s chunks after
-the first and `save`'s row blocks. Every job is a module-level function of
-picklable arguments, so a job's result does not depend on where it ran and
-the bytes of every artifact match a one-process run. The BLAS library's
-functions are looked up here too: its thread setter, which pins each
-worker, and `blas_kernel`, the name of the kernel it runs.
+the first and `save`'s row blocks. Every job is a call of a module-level
+function with picklable arguments, so a job's result does not depend on
+where it ran and the bytes of every artifact match a one-process run. The
+BLAS library's functions are looked up here too: its thread setter, which
+pins each worker, and `blas_kernel`, the name of the kernel it runs.
 """
 from __future__ import annotations
 
 import os
 from collections import deque
-from itertools import islice
+from itertools import islice, starmap
 
 # environment variables that cap a BLAS library's thread count
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def ordered_map(fn, jobs):
-    """Yield fn(job) for each job of the sequence `jobs`, in job order.
+    """Yield fn(*job) for each argument tuple `job` of the sequence `jobs`, in job order.
 
     The job count caps the worker count (see `worker_count`). Where that
-    count is 1, this is the builtin `map`. Otherwise jobs run in forked
+    count is 1, this is `itertools.starmap`. Otherwise jobs run in forked
     worker processes, submitted in order with at most one more in flight
     than there are workers; closing the generator, or an error in a job or
     in the consumer, cancels the jobs not yet started. A job's exception is
@@ -31,7 +31,7 @@ def ordered_map(fn, jobs):
     """
     workers = worker_count(len(jobs))
     if workers == 1:
-        yield from map(fn, jobs)
+        yield from starmap(fn, jobs)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -45,12 +45,12 @@ def ordered_map(fn, jobs):
                                initargs=(os.getpid(), _blas_thread_setter()))
     try:
         jobs = iter(jobs)
-        pending = deque(pool.submit(fn, job) for job in islice(jobs, workers + 1))
+        pending = deque(pool.submit(fn, *job) for job in islice(jobs, workers + 1))
         while pending:
             # the next job is submitted once the consumer asks for more, so a
             # consumer that stops leaves only one job per worker to finish
             yield pending.popleft().result()
-            pending.extend(pool.submit(fn, job) for job in islice(jobs, 1))
+            pending.extend(pool.submit(fn, *job) for job in islice(jobs, 1))
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -340,9 +340,9 @@ def _predict_nan(doc):
     (lambda doc: doc.update(output="sigmoid"),
      "{model}: activation 'relu' with output 'sigmoid' is not relu with an affine output"),
     (_widen_output,
-     "{model}: layer_sizes [3, 32, 16, 2] is not one or more layers ending in one output"),
+     "{model}: layer_sizes [3, 32, 16, 2] is not an input size followed by [32, 16, 1]"),
     (lambda doc: doc.update(layer_sizes=[1], weights=[], biases=[]),
-     "{model}: layer_sizes [1] is not one or more layers ending in one output"),
+     "{model}: layer_sizes [1] is not an input size followed by [32, 16, 1]"),
     (_predict_nan, "ROC needs 1-D non-NaN float scores and bool labels of the same length, "
                    "got (200,) scores and (200,) labels"),
 ], ids=["tanh", "sigmoid", "two-outputs", "no-layers", "nan-predictions"])
@@ -533,6 +533,16 @@ def test_sweep_refuses_split_sizes_that_are_not_even_before_generating(
     assert not os.path.exists(tmp_path / "sweep")
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_sweep_refuses_a_seed_out_of_range_before_making_its_out_dir(
+        tmp_path, capsys, no_generate, seed):
+    rc = main(["sweep", "--kind", "two-qubit", "--presets", "B1", "--sizes", "600", "200", "200",
+               "--seed", seed, "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: seed must fit in an unsigned 64-bit integer\n")
+    assert not os.path.exists(tmp_path / "sweep")
+
+
 def test_sweep_refuses_an_out_dir_it_cannot_make_before_generating(tmp_path, capsys, no_generate):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -656,7 +666,7 @@ def test_the_sweep_trains_one_contiguous_group_per_worker(tmp_path, cpus, monkey
 
     def in_this_process(fn, jobs):
         trained.extend([preset.name for preset in job[2]] for job in jobs)
-        return (fn(job) for job in jobs)
+        return (fn(*job) for job in jobs)
     monkeypatch.setattr(cli, "ordered_map", in_this_process)
     presets = ["B1", "B3", "B5", "B7", "B10"]
     rows = run_sweep(SystemKind.TWO_QUBIT, presets, (256, 50, 50), 5, str(tmp_path),
@@ -689,8 +699,7 @@ def test_the_pool_needs_a_blas_thread_pin(monkeypatch, cpus):
     assert pool.worker_count(1) == 1
 
 
-def _start_and_sleep(job) -> int:
-    directory, index = job
+def _start_and_sleep(directory: str, index: int) -> int:
     open(os.path.join(directory, str(index)), "w").close()
     time.sleep(0.2)
     return index
@@ -763,7 +772,7 @@ def test_pool_workers_die_with_their_parent(tmp_path):
         "def job(path):",
         "    open(os.path.join(path, str(os.getpid())), 'w').close()",
         "    time.sleep(120)",
-        f"list(pool.ordered_map(job, [{str(tmp_path)!r}] * 2))",
+        f"list(pool.ordered_map(job, [({str(tmp_path)!r},)] * 2))",
     ])
     env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.Popen([sys.executable, "-c", code], env=env)

@@ -133,7 +133,7 @@ def per_record_selection(preset, n, seed, balanced):
     rows, negs, labs, streams = [], [], [], []
     chunk_index = 0
     while len(labs) < n:
-        values, neg, entangled, valid = dataset._draw_chunk((preset, seed, chunk_index))
+        values, neg, entangled, valid = dataset._draw_chunk(preset, seed, chunk_index)
         for k in range(CHUNK):
             if not valid[k]:
                 continue
@@ -370,7 +370,7 @@ def test_every_finite_double_reads_back_with_its_bits(bits):
 def _format_two_columns(values):
     """_format_rows' cells of values as a feature and a negativity column, checked against %."""
     labels = np.arange(len(values)) % 2 == 1
-    text = dataset._format_rows((values[:, None], values, labels)).decode()
+    text = dataset._format_rows(values[:, None], values, labels).decode()
     rows = [line.split(",") for line in text.splitlines()]
     assert text.endswith("\n") and len(rows) == len(values)
     reference = ["%.17g" % v for v in values.tolist()]

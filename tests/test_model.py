@@ -547,6 +547,11 @@ def test_load_model_error_paths(tmp_path):
             load_model(path)
 
 
+def _toy_layout(doc):
+    doc.update(layer_sizes=[2, 5, 1], weights=[[[0.5] * 5] * 2, [[0.25]] * 5],
+               biases=[[0.0] * 5, [0.0]])
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["weights"][0][0].__setitem__(0, "0.25"), "a weight or bias is not a JSON float"),
     (lambda doc: doc["biases"][1].__setitem__(3, True), "a weight or bias is not a JSON float"),
@@ -559,9 +564,11 @@ def test_load_model_error_paths(tmp_path):
     *((lambda doc, sizes=sizes: doc.update(layer_sizes=sizes),
        re.escape(f"layer_sizes {sizes} holds a size that is not a JSON integer of at least 1"))
       for sizes in ([2.0, 32, 16, True], [2, 32.0, 16, 1], [2, 32, 16, True])),
+    # a ReLU chain ending in one unit that forward would run, but train never writes
+    (_toy_layout, re.escape("layer_sizes [2, 5, 1] is not an input size followed by [32, 16, 1]")),
 ], ids=["string-weight", "true-bias", "huge-int-bias", "meta-pairs", "extra-key", "no-meta",
          "fourth-weight",
-        "float-and-true-sizes", "float-hidden-size", "true-output-size"])
+        "float-and-true-sizes", "float-hidden-size", "true-output-size", "toy-layout"])
 def test_load_model_refuses_what_save_model_cannot_write(tmp_path, edit, message):
     path = str(tmp_path / "m.mlp.json")
     save_model(init_mlp(2, TrainConfig(seed=15)), path)
