@@ -138,10 +138,13 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     worker, the longer ones last, and the groups trained in parallel
     (pool.ordered_map), one forked worker process per usable CPU (at most
     one per preset), each with one BLAS thread, training its group in
-    lockstep (model.train_many projects the shared splits). Workers only
-    train: this process generates and splits, then scores each model on the
-    test split and writes every artifact, the first groups' while the last
-    ones train. Every artifact has the same bytes as a one-process run.
+    lockstep. A worker receives the training and validation splits
+    restricted to its group's widest preset (the built-in presets are
+    nested), and model.train_many projects each preset's columns from them.
+    Workers only train: this process generates and splits, then scores each
+    model on the test split and writes every artifact, the first groups'
+    while the last ones train. Every artifact has the same bytes as a
+    one-process run.
     Where fork is unavailable, only one CPU is usable, or the BLAS thread
     count cannot be pinned, all presets form one group trained in this
     process. A preset named twice, a split size that is not a positive
@@ -176,15 +179,20 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     # the largest built-in preset's pairs hold every other's, so restrict projects each split
     master = max(builtin_presets(kind), key=lambda p: p.b)
     total = sum(sizes)
-    ds = generate(kind, master, total, seed)
-    train_ds, val_ds, test_ds = split(ds, tuple(n / total for n in sizes))
+    # split copies the master set's records, and nothing here keeps the master set
+    train_ds, val_ds, test_ds = split(generate(kind, master, total, seed),
+                                      tuple(n / total for n in sizes))
     # contiguous groups, one per worker and the last ones a preset longer, so
     # that the first are scored here while the longest still train (in lockstep)
     workers = worker_count(len(presets))
     size, extra = divmod(len(presets), workers)
     starts = [g * size + max(0, g - workers + extra) for g in range(workers + 1)]
     groups = [presets[a:b] for a, b in zip(starts, starts[1:])]
-    jobs = [(train_ds, val_ds, group, cfg) for group in groups]
+    # built-in presets are nested, so a group's widest preset holds every
+    # column the group trains on, and a worker receives only those
+    widest = [max(group, key=lambda p: p.b) for group in groups]
+    jobs = [(restrict(train_ds, w), restrict(val_ds, w), group, cfg)
+            for group, w in zip(groups, widest)]
 
     rows: list[dict] = []
     with closing(ordered_map(_train_group, jobs)) as trained:
@@ -217,7 +225,7 @@ def _train_group(train_ds: Dataset, val_ds: Dataset, group: list,
                  cfg: TrainConfig) -> tuple[list, float]:
     """Train one group of presets in lockstep; returns train_many's results and the seconds taken.
 
-    train_many projects each preset's columns from the shared splits. Runs
+    train_many projects each preset's columns from the group's splits. Runs
     in a pool worker, so it is a module-level function of picklable arguments.
     """
     started = time.perf_counter()

@@ -12,7 +12,7 @@ import json
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 
 import numpy as np
 
@@ -27,14 +27,17 @@ from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_
 
 #: Draws per generation chunk, streams per regeneration slice, and rows per
 #: block that save formats. Chunks and blocks are also the jobs of the
-#: process pool (pool.ordered_map). Batch composition does not change any
-#: record's bytes (each stream, each eigensolve and each state's feature
-#: traces are independent of the batch), so CHUNK only bounds transient
-#: memory and the size of a pool job and, through generate's chunk budget,
-#: the draws spent on a quota. load parses LOAD_BLOCK lines at a time: one
-#: numpy call converts a block's cells, and the block's strings are its
-#: transient memory (loading 20000 qubit-qutrit B45 records raised the peak
-#: RSS by 0.6 MB with 128-line blocks and by 3.9 MB with 1024-line ones).
+#: process pool (pool.ordered_map). generate draws chunk 0 in the calling
+#: process only when n <= CHUNK, and otherwise every chunk in the pool;
+#: save formats a file of one block in the calling process. Batch
+#: composition does not change any record's bytes (each stream, each
+#: eigensolve and each state's feature traces are independent of the
+#: batch), so CHUNK only bounds transient memory and the size of a pool job
+#: and, through generate's chunk budget, the draws spent on a quota. load
+#: parses LOAD_BLOCK lines at a time: one numpy call converts a block's
+#: cells, and the block's strings are its transient memory (loading 20000
+#: qubit-qutrit B45 records raised the peak RSS by 0.6 MB with 128-line
+#: blocks and by 3.9 MB with 1024-line ones).
 CHUNK = 1024
 LOAD_BLOCK = 128
 
@@ -118,11 +121,15 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     unfilled; unbalanced mode keeps everything and reproduces the natural
     prevalences. Degenerate-conditioning draws are discarded either way.
     A kept record holds its features, negativity and draw index, and its
-    label follows from the negativity. Chunk 0 is drawn in this process, so
-    a dataset that fits in it starts no worker; later chunks are drawn in
-    parallel (pool.ordered_map). Records are selected here, in draw order, so
-    the result is the same. The dataset's kind is its preset's, so a preset
-    of another kind raises ValueError.
+    label follows from the negativity; kept records are written straight
+    into the Dataset's preallocated arrays. Where one chunk could hold the
+    request (n <= CHUNK), chunk 0 is drawn in this process, so a dataset
+    that fits in it starts no worker, and any later chunks are drawn in
+    parallel (pool.ordered_map). Otherwise every chunk, chunk 0 included,
+    is a pool job, so this process draws none while the workers run.
+    Records are selected here, in draw order, so the result is the same.
+    The dataset's kind is its preset's, so a preset of another kind raises
+    ValueError.
     """
     if preset.kind is not kind:
         raise ValueError(f"preset is for {preset.kind.value}, dataset is {kind.value}")
@@ -132,14 +139,18 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
         raise ValueError("balanced generation needs an even n")
     quota = n // 2
     taken = taken_pos = 0
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (features, negativities, streams)
+    features = np.empty((n, preset.b))
+    negs = np.empty(n)
+    streams = np.empty(n, dtype=np.int64)
     # natural prevalences are >= 0.37 for both classes; this bound is never
     # approached unless the sampler itself is broken
     max_chunks = (8 * n) // CHUNK + 16
-    first = _draw_chunk(preset, seed, 0)
-    rest = ordered_map(_draw_chunk, [(preset, seed, i) for i in range(1, max_chunks)])
+    jobs = [(preset, seed, i) for i in range(max_chunks)]
+    here = 1 if n <= CHUNK else 0  # chunks drawn in this process before any pool starts
+    rest = ordered_map(_draw_chunk, jobs[here:])
     with closing(rest):
-        for chunk_index, (values, neg, entangled, valid) in enumerate(chain([first], rest)):
+        for chunk_index, (values, neg, entangled, valid) in enumerate(
+                chain(starmap(_draw_chunk, jobs[:here]), rest)):
             # in draw order, a valid record is kept while its class quota
             # (balanced mode) and the n-record total are unfilled
             keep = valid
@@ -149,15 +160,17 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
                 keep = ((pos & (taken_pos + np.cumsum(pos) <= quota))
                         | (other & (taken - taken_pos + np.cumsum(other) <= quota)))
             idx = np.flatnonzero(keep & (taken + np.cumsum(keep) <= n))
-            kept.append((values[idx], neg[idx], chunk_index * CHUNK + idx))
-            taken += len(idx)
+            end = taken + len(idx)
+            features[taken:end] = values[idx]
+            negs[taken:end] = neg[idx]
+            streams[taken:end] = chunk_index * CHUNK + idx
+            taken = end
             taken_pos += int(np.count_nonzero(entangled[idx]))
             if taken == n:
                 break
         else:
             raise DrawBudgetExhausted(f"class quota not reached within {max_chunks * CHUNK} draws")
-    features, negs, streams = (np.concatenate(parts) for parts in zip(*kept))
-    return Dataset(preset, features, negs, seed, streams.astype(np.int64))
+    return Dataset(preset, features, negs, seed, streams)
 
 
 def regenerate_states(ds: Dataset) -> np.ndarray:
@@ -333,13 +346,20 @@ def save(ds: Dataset, path: str) -> None:
         "seed": ds.seed,
         "count": ds.count,
         "prevalence": ds.prevalence,
-        "stream_indices": ds.stream_indices.tolist(),
+        "stream_indices": [],
     }
-    # streamed: json.dumps would hold every token of the indices at once
-    # (2.4 MB against 0.9 MB for 20000 of them) to save about 1 ms
+    # the bytes json.dump(meta, fh, indent=2) writes, with the indices
+    # formatted one string per CHUNK of them: for 20000 indices on a 2-core
+    # Xeon, 4.8 ms and a traced peak of 0.1 MB, against 7.6 ms and 0.9 MB for
+    # json.dump's token stream and 9.5 ms and 2.4 MB for one json.dumps string
+    head, tail = json.dumps(meta, indent=2).rsplit("[]", 1)
     with open(path + ".meta", "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+        fh.write(head + "[")
+        separator = "\n    "
+        for i in range(0, ds.count, CHUNK):
+            fh.write(separator + ",\n    ".join(map(str, ds.stream_indices[i:i + CHUNK].tolist())))
+            separator = ",\n    "
+        fh.write(("\n  ]" if ds.count else "]") + tail + "\n")
 
 
 def _foreign(text: str) -> bool:

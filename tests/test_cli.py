@@ -678,6 +678,29 @@ def test_the_sweep_trains_one_contiguous_group_per_worker(tmp_path, cpus, monkey
     assert all(len({times[name] for name in group}) == 1 for group in groups)
 
 
+@pytest.mark.parametrize("count, presets, widths", [
+    (2, ["B1", "B3", "B10"], [1, 10]),  # groups [B1] and [B3 B10]
+    (1, ["B1", "B3"], [3]),  # one group, trained in this process
+])
+def test_a_sweep_job_holds_only_its_groups_widest_columns(tmp_path, cpus, monkeypatch,
+                                                           count, presets, widths):
+    cpus(count)
+    sent = []
+
+    def in_this_process(fn, jobs):
+        sent.extend(jobs)
+        return (fn(*job) for job in jobs)
+    monkeypatch.setattr(cli, "ordered_map", in_this_process)
+    run_sweep(SystemKind.TWO_QUBIT, presets, (256, 50, 50), 6, str(tmp_path),
+              cfg=TrainConfig(max_epochs=1, seed=6))
+    for train_ds, val_ds, group, _ in sent:
+        widest = max(group, key=lambda p: p.b)
+        for part in (train_ds, val_ds):
+            assert part.preset == widest
+            assert part.features.shape == (part.count, widest.b)
+    assert [job[0].preset.b for job in sent] == widths
+
+
 def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, cpus):
     cpus(2)
     cfg = TrainConfig(learning_rate=1e300, batch_size=64, max_epochs=3, seed=3)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import os
 import pickle
 import re
 
@@ -226,6 +227,37 @@ def test_a_dataset_in_one_chunk_starts_no_pool(monkeypatch, cpus):
     workers = _record_pool_workers(monkeypatch)
     generate(KIND, B1, 200, seed=66)
     assert workers == []
+
+
+_DRAW_CHUNK = dataset._draw_chunk
+_TEST_PID = os.getpid()
+_chunks_drawn_here: list[int] = []
+
+
+def _draw_chunk_noting_this_process(preset, seed, chunk_index):
+    """dataset._draw_chunk, noting each chunk drawn in the test's own process.
+
+    Module-level, so that a forked worker finds it by name; a worker's
+    chunks are not noted.
+    """
+    if os.getpid() == _TEST_PID:
+        _chunks_drawn_here.append(chunk_index)
+    return _DRAW_CHUNK(preset, seed, chunk_index)
+
+
+def test_a_pooled_generate_draws_no_chunk_in_this_process(monkeypatch, cpus):
+    monkeypatch.setattr(dataset, "_draw_chunk", _draw_chunk_noting_this_process)
+    _chunks_drawn_here.clear()
+    cpus(1)
+    alone = generate(KIND, B1, 4 * CHUNK, seed=68)
+    # on one CPU every chunk is drawn here, through the wrapper
+    assert _chunks_drawn_here == list(range(len(_chunks_drawn_here)))
+    assert len(_chunks_drawn_here) >= 4
+    _chunks_drawn_here.clear()
+    cpus(2)
+    pooled = generate(KIND, B1, 4 * CHUNK, seed=68)
+    assert _chunks_drawn_here == []
+    assert np.array_equal(pooled.stream_indices, alone.stream_indices)
 
 
 def test_an_error_in_a_pooled_chunk_keeps_its_type(monkeypatch, cpus):
