@@ -20,7 +20,7 @@ from . import __version__
 from .dataset import Dataset, generate, load, restrict, save, split
 from .errors import (CewlabError, ModelMismatch, TooFewRecords, UnknownPreset,
                      WitnessFalsePositive)
-from .evaluate import (Witness, baseline_rates, roc_curve, tpr_at_fpr, witnesses,
+from .evaluate import (Witness, baseline_rates, operating_point, roc_curve, witnesses,
                        write_roc, write_roc_svg)
 from .measure import builtin_presets, preset_by_name
 from .model import (TrainConfig, init_mlp, load_model, predict_negativity,
@@ -59,8 +59,8 @@ def _score(model, test_ds: Dataset, roc_path: str, svg_path: str | None) -> dict
     write_roc(curve, roc_path)
     if svg_path:
         write_roc_svg(curve, svg_path, title=test_ds.preset.name)
-    return {"auc": curve.auc, "tpr_at_fpr10": tpr_at_fpr(curve, 0.10),
-            "tpr_at_fpr0": tpr_at_fpr(curve, 0.0)}
+    return {"auc": curve.auc, "tpr_at_fpr10": operating_point(curve, curve.fpr <= 0.10)[0],
+            "tpr_at_fpr0": operating_point(curve, curve.fpr <= 0.0)[0]}
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple:

@@ -346,20 +346,12 @@ def save(ds: Dataset, path: str) -> None:
         "seed": ds.seed,
         "count": ds.count,
         "prevalence": ds.prevalence,
-        "stream_indices": [],
+        "stream_indices": ds.stream_indices.tolist(),
     }
-    # the bytes json.dump(meta, fh, indent=2) writes, with the indices
-    # formatted one string per CHUNK of them: for 20000 indices on a 2-core
-    # Xeon, 4.8 ms and a traced peak of 0.1 MB, against 7.6 ms and 0.9 MB for
-    # json.dump's token stream and 9.5 ms and 2.4 MB for one json.dumps string
-    head, tail = json.dumps(meta, indent=2).rsplit("[]", 1)
+    # streamed: json.dumps would hold every token of the indices at once
     with open(path + ".meta", "w", newline="\n") as fh:
-        fh.write(head + "[")
-        separator = "\n    "
-        for i in range(0, ds.count, CHUNK):
-            fh.write(separator + ",\n    ".join(map(str, ds.stream_indices[i:i + CHUNK].tolist())))
-            separator = ",\n    "
-        fh.write(("\n  ]" if ds.count else "]") + tail + "\n")
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")
 
 
 def _foreign(text: str) -> bool:

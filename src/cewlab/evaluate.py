@@ -60,12 +60,16 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     return RocCurve(fpr, tpr, thresholds, auc)
 
 
-def tpr_at_fpr(curve: RocCurve, fpr_cap: float) -> float:
-    """Best TPR among realized operating points with FPR <= cap (no interpolation)."""
-    if not 0.0 <= fpr_cap <= 1.0:
-        raise ValueError("fpr_cap must lie in [0, 1]")
-    ok = curve.fpr <= fpr_cap
-    return float(curve.tpr[ok].max()) if ok.any() else 0.0
+def operating_point(curve: RocCurve, prefix: np.ndarray) -> tuple[float, float]:
+    """(tpr, fpr) at the last point of a curve prefix, given as a mask of its points.
+
+    Neither rate falls along a curve, so the last point of "fpr <= cap" holds
+    the best TPR realized within the cap (no interpolation), and the last of
+    "thresholds > t" is the rule "score > t". Every curve starts at (0, 0)
+    with threshold +inf, so no such prefix is empty.
+    """
+    i = np.count_nonzero(prefix) - 1
+    return float(curve.tpr[i]), float(curve.fpr[i])
 
 
 def write_roc(curve: RocCurve, path: str) -> None:
@@ -194,5 +198,4 @@ def baseline_rates(ds: Dataset, witness: Witness) -> tuple[float, float]:
     the smallest realized threshold above its own.
     """
     curve = roc_curve(witness_scores(ds, witness), ds.labels)
-    i = np.count_nonzero(curve.thresholds > THRESHOLDS[witness]) - 1
-    return float(curve.tpr[i]), float(curve.fpr[i])
+    return operating_point(curve, curve.thresholds > THRESHOLDS[witness])

@@ -14,8 +14,8 @@ from cewlab import cli, dataset, evaluate, pool
 from cewlab.cli import main, run_sweep
 from cewlab.errors import DivergedTraining
 from cewlab.measure import preset_by_name
-from cewlab.model import (TrainConfig, init_mlp, predict_negativity, save_model,
-                          train)
+from cewlab.model import (TrainConfig, init_mlp, load_model, predict_negativity,
+                          save_model, train)
 from cewlab.states import SystemKind
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -119,14 +119,22 @@ def test_train_manifest(workspace):
     assert doc["outputs"] == [workspace["model"]]
 
 
+def _best_tpr(curve, cap: float) -> float:
+    """The best TPR among the curve's points with FPR <= cap, by a plain max."""
+    return float(curve.tpr[curve.fpr <= cap].max())
+
+
 def test_eval_summary_and_artifacts(workspace, capsys):
     out = str(workspace["root"] / "r.roc.csv")
     svg = str(workspace["root"] / "r.svg")
     assert main(["eval", "--model", workspace["model"], "--test", workspace["test"],
                  "--out", out, "--svg", svg]) == 0
-    summary = capsys.readouterr().out.strip()
-    assert summary.startswith("AUC=0.")
-    assert " TPR@FPR0.10=" in summary and " TPR@FPR0=" in summary
+    test_ds = dataset.load(workspace["test"])
+    curve = evaluate.roc_curve(
+        predict_negativity(load_model(workspace["model"]), test_ds.features), test_ds.labels)
+    assert capsys.readouterr().out == (
+        f"AUC={curve.auc:.6f} TPR@FPR0.10={_best_tpr(curve, 0.10):.6f} "
+        f"TPR@FPR0={_best_tpr(curve, 0.0):.6f}\n")
     with open(out) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "fpr,tpr,threshold"
@@ -417,7 +425,11 @@ def test_baselines_table(capsys):
     assert main(["baselines", "--kind", "two-qubit", "--n", "400",
                  "--seed", "80"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "witness     sensitivity  fpr"
+    kind = SystemKind.TWO_QUBIT
+    ds = dataset.generate(kind, preset_by_name(kind, "B1"), 400, 80)
+    assert lines == ["witness     sensitivity  fpr"] + [
+        f"{w.value:<11s} {tpr:11.4f}  {fpr:.4f}"
+        for w in evaluate.Witness for tpr, fpr in [evaluate.baseline_rates(ds, w)]]
     rows = [line.split() for line in lines[1:]]
     assert [r[0] for r in rows] == ["negativity", "chsh", "fef"]
     assert rows[0][1:] == ["1.0000", "0.0000"]
@@ -457,8 +469,6 @@ def test_sweep_writes_per_preset_artifacts(tmp_path, capsys):
                "--out-dir", out_dir, "--svg"])
     assert rc == 0
     log = capsys.readouterr().out
-    assert "B1: B=1 auc=0." in log
-    assert "B3: B=3 auc=0." in log
     for stem in ("two-qubit-B1", "two-qubit-B3"):
         for ext in (".mlp.json", ".roc.csv", ".svg"):
             with open(f"{out_dir}/{stem}{ext}") as fh:
@@ -471,6 +481,20 @@ def test_sweep_writes_per_preset_artifacts(tmp_path, capsys):
         cells = line.split(",")
         assert (cells[0], cells[1]) == (preset, b)
         assert 0.5 < float(cells[2]) <= 1.0
+    # each log line reads the curve of its saved model on the test split
+    kind = SystemKind.TWO_QUBIT
+    test_ds = dataset.split(dataset.generate(kind, preset_by_name(kind, "B10"), 1000, 20),
+                            (0.6, 0.2, 0.2))[2]
+    expected = []
+    for line in lines[1:]:
+        preset = preset_by_name(kind, line.split(",")[0])
+        te = dataset.restrict(test_ds, preset)
+        curve = evaluate.roc_curve(predict_negativity(
+            load_model(f"{out_dir}/two-qubit-{preset.name}.mlp.json"), te.features), te.labels)
+        expected.append(f"{preset.name}: B={preset.b} auc={curve.auc:.4f} "
+                        f"tpr@fpr0.10={_best_tpr(curve, 0.10):.4f} "
+                        f"epochs={line.split(',')[-1]}")
+    assert log == "\n".join(expected + [f"wrote {out_dir}/summary.csv", ""])
     with open(f"{out_dir}/summary.csv.manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["command"] == "sweep"
@@ -633,8 +657,8 @@ def test_run_sweep_in_a_pool_matches_a_serial_loop(tmp_path, cpus):
         assert _file_bytes(row["model"]) == _file_bytes(serial / "model.json"), name
         assert _file_bytes(row["roc"]) == _file_bytes(serial / "roc.csv"), name
         summary.append(f"{name},{preset.b},{curve.auc!r},"
-                       f"{evaluate.tpr_at_fpr(curve, 0.10)!r},"
-                       f"{evaluate.tpr_at_fpr(curve, 0.0)!r},{result.epochs_run}")
+                       f"{_best_tpr(curve, 0.10)!r},"
+                       f"{_best_tpr(curve, 0.0)!r},{result.epochs_run}")
     assert _file_bytes(tmp_path / "pool" / "summary.csv") == "\n".join(summary + [""]).encode()
 
 

@@ -14,8 +14,8 @@ from cewlab.evaluate import (
     baseline_rates,
     chsh_m_value_stack,
     fef_stack,
+    operating_point,
     roc_curve,
-    tpr_at_fpr,
     witness_scores,
     write_roc,
 )
@@ -56,9 +56,10 @@ def test_roc_four_point_example():
     assert curve.tpr.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
     assert curve.thresholds.tolist() == [np.inf, 0.9, 0.4, 0.35, 0.1]
     assert curve.auc == pytest.approx(0.75, abs=1e-15)
-    assert tpr_at_fpr(curve, 0.5) == 1.0
-    assert tpr_at_fpr(curve, 0.0) == 0.5
-    assert tpr_at_fpr(curve, 1.0) == 1.0
+    assert operating_point(curve, curve.fpr <= 0.5) == (1.0, 0.5)
+    assert operating_point(curve, curve.fpr <= 0.0) == (0.5, 0.0)
+    assert operating_point(curve, curve.fpr <= 1.0) == (1.0, 1.0)
+    assert operating_point(curve, curve.thresholds > 0.4) == (0.5, 0.0)
 
 
 def test_roc_all_scores_tied():
@@ -71,7 +72,7 @@ def test_roc_all_scores_tied():
 def test_roc_perfect_separation():
     curve = roc_curve(np.array([0.9, 0.8, 0.2, 0.1]), np.array([True, True, False, False]))
     assert curve.auc == pytest.approx(1.0, abs=1e-15)
-    assert tpr_at_fpr(curve, 0.0) == 1.0
+    assert operating_point(curve, curve.fpr <= 0.0) == (1.0, 0.0)
 
 
 def test_roc_auc_matches_pairwise_statistic():
@@ -107,11 +108,26 @@ def test_roc_argument_checks():
         roc_curve(np.array([0.1, 0.2]), np.array([True]))
     with pytest.raises(DegenerateLabels):
         roc_curve(np.array([0.1, 0.2]), np.array([True, True]))
-    curve = roc_curve(np.array([0.9, 0.1]), np.array([True, False]))
-    with pytest.raises(ValueError):
-        tpr_at_fpr(curve, -0.1)
-    with pytest.raises(ValueError):
-        tpr_at_fpr(curve, 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_operating_point_is_the_brute_force_point(data):
+    # scores on a coarse grid, so many samples tie
+    n = data.draw(st.integers(2, 30), label="n")
+    scores = np.array(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                                label="scores")) / 4.0
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="labels"))
+    assume(labels.any() and not labels.all())
+    curve = roc_curve(scores, labels)
+    for cap in (0.0, 0.10, data.draw(st.floats(0.0, 1.0), label="cap")):
+        within = curve.fpr <= cap
+        assert operating_point(curve, within)[0] == curve.tpr[within].max()
+        assert operating_point(curve, within)[1] <= cap
+    threshold = data.draw(st.one_of(st.sampled_from(sorted(set(scores.tolist()))),
+                                    st.floats(-1.0, 2.0)), label="threshold")
+    assert operating_point(curve, curve.thresholds > threshold) == baseline_rates_by_count(
+        scores, labels, threshold)
 
 
 @pytest.mark.parametrize("scores, labels", [
