@@ -117,8 +117,8 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
              balanced: bool = True) -> Dataset:
     """Sample states until n records are collected.
 
-    Balanced mode keeps a sample only while its class quota (n/2 each) is
-    unfilled; unbalanced mode keeps everything and reproduces the natural
+    A sample is kept while its class quota (n/2 each when balanced, n
+    otherwise) is unfilled, so unbalanced mode reproduces the natural
     prevalences. Degenerate-conditioning draws are discarded either way.
     A kept record holds its features, negativity and draw index, and its
     label follows from the negativity; kept records are written straight
@@ -137,7 +137,7 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
         raise ValueError("n must be positive")
     if balanced and n % 2:
         raise ValueError("balanced generation needs an even n")
-    quota = n // 2
+    quota = n // 2 if balanced else n  # a quota of n refuses only what the total would
     taken = taken_pos = 0
     features = np.empty((n, preset.b))
     negs = np.empty(n)
@@ -151,14 +151,12 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     with closing(rest):
         for chunk_index, (values, neg, entangled, valid) in enumerate(
                 chain(starmap(_draw_chunk, jobs[:here]), rest)):
-            # in draw order, a valid record is kept while its class quota
-            # (balanced mode) and the n-record total are unfilled
-            keep = valid
-            if balanced:
-                pos = valid & entangled
-                other = valid & ~entangled
-                keep = ((pos & (taken_pos + np.cumsum(pos) <= quota))
-                        | (other & (taken - taken_pos + np.cumsum(other) <= quota)))
+            # in draw order, a valid record is kept while its class quota and
+            # the n-record total are unfilled
+            pos = valid & entangled
+            other = valid & ~entangled
+            keep = ((pos & (taken_pos + np.cumsum(pos) <= quota))
+                    | (other & (taken - taken_pos + np.cumsum(other) <= quota)))
             idx = np.flatnonzero(keep & (taken + np.cumsum(keep) <= n))
             end = taken + len(idx)
             features[taken:end] = values[idx]
@@ -348,9 +346,14 @@ def save(ds: Dataset, path: str) -> None:
         "prevalence": ds.prevalence,
         "stream_indices": ds.stream_indices.tolist(),
     }
-    # streamed: json.dumps would hold every token of the indices at once
-    with open(path + ".meta", "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2)
+    _write_json(meta, path + ".meta")
+
+
+def _write_json(doc: dict, path: str) -> None:
+    """Write doc as 2-space-indented JSON with a final newline: every JSON artifact's layout."""
+    # streamed: json.dumps would hold every token of a sidecar's indices at once
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 

@@ -43,3 +43,7 @@ class WitnessFalsePositive(CewlabError):
 
 class ModelMismatch(CewlabError):
     """A model and its data differ in kind or preset, or two datasets given to one model do."""
+
+
+class WorkerDied(CewlabError):
+    """A pool worker process ended (killed, or out of memory) before returning its job."""

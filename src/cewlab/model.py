@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, restrict
+from .dataset import Dataset, _write_json, restrict
 from .errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
                      ModelMismatch, TooFewRecords)
 from .qlinalg import make_rng, standard_normals
@@ -393,9 +393,7 @@ def save_model(m: Mlp, path: str) -> None:
         "biases": [b.tolist() for b in m.biases],
         "meta": m.meta,
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def _floats(value) -> np.ndarray:

@@ -13,6 +13,8 @@ import os
 from collections import deque
 from itertools import islice, starmap
 
+from .errors import WorkerDied
+
 # environment variables that cap a BLAS library's thread count
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -25,7 +27,8 @@ def ordered_map(fn, jobs):
     worker processes, submitted in order with at most one more in flight
     than there are workers; closing the generator, or an error in a job or
     in the consumer, cancels the jobs not yet started. A job's exception is
-    raised here with its own type. Close the generator
+    raised here with its own type, and a worker that ends before returning
+    its job (killed by a signal, say) raises WorkerDied. Close the generator
     (`contextlib.closing`) where the consumer may stop early, so that the
     workers stop then and not when it is collected.
     """
@@ -34,15 +37,15 @@ def ordered_map(fn, jobs):
         yield from starmap(fn, jobs)
         return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent import futures
     # fork, not the platform default: spawn and forkserver re-import the
     # caller's main module, which breaks a script without a __main__ guard,
     # and a forked worker sees the functions its caller's module holds. The
     # executor forks every worker before it starts its threads, and OpenBLAS
     # stops its own thread pool at each fork.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker,
-                               initargs=(os.getpid(), _blas_thread_setter()))
+    pool = futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_init_worker,
+                                       initargs=(os.getpid(), _blas_thread_setter()))
     try:
         jobs = iter(jobs)
         pending = deque(pool.submit(fn, *job) for job in islice(jobs, workers + 1))
@@ -51,6 +54,9 @@ def ordered_map(fn, jobs):
             # consumer that stops leaves only one job per worker to finish
             yield pending.popleft().result()
             pending.extend(pool.submit(fn, *job) for job in islice(jobs, 1))
+    except futures.BrokenExecutor:
+        # the executor has already stopped the other workers
+        raise WorkerDied("a worker process ended before returning its job")
     finally:
         pool.shutdown(cancel_futures=True)
 

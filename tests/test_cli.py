@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import cewlab
 from cewlab import cli, dataset, evaluate, pool
 from cewlab.cli import main, run_sweep
-from cewlab.errors import DivergedTraining
+from cewlab.errors import DivergedTraining, WorkerDied
 from cewlab.measure import preset_by_name
 from cewlab.model import (TrainConfig, init_mlp, load_model, predict_negativity,
                           save_model, train)
@@ -869,3 +870,74 @@ def test_baselines_false_positive_exits_1(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split() == ["fef", "1.0000", "1.0000"]
     assert err == "error: the fef witness flagged separable states (FPR 1.0)\n"
+
+
+_TEST_PID = os.getpid()
+
+
+def _kill_own_worker(*_) -> None:
+    """A pool job that kills the worker running it with SIGKILL; never this test process."""
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("a job meant for a pool worker ran in the test process")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_killed_worker_raises_worker_died_and_leaves_no_child(cpus, monkeypatch):
+    cpus(2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with pytest.raises(WorkerDied):
+        list(pool.ordered_map(_kill_own_worker, [()] * 4))
+    assert multiprocessing.active_children() == []
+
+
+def test_gen_whose_worker_is_killed_exits_1_with_one_line_and_no_file(
+        tmp_path, cpus, monkeypatch, capsys):
+    # 4096 records span several chunks, all of them pool jobs
+    cpus(2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(dataset, "_draw_chunk", _kill_own_worker)
+    assert main(gen_args(tmp_path / "d.csv", n=4096)) == 1
+    assert capsys.readouterr() == ("", "error: a worker process ended before returning its job\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_pooled_sweep_process_never_imports_numpy_random(tmp_path):
+    # the models are built in the workers (cli._train_group), and numpy.random
+    # is what building one imports
+    code = "\n".join([
+        "import os, sys",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "from cewlab import pool",
+        "from cewlab.cli import run_sweep",
+        "from cewlab.model import TrainConfig",
+        "from cewlab.states import SystemKind",
+        "assert pool.worker_count(2) == 2",
+        "run_sweep(SystemKind.TWO_QUBIT, ['B1', 'B3'], (1200, 400, 400), 8,",
+        f"          {str(tmp_path)!r}, cfg=TrainConfig(batch_size=64, max_epochs=2, seed=8))",
+        "assert 'numpy.random' not in sys.modules",
+    ])
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_json_artifact_has_the_one_layout(tmp_path):
+    # 2-space indentation and a final newline, for the files no digest covers too
+    data, model, roc = (str(tmp_path / name) for name in ("d.csv", "m.mlp.json", "m.roc.csv"))
+    assert main(gen_args(data, n=600)) == 0
+    assert main(["train", "--train", data, "--val", data, "--max-epochs", "2",
+                 "--batch-size", "64", "--seed", "1", "--out", model]) == 0
+    assert main(["eval", "--model", model, "--test", data, "--out", roc]) == 0
+    assert main(["sweep", "--kind", "two-qubit", "--presets", "B1", "--sizes", "300", "100",
+                 "100", "--seed", "3", "--out-dir", str(tmp_path / "sweep")]) == 0
+    written = [data + ".meta", model] + [path + ".manifest.json" for path in (data, model, roc)]
+    written += [str(tmp_path / "sweep" / name)
+                for name in ("two-qubit-B1.mlp.json", "summary.csv.manifest.json")]
+    json_files = {os.path.join(root, name) for root, _, names in os.walk(tmp_path)
+                  for name in names if name.endswith((".json", ".meta"))}
+    assert json_files == set(written)
+    for path in written:
+        with open(path, newline="") as fh:
+            text = fh.read()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", path
