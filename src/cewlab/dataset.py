@@ -9,10 +9,11 @@ frozen and regenerates its states at most once (Dataset.states).
 from __future__ import annotations
 
 import json
-from contextlib import closing
+import os
+from contextlib import closing, suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice, starmap
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -34,12 +35,16 @@ from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_
 #: eigensolve and each state's feature traces are independent of the
 #: batch), so CHUNK only bounds transient memory and the size of a pool job
 #: and, through generate's chunk budget, the draws spent on a quota. load
-#: parses LOAD_BLOCK lines at a time: one numpy call converts a block's
-#: cells, and the block's strings are its transient memory (loading 20000
-#: qubit-qutrit B45 records raised the peak RSS by 0.6 MB with 128-line
-#: blocks and by 3.9 MB with 1024-line ones).
+#: reads whole lines about LOAD_BLOCK characters at a time (readlines'
+#: size hint) and parses each such block in one numpy pass. A block's
+#: text, its bytes and the pass's per-cell arrays are its transient
+#: memory: loading the 4000-record two-qubit B10 split of perfbench's
+#: audit-tq raised the traced peak above the loaded arrays by 0.72 MB with
+#: 32 KiB blocks and by 1.28 MB with 64 KiB ones (0.34 MB with the 128-line
+#: blocks of a per-cell numpy conversion). 32 KiB blocks loaded it as fast
+#: as 64 KiB and 128 KiB ones, and 16 KiB ones more slowly.
 CHUNK = 1024
-LOAD_BLOCK = 128
+LOAD_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -331,22 +336,35 @@ def save(ds: Dataset, path: str) -> None:
     fewer in this process) by numpy (_format_rows: 9-11 ms per 1024
     qubit-qutrit B45 rows on a 2-core Xeon, against 25-31 ms for one %
     operation), and each block's bytes are written in order as it arrives.
+    Both files are written under temporary names in path's directory and
+    renamed into place once both are complete, so a save that fails (a
+    lost worker, a full disk) leaves neither file nor a temporary.
     """
     columns = (ds.features, ds.negativities, ds.labels)
     blocks = [tuple(column[i:i + CHUNK] for column in columns)
               for i in range(0, ds.count, CHUNK)]
-    with open(path, "wb") as fh, closing(ordered_map(_format_rows, blocks)) as texts:
-        fh.write(_header(ds.preset.b).encode() + b"\n")
-        fh.writelines(texts)
-    meta = {
-        "kind": ds.kind.value,
-        "preset": {"name": ds.preset.name, "pairs": [list(p) for p in ds.preset.pairs]},
-        "seed": ds.seed,
-        "count": ds.count,
-        "prevalence": ds.prevalence,
-        "stream_indices": ds.stream_indices.tolist(),
-    }
-    _write_json(meta, path + ".meta")
+    paths = (path, path + ".meta")
+    temps = [f"{p}.{os.getpid()}.tmp" for p in paths]
+    try:
+        # open, not tempfile, so that the files get the permissions open gives
+        with open(temps[0], "wb") as fh, closing(ordered_map(_format_rows, blocks)) as texts:
+            fh.write(_header(ds.preset.b).encode() + b"\n")
+            fh.writelines(texts)
+        meta = {
+            "kind": ds.kind.value,
+            "preset": {"name": ds.preset.name, "pairs": [list(p) for p in ds.preset.pairs]},
+            "seed": ds.seed,
+            "count": ds.count,
+            "prevalence": ds.prevalence,
+            "stream_indices": ds.stream_indices.tolist(),
+        }
+        _write_json(meta, temps[1])
+        for temp, final in zip(temps, paths):
+            os.replace(temp, final)
+    finally:
+        for temp in temps:
+            with suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _write_json(doc: dict, path: str) -> None:
@@ -368,34 +386,130 @@ def _foreign(text: str) -> bool:
     return not text.isascii() or " " in text or "\t" in text or "_" in text or "+" in text
 
 
+# _cell_values reads a cell "0." + k digits, 1 <= k <= _DIGITS, exactly: its
+# digits, right-aligned, fill a slot of three little-endian 8-byte words,
+# and _DIGIT_BYTES[k] masks off the slot's bytes before them (the cell's
+# "0." and the text before it)
+_DIGITS = 24
+_PAD = "0" * _DIGITS  # a line before a block's text, so that every slot lies in the text
+_DIGIT_BYTES = np.array([[sum(0xff << 8 * j for j in range(8) if 8 * w + j >= _DIGITS - k)
+                          for w in range(3)] for k in range(_DIGITS + 1)], dtype=np.uint64)
+_TENS = np.array([float(10**k) for k in range(_DIGITS + 1)])
+_FIVES = np.array([5**k for k in range(_DIGITS + 1)], dtype=np.uint64)
+_BINADE = 2**52  # the mantissa of a power of two, hidden bit included
+
+
+def _cell_values(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """float() of each cell raw[start:end] (UTF-8), or float()'s ValueError for the first it refuses.
+
+    Each end must be at least _DIGITS, and below len(raw). A cell "0." + k
+    digits, 1 <= k <= _DIGITS, of at most 19 significant digits is the
+    decimal v = D / 10**k, 0 < D < 10**19 < 2**64, and is read exactly by
+    _format_cells' arithmetic run backwards:
+    1. the digits are read eight at a time as 8-byte words (SWAR; Lemire,
+       "Number parsing at a gigabyte per second", 2021), giving D;
+    2. one division gives a candidate c = D / 10**k within two ulps of v;
+    3. with c = m·2**e and s = 2 - e - k, the integers D·2**s and 4m·5**k
+       are v and c in units of 2**(e - 2)·10**-k, in which the midpoints
+       next to c lie 2·5**k above and below it (5**k below at a power of
+       two). Their exact 128-bit difference (qlinalg._mulhilo) moves c one
+       ulp towards v where v lies beyond a midpoint, and c is then the
+       correctly rounded double float() gives wherever v lies strictly
+       between its two midpoints (Clinger, "How to read floating point
+       numbers accurately", 1990).
+    Every other cell, a tie and a candidate still off go through float(),
+    in cell order.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    k = ends - starts - 2
+    digits = np.clip(k, 0, _DIGITS)
+    slots = np.ndarray((len(raw) - _DIGITS + 1,), dtype=f"V{_DIGITS}", buffer=raw, strides=(1,))
+    words = slots[ends - _DIGITS].view("<u8").reshape(-1, 3)
+    words ^= 0x3030303030303030  # a digit byte's value, below 10 only for a digit
+    words &= np.take(_DIGIT_BYTES, digits, axis=0)
+    spare = words + 0x7676767676767676
+    spare |= words  # a byte's top bit is set where it is not a digit
+    # no index passes a cell's end: k refuses a cell shorter than "0." + 1 digit
+    read = ((k >= 1) & (k <= _DIGITS) & (buf[starts] == ord("0"))
+            & (buf[np.minimum(starts + 1, ends)] == ord("."))
+            & ((spare[:, 0] | spare[:, 1] | spare[:, 2]) & 0x8080808080808080 == 0))
+    # each word's eight digits as an integer below 10**8, in place
+    spare = words >> 8
+    words *= 10
+    words += spare
+    spare = words >> 16 & 0x000000FF000000FF
+    spare *= 0x0000271000000001
+    words &= 0x000000FF000000FF
+    words *= 0x000F424000000064
+    words += spare
+    words >>= 32
+    read &= words[:, 0] < 1000  # at most 19 significant digits, so D < 10**19
+    d = words[:, 0] * 10**16 + words[:, 1] * 10**8 + words[:, 2]
+    read &= d > 0
+    bits = (d.astype(np.float64) / _TENS[digits]).view(np.uint64)
+    mantissa = (bits & (_BINADE - 1) | _BINADE).view(np.int64)
+    # s = 2 - e - k, e = exponent field - 1075; s > 54 - k >= 30 since D < 10**k
+    s = 1077 - (bits >> 52).view(np.int64) - k
+    read &= s < 64
+    shift = np.minimum(s, 63).view(np.uint64)
+    five_k = _FIVES[digits]
+    hi, lo = _mulhilo(five_k, mantissa.view(np.uint64) << 2)
+    # delta = D·2**s - 4m·5**k, read only where it fits in an int64
+    low = d << shift
+    delta_hi = (d >> (64 - shift)) - hi - (low < lo)
+    delta = (low - lo).view(np.int64)
+    read &= delta_hi.view(np.int64) == delta >> 63
+    half = (five_k << 1).view(np.int64)  # half an ulp, c to the midpoint above
+    step = (delta > half).astype(np.int64) - (delta < -(half >> (mantissa == _BINADE)))
+    delta -= step * (half << 1)
+    mantissa += step
+    read &= ((mantissa >= _BINADE) & (mantissa < 2 * _BINADE) & (delta < half)
+             & (delta > -(half >> (mantissa == _BINADE))))
+    values = (bits.view(np.int64) + step).view(np.float64)
+    slow = np.flatnonzero(~read)
+    values[slow] = [float(raw[i:j].decode())
+                    for i, j in zip(starts[slow].tolist(), ends[slow].tolist())]
+    return values
+
+
 def _parse_rows(lines: list[str], feats: np.ndarray, negs: np.ndarray,
                 labels: np.ndarray) -> tuple[int, ValueError] | None:
     """Parse CSV record lines into the given rows; (position, error) of the first bad line.
 
-    One numpy call converts the cells as float() would, or fails with its message (a test
-    pins both); a block that fails is parsed again, a line at a time, by this function.
+    One numpy pass over the block's bytes finds its fields, checks each
+    line's field count and label, and converts the cells (_cell_values: the
+    bits float() gives, or float()'s message for the first cell it
+    refuses). A block that fails is parsed again, a line at a time, by this
+    function, so a line's errors come in one order: its field count, a
+    character no saved cell holds, a cell float() refuses, its label.
     """
     b = feats.shape[1]
+    n = len(lines)
     try:
-        for line in lines:
-            if line.count(",") != b + 1:
-                raise ValueError(f"expected {b + 2} fields, got {line.count(',') + 1}")
-        text = ",".join(lines)
-        cells = text.split(",")
+        text = "\n".join([_PAD, *lines, ""])
+        raw = text.encode()
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))[1:]
+        if len(ends) != n * (b + 2) or (buf[ends[b + 1::b + 2]] != ord("\n")).any():
+            raise ValueError(f"expected {b + 2} fields, got {len(ends)}")
         if _foreign(text):
-            cell = next(c for c in cells if _foreign(c))
+            cell = next(c for c in text.replace("\n", ",").split(",") if _foreign(c))
             raise ValueError(f"a cell must be ASCII without space, tab, '_' or '+', got {cell!r}")
-        label_cells = cells[b + 1::b + 2]
-        del cells[b + 1::b + 2]
-        values = np.array(cells, dtype=float).reshape(len(lines), b + 1)
-        for label in label_cells:
-            if label not in ("0", "1"):
-                raise ValueError(f"label must be 0 or 1, got {label!r}")
+        starts = np.empty_like(ends)
+        starts[0] = len(_PAD) + 1
+        starts[1:] = ends[:-1] + 1
+        starts, ends = starts.reshape(n, b + 2), ends.reshape(n, b + 2)
+        values = _cell_values(raw, starts[:, :-1].ravel(), ends[:, :-1].ravel()).reshape(n, b + 1)
+        label = buf[starts[:, -1]]
+        bad = np.flatnonzero((ends[:, -1] - starts[:, -1] != 1)
+                             | ((label != ord("0")) & (label != ord("1"))))
+        if len(bad):
+            raise ValueError(f"label must be 0 or 1, got {lines[bad[0]].rsplit(',', 1)[1]!r}")
         feats[:] = values[:, :b]
         negs[:] = values[:, b]
-        labels[:] = np.array(label_cells) == "1"
+        labels[:] = label == ord("1")
     except ValueError as exc:
-        if len(lines) == 1:
+        if n == 1:
             return 0, exc
         for i, line in enumerate(lines):
             bad = _parse_rows([line], feats[i:i + 1], negs[i:i + 1], labels[i:i + 1])
@@ -449,38 +563,48 @@ def load(path: str) -> Dataset:
         if type(count) is not int or count < 0:
             raise ValueError("count must be a non-negative integer")
         streams = meta["stream_indices"]
-        # generate writes distinct non-negative int64 draw indices; regeneration
-        # would silently sample the wrong stream for anything else
-        if not isinstance(streams, list) or not all(type(v) is int and 0 <= v < 2**63 for v in streams):
-            raise ValueError("stream_indices must be non-negative 64-bit integers")
-        streams = np.array(streams, dtype=np.int64)
-        if len(np.unique(streams)) != len(streams):
-            raise ValueError("stream_indices repeat a draw index")
+        # generate writes count distinct non-negative int64 draw indices;
+        # regeneration would silently sample the wrong stream for anything else
+        refused = ValueError("stream_indices must be non-negative 64-bit integers")
+        if not isinstance(streams, list) or not set(map(type, streams)) <= {int}:
+            raise refused  # a bool, which np.array would read as 0 or 1, included
         if len(streams) != count:
             raise ValueError(f"stream_indices hold {len(streams)} draw indices for count {count}")
+        # the records' arrays before the index arrays, which would otherwise
+        # split the heap space a freed dataset left (perfbench's gen-qq-b45
+        # then peaked at 65 MB of resident memory, not 60-61 MB)
+        feats = np.empty((count, preset.b))
+        negs = np.empty(count)
+        label_column = np.empty(count, dtype=bool)
+        try:
+            streams = np.array(streams, dtype=np.int64)
+        except OverflowError:
+            raise refused from None
+        if (streams < 0).any():
+            raise refused
+        if (np.diff(np.sort(streams)) == 0).any():
+            raise ValueError("stream_indices repeat a draw index")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError, DimensionMismatch) as exc:
         raise FormatError(f"{path}.meta: {exc}") from exc
 
     b = preset.b
     expected_header = _header(b)
-    feats = np.empty((count, b))
-    negs = np.empty(count)
-    label_column = np.empty(count, dtype=bool)
     bad_line = None
     try:
         with open(path, encoding="utf-8") as fh:
-            # splitting each line read splits where splitlines() on the whole text
-            # would (universal newlines leave no "\r"), without holding the file
-            # and its lines at once
-            lines = (part for line in fh for part in line.splitlines())
-            header = next(lines, None)
+            # a block is whole "\n" lines (universal newlines leave no "\r"), so
+            # its lines end where splitlines() on the whole text would end them
+            blocks = ("".join(chunk).splitlines()
+                      for chunk in iter(lambda: fh.readlines(LOAD_BLOCK), []))
+            first = next(blocks, [None])
+            header = first.pop(0)
             records = 0
-            for block in iter(lambda: list(islice(lines, LOAD_BLOCK)), []):
+            for block in chain([first], blocks):
                 # the whole file is read, so errors keep their order: unreadable
                 # text, header, record count, then the first bad line (a block
                 # past the sidecar's count is not parsed: the count error wins)
                 end = records + len(block)
-                if bad_line is None and header == expected_header and end <= count:
+                if bad_line is None and header == expected_header and records < end <= count:
                     bad = _parse_rows(block, feats[records:end], negs[records:end],
                                       label_column[records:end])
                     if bad is not None:

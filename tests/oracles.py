@@ -5,9 +5,10 @@ runs. These are the one-state forms: the Generator-path sampler, checked
 scalar wrappers, and the literal two-copy collective state with the
 singlet projector, against which the conditional-state features are
 checked. Beside them are the forms the package's faster paths replaced:
-the witness maps as einsums, the CSV row parser that converts one cell
-at a time with float(), and training's per-member early stopper and
-one-member gradient. Nothing under `src/` imports this module.
+the witness maps as einsums, the CSV row parser that reads one line per
+block and converts one cell at a time with float() (where load converts a
+block's cells in one exact numpy pass), and training's per-member early
+stopper and one-member gradient. Nothing under `src/` imports this module.
 """
 from __future__ import annotations
 
@@ -280,8 +281,10 @@ def _rows_by_float(lines: list[str], feats: np.ndarray, negs: np.ndarray,
 def load_by_line(path: str) -> dataset.Dataset:
     """dataset.load reading one line per block, which _rows_by_float converts.
 
-    The reference for load's row conversion: the same result or the same
-    FormatError, message and line number, for any file.
+    A block is the lines of one readlines(LOAD_BLOCK) call, so a LOAD_BLOCK
+    of 1 reads one line at a time. The reference for load's row conversion:
+    the same result or the same FormatError, message and line number, for
+    any file.
     """
     with (mock.patch.object(dataset, "LOAD_BLOCK", 1),
           mock.patch.object(dataset, "_parse_rows", _rows_by_float)):

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -898,6 +899,27 @@ def test_gen_whose_worker_is_killed_exits_1_with_one_line_and_no_file(
     monkeypatch.setattr(dataset, "_draw_chunk", _kill_own_worker)
     assert main(gen_args(tmp_path / "d.csv", n=4096)) == 1
     assert capsys.readouterr() == ("", "error: a worker process ended before returning its job\n")
+    assert os.listdir(tmp_path) == []
+
+
+def _fail_to_format(*_) -> None:
+    """A save job that kills its pool worker, or that finds the disk full in this test process."""
+    if os.getpid() == _TEST_PID:
+        raise OSError(errno.ENOSPC, "No space left on device")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("n_cpus, message", [
+    (1, "No space left on device"), (2, "a worker process ended before returning its job")])
+def test_gen_whose_save_fails_exits_1_and_leaves_no_file(
+        tmp_path, cpus, monkeypatch, capsys, n_cpus, message):
+    # 4096 records are four blocks to format, pool jobs on 2 CPUs
+    cpus(n_cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(dataset, "_format_rows", _fail_to_format)
+    assert main(gen_args(tmp_path / "d.csv", n=4096)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
     assert os.listdir(tmp_path) == []
 
 

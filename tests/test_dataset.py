@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import itertools
 import json
 import os
 import pickle
 import re
+import tempfile
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
@@ -483,32 +486,70 @@ def _file_bytes(path) -> bytes:
         return fh.read()
 
 
+def _midpoint(x: float) -> Decimal:
+    """The exact midpoint between the double x and the next double above it."""
+    return (Decimal(x) + Decimal(float(np.nextafter(x, 2.0)))) / 2
+
+
+def _near_midpoint(x: float, places: int, up: bool) -> str:
+    """_midpoint(x) rounded down or up to places digits after the point: within 10**-places."""
+    return format(_midpoint(x).quantize(Decimal(10) ** -places,
+                                         rounding=ROUND_CEILING if up else ROUND_FLOOR), "f")
+
+
+# the decade edges and the binade edges 2**-j the exact reader meets, each
+# with its nextafter neighbours, as %.17g and repr write them
+_EDGES = [text for edge in [1e-4, 1e-3, 0.01, 0.1] + [2.0**-j for j in range(1, 15)]
+          for v in (float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, 2.0)))
+          for text in ("%.17g" % v, repr(v))]
+_UNIT = st.floats(1e-4, 1.0, exclude_max=True)
+
 # cell text: digits, ".", "e", signs, "_", spaces, non-ASCII digits and
-# spaces, arbitrary text, and the repr and %.17g of any double
+# spaces, arbitrary text, the repr and %.17g of any double and of doubles in
+# [1e-4, 1), the cells the exact reader reads, "0." and 18-25 digits (more
+# than 19 significant ones overflow 64 bits), text within 1e-20 of the
+# midpoint between two adjacent doubles, and exact midpoints (ties)
 _CELL_TEXT = st.one_of(
     st.text(st.sampled_from("0123456789.eE+-_ \t\u0660\u0969\uff11\u00a0"), max_size=10),
     st.text(max_size=10),
     st.floats().map(repr),
     st.floats().map(lambda v: "%.17g" % v),
+    _UNIT.map(repr),
+    _UNIT.map(lambda v: "%.17g" % v),
+    st.sampled_from(_EDGES + ["0", "1", "5e-324", "nan", "-0"]),
+    st.text(st.sampled_from("0123456789"), min_size=18, max_size=25).map("0.".__add__),
+    st.builds(_near_midpoint, _UNIT, st.integers(20, 25), st.booleans()),
+    _UNIT.map(lambda v: format(_midpoint(v), "f")),
 )
+
+
+def _cell_values(cells: list[str]) -> np.ndarray:
+    """dataset._cell_values of the cells, laid out after its pad and one separator apart."""
+    encoded = [cell.encode() for cell in cells]
+    ends = len(dataset._PAD) + np.cumsum([len(cell) + 1 for cell in encoded]) - 1
+    raw = dataset._PAD.encode() + b"".join(cell + b"," for cell in encoded)
+    return dataset._cell_values(raw, ends - [len(cell) for cell in encoded], ends)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_CELL_TEXT, min_size=1, max_size=10))
 @example(["0.25", "1_0", " 0.5", "+1", "\u0660.25", "\uff11", "-nan", "1e999"])
 @example(["0.5", "x", "0.5\x00"])
+@example(["0.5", ""])
+# 19 significant digits and the 20-digit cells just above 2**64 / 10**20
+@example(["0.9999999999999999999", "0.18446744073709551617", "0.19999999999999999999"])
 def test_numpy_converts_cell_text_as_float_does(cells):
-    # the premise of dataset._parse_rows: one numpy call gives each cell the
-    # bits float() gives it, or fails with float()'s message for the first
-    # cell float() refuses
+    # the premise of dataset._parse_rows: its one numpy pass over the cells
+    # (_cell_values) gives each cell the bits float() gives it, or fails with
+    # float()'s message for the first cell float() refuses
     try:
         want = np.array([float(c) for c in cells])
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            np.array(cells, dtype=float)
+            _cell_values(cells)
         assert str(got.value) == str(exc)
     else:
-        assert np.array(cells, dtype=float).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert _cell_values(cells).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_load_reports_bad_lines(tmp_path):
@@ -595,23 +636,38 @@ def test_load_reports_bad_lines(tmp_path):
     assert load(path).count == ds.count
 
 
-BLOCK_RECORDS = 300  # three LOAD_BLOCK blocks, the last one partial
+BLOCK_RECORDS = 400  # three load blocks, the last one partial
+
+
+@functools.cache
+def _block_set() -> tuple[list[bytes], bytes, list[int]]:
+    """A saved B10 set's lines (bytes, without newlines) and sidecar, and each load block's first record.
+
+    A load block is the lines readlines(LOAD_BLOCK) returns: lines up to
+    the first that takes their length past LOAD_BLOCK characters.
+    """
+    ds = generate(KIND, preset_by_name(KIND, "B10"), BLOCK_RECORDS, seed=64)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "base.csv")
+        save(ds, path)
+        lines = _file_bytes(path).split(b"\n")[:-1]
+        meta = _file_bytes(path + ".meta")
+    offsets = np.cumsum([0] + [len(line) + 1 for line in lines])  # each line's start, and the end
+    starts = [0]  # line indices, the header being line 0
+    while starts[-1] < len(lines):
+        starts.append(int(np.searchsorted(offsets, offsets[starts[-1]] + LOAD_BLOCK, side="right")))
+    return lines, meta, [0] + [start - 1 for start in starts[1:-1]]
 
 
 @pytest.fixture(scope="module")
 def block_csv(tmp_path_factory):
-    """A saved B10 set's lines (bytes, without newlines), and a path sharing its sidecar."""
-    root = tmp_path_factory.mktemp("blocks")
-    path = str(root / "base.csv")
-    ds = generate(KIND, preset_by_name(KIND, "B10"), BLOCK_RECORDS, seed=64)
-    save(ds, path)
-    assert ds.count > 2 * LOAD_BLOCK
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")[:-1]
-    copy = str(root / "copy.csv")
-    with open(path + ".meta", "rb") as src, open(copy + ".meta", "wb") as dst:
-        dst.write(src.read())
-    return lines, copy
+    """_block_set's lines, and a path sharing its sidecar."""
+    lines, meta, firsts = _block_set()
+    assert len(firsts) == 3 and BLOCK_RECORDS - firsts[2] < firsts[2] - firsts[1]
+    path = str(tmp_path_factory.mktemp("blocks") / "copy.csv")
+    with open(path + ".meta", "wb") as fh:
+        fh.write(meta)
+    return lines, path
 
 
 # a cell's replacements; "0.25,0.25" adds a field, which a "drop" elsewhere in
@@ -623,8 +679,10 @@ _CELLS = [b"nan", b"1_0", b" 0.5", b"x", b"0.25,0.25"]
 def corruption(draw):
     """(edit, record index, position or replacement) of one corruption of one line."""
     last = BLOCK_RECORDS - 1
-    row = draw(st.one_of(st.sampled_from([0, LOAD_BLOCK, 2 * LOAD_BLOCK]),
-                         st.integers(2 * LOAD_BLOCK, last), st.integers(0, last)))
+    # a block's first record, a record of the partial last block, or any
+    row = draw(st.one_of(st.deferred(lambda: st.sampled_from(_block_set()[2])),
+                         st.deferred(lambda: st.integers(_block_set()[2][-1], last)),
+                         st.integers(0, last)))
     edit = draw(st.sampled_from(["insert", "crlf", "delete", "duplicate", "cut", "cell", "drop",
                                  "label"]))
     if edit == "insert":  # form feed, NEL, lone CR, a byte that is not UTF-8
@@ -682,7 +740,7 @@ def _one_delete_per_row(edits) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(corruption(), max_size=3).filter(_one_delete_per_row))
-@example([("cell", LOAD_BLOCK + 3, (0, b"0.25,0.25")), ("drop", LOAD_BLOCK + 9, (0, None))])
+@example([("cell", 3, (0, b"0.25,0.25")), ("drop", 9, (0, None))])
 @example([("delete", BLOCK_RECORDS - 1, None), ("crlf", BLOCK_RECORDS - 1, None)])
 def test_load_parses_blocks_as_the_per_line_parser_does(block_csv, edits):
     lines, path = block_csv
@@ -694,6 +752,8 @@ def test_load_parses_blocks_as_the_per_line_parser_does(block_csv, edits):
 def test_load_converts_a_clean_block_in_one_call(block_csv, monkeypatch):
     # a block is parsed again line by line only when it fails, up to its bad line
     lines, path = block_csv
+    firsts = _block_set()[2]
+    sizes = np.diff(firsts + [BLOCK_RECORDS]).tolist()
     calls = []
     parse = dataset._parse_rows
 
@@ -705,13 +765,13 @@ def test_load_converts_a_clean_block_in_one_call(block_csv, monkeypatch):
     with open(path, "wb") as fh:
         fh.write(_corrupt(lines, []))
     assert load(path).count == BLOCK_RECORDS
-    assert calls == [LOAD_BLOCK, LOAD_BLOCK, BLOCK_RECORDS - 2 * LOAD_BLOCK]
+    assert calls == sizes
     calls.clear()
     with open(path, "wb") as fh:
-        fh.write(_corrupt(lines, [("cell", LOAD_BLOCK + 5, (0, b"x"))]))
-    with pytest.raises(FormatError, match=f":{LOAD_BLOCK + 7}: could not convert string "):
+        fh.write(_corrupt(lines, [("cell", firsts[1] + 5, (0, b"x"))]))
+    with pytest.raises(FormatError, match=f":{firsts[1] + 7}: could not convert string "):
         load(path)
-    assert calls == [LOAD_BLOCK, LOAD_BLOCK] + [1] * 6
+    assert calls == sizes[:2] + [1] * 6
 
 
 @pytest.mark.parametrize("streams, message", [
@@ -720,6 +780,7 @@ def test_load_converts_a_clean_block_in_one_call(block_csv, monkeypatch):
     ([0, 1, 2, 2**63], "non-negative"),
     ([0, 1, 1.5, 3], "non-negative"),
     ([0, 1, 2, 3, 4], "stream_indices hold 5 draw indices for count 4"),
+    ([0, 1, True, 3], "non-negative"),  # np.array would read it as 1
 ])
 def test_load_rejects_streams_generate_cannot_write(tmp_path, streams, message):
     ds = generate(KIND, B1, 4, seed=64)
