@@ -334,6 +334,9 @@ def main(argv=None) -> int:
     except (CewlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation it refused; Python's is empty
+        print(f"error: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
     return 0
 
 

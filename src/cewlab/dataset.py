@@ -35,14 +35,15 @@ from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_
 #: eigensolve and each state's feature traces are independent of the
 #: batch), so CHUNK only bounds transient memory and the size of a pool job
 #: and, through generate's chunk budget, the draws spent on a quota. load
-#: reads whole lines about LOAD_BLOCK characters at a time (readlines'
-#: size hint) and parses each such block in one numpy pass. A block's
-#: text, its bytes and the pass's per-cell arrays are its transient
-#: memory: loading the 4000-record two-qubit B10 split of perfbench's
-#: audit-tq raised the traced peak above the loaded arrays by 0.72 MB with
-#: 32 KiB blocks and by 1.28 MB with 64 KiB ones (0.34 MB with the 128-line
-#: blocks of a per-cell numpy conversion). 32 KiB blocks loaded it as fast
-#: as 64 KiB and 128 KiB ones, and 16 KiB ones more slowly.
+#: reads the CSV's bytes front to back, whole lines about LOAD_BLOCK bytes
+#: at a time (readlines' size hint), parses each such block in one numpy
+#: pass and reads no block past the one holding its first faulty line. A
+#: block's lines, their joined bytes and the pass's per-cell arrays are its
+#: transient memory: loading the 4000-record two-qubit B10 split of
+#: perfbench's audit-tq raised the traced peak above the loaded arrays by
+#: 0.68 MB with 32 KiB blocks, 0.42 MB with 16 KiB ones and 1.22 MB with
+#: 64 KiB ones. 32 KiB blocks loaded it faster than 16, 64 and 128 KiB ones
+#: (medians 9.4 against 12.2, 10.9 and 10.6 ms on a 2-core Xeon).
 CHUNK = 1024
 LOAD_BLOCK = 1 << 15
 
@@ -375,15 +376,16 @@ def _write_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _foreign(text: str) -> bool:
-    """Whether text holds a character no saved cell does: non-ASCII, space, tab, "_" or "+".
+def _foreign(raw: bytes) -> bool:
+    """Whether raw holds a byte no saved cell does: non-ASCII, space, tab, "\\v", "\\f", "_" or "+".
 
-    float() and numpy read " 0.25", "+0.25", "0.2_5" and "٠.25" (an
-    Arabic-Indic zero) as 0.25; load refuses them as save cannot write them.
-    The other characters float() skips, "\\n", "\\r", "\\v" and "\\f", never
-    reach a cell: str.splitlines ends a line at each.
+    float() reads " 0.25", "+0.25", "0.2_5", "0.25\\f" and "٠.25" (an
+    Arabic-Indic zero) as 0.25; load refuses them as save cannot write them,
+    and refuses a byte that is not UTF-8 as one more non-ASCII byte. The
+    other bytes float() skips, "\\n" and "\\r", never reach a cell:
+    bytes.splitlines ends a line at each.
     """
-    return not text.isascii() or " " in text or "\t" in text or "_" in text or "+" in text
+    return not raw.isascii() or any(c in raw for c in b" \t\v\f_+")
 
 
 # _cell_values reads a cell "0." + k digits, 1 <= k <= _DIGITS, exactly: its
@@ -391,7 +393,7 @@ def _foreign(text: str) -> bool:
 # and _DIGIT_BYTES[k] masks off the slot's bytes before them (the cell's
 # "0." and the text before it)
 _DIGITS = 24
-_PAD = "0" * _DIGITS  # a line before a block's text, so that every slot lies in the text
+_PAD = b"0" * _DIGITS  # a line before a block's text, so that every slot lies in the text
 _DIGIT_BYTES = np.array([[sum(0xff << 8 * j for j in range(8) if 8 * w + j >= _DIGITS - k)
                           for w in range(3)] for k in range(_DIGITS + 1)], dtype=np.uint64)
 _TENS = np.array([float(10**k) for k in range(_DIGITS + 1)])
@@ -400,7 +402,7 @@ _BINADE = 2**52  # the mantissa of a power of two, hidden bit included
 
 
 def _cell_values(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """float() of each cell raw[start:end] (UTF-8), or float()'s ValueError for the first it refuses.
+    """float() of each ASCII cell raw[start:end], or float()'s ValueError for the first it refuses.
 
     Each end must be at least _DIGITS, and below len(raw). A cell "0." + k
     digits, 1 <= k <= _DIGITS, of at most 19 significant digits is the
@@ -472,39 +474,38 @@ def _cell_values(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray
     return values
 
 
-def _parse_rows(lines: list[str], feats: np.ndarray, negs: np.ndarray,
+def _parse_rows(lines: list[bytes], feats: np.ndarray, negs: np.ndarray,
                 labels: np.ndarray) -> tuple[int, ValueError] | None:
-    """Parse CSV record lines into the given rows; (position, error) of the first bad line.
+    """Parse CSV record lines (bytes) into the given rows; (position, error) of the first bad line.
 
     One numpy pass over the block's bytes finds its fields, checks each
     line's field count and label, and converts the cells (_cell_values: the
     bits float() gives, or float()'s message for the first cell it
     refuses). A block that fails is parsed again, a line at a time, by this
-    function, so a line's errors come in one order: its field count, a
-    character no saved cell holds, a cell float() refuses, its label.
+    function, so a line's errors come in one order: its field count, a byte
+    no saved cell holds (_foreign), a cell float() refuses, its label.
     """
     b = feats.shape[1]
     n = len(lines)
     try:
-        text = "\n".join([_PAD, *lines, ""])
-        raw = text.encode()
+        raw = b"\n".join([_PAD, *lines, b""])
         buf = np.frombuffer(raw, dtype=np.uint8)
-        ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))[1:]
+        separators = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+        starts, ends = separators[:-1] + 1, separators[1:]
         if len(ends) != n * (b + 2) or (buf[ends[b + 1::b + 2]] != ord("\n")).any():
             raise ValueError(f"expected {b + 2} fields, got {len(ends)}")
-        if _foreign(text):
-            cell = next(c for c in text.replace("\n", ",").split(",") if _foreign(c))
-            raise ValueError(f"a cell must be ASCII without space, tab, '_' or '+', got {cell!r}")
-        starts = np.empty_like(ends)
-        starts[0] = len(_PAD) + 1
-        starts[1:] = ends[:-1] + 1
+        if _foreign(raw):
+            cell = next(c for c in raw.replace(b"\n", b",").split(b",") if _foreign(c))
+            raise ValueError("a cell must be ASCII without space, tab, '_' or '+', "
+                             f"got {cell.decode(errors='backslashreplace')!r}")
         starts, ends = starts.reshape(n, b + 2), ends.reshape(n, b + 2)
         values = _cell_values(raw, starts[:, :-1].ravel(), ends[:, :-1].ravel()).reshape(n, b + 1)
         label = buf[starts[:, -1]]
         bad = np.flatnonzero((ends[:, -1] - starts[:, -1] != 1)
                              | ((label != ord("0")) & (label != ord("1"))))
         if len(bad):
-            raise ValueError(f"label must be 0 or 1, got {lines[bad[0]].rsplit(',', 1)[1]!r}")
+            cell = lines[bad[0]].rsplit(b",", 1)[1].decode()
+            raise ValueError(f"label must be 0 or 1, got {cell!r}")
         feats[:] = values[:, :b]
         negs[:] = values[:, b]
         labels[:] = label == ord("1")
@@ -531,13 +532,17 @@ def load(path: str) -> Dataset:
     pairs or a pair of effect indices the kind lacks, a preset name that is
     not a string, a seed outside [0, 2**64), a count that is
     not a non-negative integer, stream_indices that are not count distinct
-    non-negative int64 draw indices), text that is not UTF-8, a header
-    other than save's, a record count other than the sidecar's, and the
-    first bad line (a field count other than the header's, a character no
-    saved cell holds, a cell float() cannot read, a label other than 0 or
-    1). Then the first row whose feature is NaN or outside [0, 1], whose
-    negativity is NaN or outside [0, 0.5], or whose label disagrees with its
-    negativity, and last a sidecar prevalence other than the labels' mean.
+    non-negative int64 draw indices). Then the CSV's bytes, read front to
+    back in file order and no further than the first line save could not
+    have written: a first line other than save's header, a record line with
+    a field count other than the header's, a byte no saved cell holds (a
+    non-ASCII byte, one that is not UTF-8 included), a cell float() cannot
+    read or a label other than 0 or 1, and a record past the sidecar's
+    count, once the records before it have parsed. Then fewer records than
+    the sidecar's count, the first row whose feature is NaN or outside
+    [0, 1], whose negativity is NaN or outside [0, 0.5], or whose label
+    disagrees with its negativity, and last a sidecar prevalence other than
+    the labels' mean.
     """
     try:
         with open(path + ".meta") as fh:
@@ -587,38 +592,29 @@ def load(path: str) -> Dataset:
     except (json.JSONDecodeError, KeyError, ValueError, TypeError, DimensionMismatch) as exc:
         raise FormatError(f"{path}.meta: {exc}") from exc
 
-    b = preset.b
-    expected_header = _header(b)
-    bad_line = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            # a block is whole "\n" lines (universal newlines leave no "\r"), so
-            # its lines end where splitlines() on the whole text would end them
-            blocks = ("".join(chunk).splitlines()
-                      for chunk in iter(lambda: fh.readlines(LOAD_BLOCK), []))
-            first = next(blocks, [None])
-            header = first.pop(0)
-            records = 0
-            for block in chain([first], blocks):
-                # the whole file is read, so errors keep their order: unreadable
-                # text, header, record count, then the first bad line (a block
-                # past the sidecar's count is not parsed: the count error wins)
-                end = records + len(block)
-                if bad_line is None and header == expected_header and records < end <= count:
-                    bad = _parse_rows(block, feats[records:end], negs[records:end],
-                                      label_column[records:end])
-                    if bad is not None:
-                        bad_line = (records + 2 + bad[0], bad[1])
-                records = end
-    except UnicodeDecodeError as exc:  # a data error, not the usage error a ValueError is
-        raise FormatError(f"{path}: {exc}") from exc
-    if header != expected_header:
-        raise FormatError(f"{path}:1: expected header {expected_header!r}")
+    expected_header = _header(preset.b)
+    with open(path, "rb") as fh:
+        # a block is whole "\n" lines, so its lines end where splitlines()
+        # on the whole file would end them
+        blocks = (b"".join(chunk).splitlines()
+                  for chunk in iter(lambda: fh.readlines(LOAD_BLOCK), []))
+        first = next(blocks, [None])
+        if first.pop(0) != expected_header.encode():
+            raise FormatError(f"{path}:1: expected header {expected_header!r}")
+        records = 0
+        for block in chain([first], blocks):
+            # in file order: a block's records up to the sidecar's count are
+            # parsed, and a record past it is refused after them
+            end = min(records + len(block), count)
+            bad = _parse_rows(block[:end - records], feats[records:end], negs[records:end],
+                              label_column[records:end])
+            if bad is not None:
+                raise FormatError(f"{path}:{records + 2 + bad[0]}: {bad[1]}") from bad[1]
+            records += len(block)
+            if records > count:
+                break
     if records != count:
         raise FormatError(f"{path}: record count does not match sidecar count {count}")
-    if bad_line is not None:
-        ln, exc = bad_line
-        raise FormatError(f"{path}:{ln}: {exc}") from exc
     ds = Dataset(preset, feats, negs, seed, streams)
     # generate writes nothing else; the 1e-12 leaves room for eigensolver noise
     checks = (

@@ -5,10 +5,11 @@ runs. These are the one-state forms: the Generator-path sampler, checked
 scalar wrappers, and the literal two-copy collective state with the
 singlet projector, against which the conditional-state features are
 checked. Beside them are the forms the package's faster paths replaced:
-the witness maps as einsums, the CSV row parser that reads one line per
-block and converts one cell at a time with float() (where load converts a
-block's cells in one exact numpy pass), and training's per-member early
-stopper and one-member gradient. Nothing under `src/` imports this module.
+the witness maps as einsums, the CSV row parser that reads the file's
+bytes one line per block and converts one cell at a time with float()
+(where load converts a block's cells in one exact numpy pass), and
+training's per-member early stopper and one-member gradient. Nothing under
+`src/` imports this module.
 """
 from __future__ import annotations
 
@@ -254,22 +255,26 @@ def fef_by_einsum(mats: np.ndarray) -> np.ndarray:
 
 # --- persistence -------------------------------------------------------------
 
-def _rows_by_float(lines: list[str], feats: np.ndarray, negs: np.ndarray,
+def _rows_by_float(lines: list[bytes], feats: np.ndarray, negs: np.ndarray,
                    labels: np.ndarray) -> tuple[int, ValueError] | None:
-    """dataset._parse_rows with one float() per cell and the cell rule checked cell by cell."""
+    """dataset._parse_rows with one float() per cell and the cell rule checked cell by cell.
+
+    A cell that is not ASCII, or that holds a space, tab, vertical tab, form
+    feed, "_" or "+", is refused before float() reads it.
+    """
     b = feats.shape[1]
     for i, line in enumerate(lines):
         try:
-            cells = line.split(",")
+            cells = line.split(b",")
             if len(cells) != b + 2:
                 raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
             for cell in cells:
-                if not cell.isascii() or any(c in cell for c in " \t_+"):
+                if not cell.isascii() or any(c in cell for c in b" \t\v\f_+"):
                     raise ValueError("a cell must be ASCII without space, tab, '_' or '+', "
-                                     f"got {cell!r}")
-            feats[i] = [float(c) for c in cells[:b]]
-            negs[i] = float(cells[b])
-            label = cells[b + 1]
+                                     f"got {cell.decode(errors='backslashreplace')!r}")
+            feats[i] = [float(c.decode()) for c in cells[:b]]
+            negs[i] = float(cells[b].decode())
+            label = cells[b + 1].decode()
             if label not in ("0", "1"):
                 raise ValueError(f"label must be 0 or 1, got {label!r}")
             labels[i] = label == "1"
@@ -279,12 +284,14 @@ def _rows_by_float(lines: list[str], feats: np.ndarray, negs: np.ndarray,
 
 
 def load_by_line(path: str) -> dataset.Dataset:
-    """dataset.load reading one line per block, which _rows_by_float converts.
+    """dataset.load reading one line per block, whose bytes _rows_by_float converts.
 
-    A block is the lines of one readlines(LOAD_BLOCK) call, so a LOAD_BLOCK
-    of 1 reads one line at a time. The reference for load's row conversion:
-    the same result or the same FormatError, message and line number, for
-    any file.
+    A block is the lines of one readlines(LOAD_BLOCK) call on the file's
+    bytes, so a LOAD_BLOCK of 1 reads one "\\n" line at a time. load reads
+    front to back and stops at the first line save could not have written,
+    so this is the reference for load's row conversion and for the order of
+    its refusals: the same result or the same FormatError, message and line
+    number, for any file.
     """
     with (mock.patch.object(dataset, "LOAD_BLOCK", 1),
           mock.patch.object(dataset, "_parse_rows", _rows_by_float)):

@@ -409,16 +409,17 @@ def test_an_undecodable_dataset_exits_1_naming_its_path(workspace, tmp_path, cap
         dst.write(src.read())
     with open(workspace["val"], "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
-    # a wrong header, a bad cell and a missing record, and one byte that is not
-    # UTF-8 on the last line: the undecodable text is reported first
+    # one byte that is not UTF-8 at the start of line 4: it is reported at its
+    # line as a byte no saved cell holds
     with open(bad, "wb") as fh:
-        fh.write(b"x" + lines[0] + b"oops\n" + b"".join(lines[3:-1]) + b"\xff" + lines[-1])
+        fh.write(b"".join(lines[:3]) + b"\xff" + b"".join(lines[3:]))
     rc = main(["train", "--train", workspace["train"], "--val", bad,
                "--out", str(tmp_path / "x.mlp.json")])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+    assert err.startswith(f"error: {bad}:4: a cell must be ASCII without space, tab, '_' or '+', "
+                          r"got '\\xff0.")
     assert err.count("\n") == 1
     assert not os.path.exists(tmp_path / "x.mlp.json")
 
@@ -920,6 +921,23 @@ def test_gen_whose_save_fails_exits_1_and_leaves_no_file(
     assert main(gen_args(tmp_path / "d.csv", n=4096)) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and message in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 3.27 TiB for an array with shape (10000000000, 45) and data type float64",
+    ""])
+def test_gen_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys, message):
+    # a request too large to allocate, without allocating: numpy's
+    # MemoryError carries its message, Python's own carries none
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    assert main(gen_args(tmp_path / "d.csv", n=10**10)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -356,6 +356,32 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(back.stream_indices, ds.stream_indices)
 
 
+def test_an_empty_dataset_round_trips_and_a_count_it_lacks_is_refused(tmp_path):
+    preset = preset_by_name(KIND, "B3")
+    empty = dataset.Dataset(preset, np.empty((0, preset.b)), np.empty(0), 62,
+                            np.empty(0, dtype=np.int64))
+    path = str(tmp_path / "empty.csv")
+    save(empty, path)
+    assert _file_bytes(path) == b"f1,f2,f3,negativity,label\n"
+    assert json.loads(_file_bytes(path + ".meta"))["count"] == 0
+    back = load(path)
+    assert back.count == 0 and back.features.shape == (0, preset.b) and back.seed == 62
+    # a header-only CSV whose sidecar says 2 records, and 2 records whose
+    # sidecar says none
+    two = str(tmp_path / "two.csv")
+    save(generate(KIND, preset, 2, seed=62), two)
+    for csv, meta in ((path, two), (two, path)):
+        mixed = str(tmp_path / "mixed.csv")
+        with open(mixed, "wb") as fh:
+            fh.write(_file_bytes(csv))
+        with open(mixed + ".meta", "wb") as fh:
+            fh.write(_file_bytes(meta + ".meta"))
+        count = json.loads(_file_bytes(meta + ".meta"))["count"]
+        with pytest.raises(FormatError, match=f"mixed.csv: record count does not match sidecar "
+                                              f"count {count}$"):
+            load(mixed)
+
+
 def test_save_is_byte_stable(tmp_path):
     ds = generate(KIND, preset_by_name(KIND, "B3"), 100, seed=60)
     # extremes of the 17-digit cells: exact 0 and 1, exponent notation, the
@@ -527,7 +553,7 @@ def _cell_values(cells: list[str]) -> np.ndarray:
     """dataset._cell_values of the cells, laid out after its pad and one separator apart."""
     encoded = [cell.encode() for cell in cells]
     ends = len(dataset._PAD) + np.cumsum([len(cell) + 1 for cell in encoded]) - 1
-    raw = dataset._PAD.encode() + b"".join(cell + b"," for cell in encoded)
+    raw = dataset._PAD + b"".join(cell + b"," for cell in encoded)
     return dataset._cell_values(raw, ends - [len(cell) for cell in encoded], ends)
 
 
@@ -616,21 +642,27 @@ def test_load_reports_bad_lines(tmp_path):
                                               f"tab, '_' or '\\+', got {re.escape(repr(value))}$"):
             load(path)
 
-    # a wrong record count is reported before a bad line, wherever it is
+    # faults are reported in file order: a bad line before a missing record
+    # at its line, and a record past the sidecar's count before a bad line
+    # after it
     cells = lines[2].split(",")
     cells[0] = "not-a-number"
     rewrite(lines[:2] + [",".join(cells)] + lines[3:-1])
-    with pytest.raises(FormatError, match="count"):
+    with pytest.raises(FormatError, match=":3: could not convert string "):
         load(path)
-    # lines end where str.splitlines ends them: "\r\n" ends one, and a form
-    # feed after a cell, which float() would skip, splits its row in two
+    rewrite(lines + [lines[1], ",".join(cells)])
+    with pytest.raises(FormatError, match=": record count does not match sidecar count 10$"):
+        load(path)
+    # lines end where bytes.splitlines ends them: "\r\n" ends one, and a form
+    # feed after a cell, which float() would skip, is a byte no saved cell holds
     with open(path, "w", newline="\r\n") as fh:
         fh.write("\n".join(lines) + "\n")
     assert load(path).count == ds.count
     cells = lines[4].split(",")
     cells[0] += "\x0c"
-    rewrite(lines[:4] + [",".join(cells)] + lines[5:-1])
-    with pytest.raises(FormatError, match=":5: expected 7 fields, got 1"):
+    rewrite(lines[:4] + [",".join(cells)] + lines[5:])
+    with pytest.raises(FormatError, match=f":5: a cell must be ASCII without space, tab, '_' or "
+                                          f"'\\+', got {re.escape(repr(cells[0]))}$"):
         load(path)
     rewrite(lines)
     assert load(path).count == ds.count
@@ -685,8 +717,12 @@ def corruption(draw):
                          st.integers(0, last)))
     edit = draw(st.sampled_from(["insert", "crlf", "delete", "duplicate", "cut", "cell", "drop",
                                  "label"]))
-    if edit == "insert":  # form feed, NEL, lone CR, a byte that is not UTF-8
-        arg = (draw(st.sampled_from([b"\x0c", "\x85".encode(), b"\r", b"\xff"])),
+    if edit == "insert":
+        # form feed, vertical tab, file separator, NEL, line separator, lone
+        # CR, a byte that is not UTF-8: str.splitlines would end a line at
+        # all but the last, bytes.splitlines only at CR
+        arg = (draw(st.sampled_from([b"\x0c", b"\x0b", b"\x1c", "\x85".encode(),
+                                     "\u2028".encode(), b"\r", b"\xff"])),
                draw(st.integers(0, 200)))
     elif edit in ("cut", "cell", "drop"):
         arg = (draw(st.integers(0, 200)), draw(st.sampled_from(_CELLS)))
@@ -742,6 +778,7 @@ def _one_delete_per_row(edits) -> bool:
 @given(st.lists(corruption(), max_size=3).filter(_one_delete_per_row))
 @example([("cell", 3, (0, b"0.25,0.25")), ("drop", 9, (0, None))])
 @example([("delete", BLOCK_RECORDS - 1, None), ("crlf", BLOCK_RECORDS - 1, None)])
+@example([("insert", 5, (b"\x0b", 0))])  # float() would skip it before a cell
 def test_load_parses_blocks_as_the_per_line_parser_does(block_csv, edits):
     lines, path = block_csv
     with open(path, "wb") as fh:
