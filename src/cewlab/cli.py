@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 
 import numpy as np
 
@@ -148,7 +148,8 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     even number (each split takes half its records from each class), or a
     seed outside [0, 2**64) is refused with ValueError before out_dir is
     made, and an out_dir that cannot be made (OSError) before anything is
-    generated.
+    generated. A generation that fails (MemoryError, DrawBudgetExhausted, a
+    lost worker) removes the directories this call made for out_dir.
 
     Returns one summary row per preset, in the requested order, with the
     paths of its model, ROC table and SVG (None without svg) in out_dir;
@@ -172,13 +173,23 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     if sizes[0] < cfg.batch_size:
         raise TooFewRecords(f"TRAIN size {sizes[0]} is smaller than the training batch "
                             f"of {cfg.batch_size} records")
+    made, head = [], os.path.abspath(out_dir)  # the directories makedirs makes, deepest first
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out_dir, exist_ok=True)
     # the largest built-in preset's pairs hold every other's, so restrict projects each split
     master = max(builtin_presets(kind), key=lambda p: p.b)
     total = sum(sizes)
-    # split copies the master set's records, and nothing here keeps the master set
-    train_ds, val_ds, test_ds = split(generate(kind, master, total, seed),
-                                      tuple(n / total for n in sizes))
+    try:
+        # split copies the master set's records, and nothing here keeps the master set
+        train_ds, val_ds, test_ds = split(generate(kind, master, total, seed),
+                                          tuple(n / total for n in sizes))
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):
+                os.rmdir(directory)
+        raise
     # contiguous groups, one per worker and the last ones a preset longer, so
     # that the first are scored here while the longest still train (in lockstep)
     workers = worker_count(len(presets))
@@ -272,12 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unbalanced", action="store_true",
                    help="keep the sampler's natural class prevalence")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", required=True,
+                   help="output dataset path (a .npy array; its sidecar is <out>.meta)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the negativity regressor")
-    p.add_argument("--train", required=True, help="training dataset CSV")
-    p.add_argument("--val", required=True, help="validation dataset CSV")
+    p.add_argument("--train", required=True, help="training dataset (written by gen)")
+    p.add_argument("--val", required=True, help="validation dataset (written by gen)")
     p.add_argument("--out", required=True, help="output model path (.mlp.json)")
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
@@ -288,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="write the ROC of a model on a test dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--test", required=True, help="test dataset CSV")
+    p.add_argument("--test", required=True, help="test dataset (written by gen)")
     p.add_argument("--out", required=True, help="output ROC table path")
     p.add_argument("--svg", help="also render the curve to this SVG path")
     p.set_defaults(func=cmd_eval)

@@ -1,11 +1,12 @@
 """The package's one process pool: an ordered, windowed map over forked workers.
 
-`ordered_map` runs the sweep's training groups, `generate`'s chunks (after
-the first, for a request one chunk could hold) and `save`'s row blocks. Every job is a call of a module-level
-function with picklable arguments, so a job's result does not depend on
-where it ran and the bytes of every artifact match a one-process run. The
-BLAS library's functions are looked up here too: its thread setter, which
-pins each worker, and `blas_kernel`, the name of the kernel it runs.
+`ordered_map` runs the sweep's training groups and `generate`'s chunks
+(after the first, for a request one chunk could hold). Every job is a call
+of a module-level function with picklable arguments, so a job's result does
+not depend on where it ran and the bytes of every artifact match a
+one-process run. The BLAS library's functions are looked up here too: its
+thread setter, which pins each worker, and `blas_kernel`, the name of the
+kernel it runs.
 """
 from __future__ import annotations
 

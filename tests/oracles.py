@@ -5,20 +5,20 @@ runs. These are the one-state forms: the Generator-path sampler, checked
 scalar wrappers, and the literal two-copy collective state with the
 singlet projector, against which the conditional-state features are
 checked. Beside them are the forms the package's faster paths replaced:
-the witness maps as einsums, the CSV row parser that reads the file's
-bytes one line per block and converts one cell at a time with float()
-(where load converts a block's cells in one exact numpy pass), and
-training's per-member early stopper and one-member gradient. Nothing under
-`src/` imports this module.
+the witness maps as einsums, and training's per-member early stopper and
+one-member gradient. Beside those are the data files that load must refuse,
+written by numpy's own writers or by hand. Nothing under `src/` imports
+this module.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from unittest import mock
 
 import numpy as np
+from numpy.lib import format as npy_format
 
-from cewlab import dataset, model
+from cewlab import model
 from cewlab.errors import CewlabError, DimensionMismatch, EmptyDataset
 from cewlab.evaluate import _MAGIC, chsh_m_value_stack, fef_stack
 from cewlab.measure import (DENOM_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, MeasurementPreset,
@@ -255,47 +255,50 @@ def fef_by_einsum(mats: np.ndarray) -> np.ndarray:
 
 # --- persistence -------------------------------------------------------------
 
-def _rows_by_float(lines: list[bytes], feats: np.ndarray, negs: np.ndarray,
-                   labels: np.ndarray) -> tuple[int, ValueError] | None:
-    """dataset._parse_rows with one float() per cell and the cell rule checked cell by cell.
-
-    A cell that is not ASCII, or that holds a space, tab, vertical tab, form
-    feed, "_" or "+", is refused before float() reads it.
-    """
-    b = feats.shape[1]
-    for i, line in enumerate(lines):
-        try:
-            cells = line.split(b",")
-            if len(cells) != b + 2:
-                raise ValueError(f"expected {b + 2} fields, got {len(cells)}")
-            for cell in cells:
-                if not cell.isascii() or any(c in cell for c in b" \t\v\f_+"):
-                    raise ValueError("a cell must be ASCII without space, tab, '_' or '+', "
-                                     f"got {cell.decode(errors='backslashreplace')!r}")
-            feats[i] = [float(c.decode()) for c in cells[:b]]
-            negs[i] = float(cells[b].decode())
-            label = cells[b + 1].decode()
-            if label not in ("0", "1"):
-                raise ValueError(f"label must be 0 or 1, got {label!r}")
-            labels[i] = label == "1"
-        except ValueError as exc:
-            return i, exc
-    return None
+def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=allow_pickle)
+    return out.getvalue()
 
 
-def load_by_line(path: str) -> dataset.Dataset:
-    """dataset.load reading one line per block, whose bytes _rows_by_float converts.
+def _npz(array: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    np.savez(out, array)
+    return out.getvalue()
 
-    A block is the lines of one readlines(LOAD_BLOCK) call on the file's
-    bytes, so a LOAD_BLOCK of 1 reads one "\\n" line at a time. load reads
-    front to back and stops at the first line save could not have written,
-    so this is the reference for load's row conversion and for the order of
-    its refusals: the same result or the same FormatError, message and line
-    number, for any file.
-    """
-    with (mock.patch.object(dataset, "LOAD_BLOCK", 1),
-          mock.patch.object(dataset, "_parse_rows", _rows_by_float)):
-        return dataset.load(path)
+
+def _claiming_rows(rows: int, array: np.ndarray) -> bytes:
+    """A version 1.0 header of `rows` records, followed by the records of array."""
+    out = io.BytesIO()
+    npy_format.write_array_header_1_0(out, {"descr": "<f8", "fortran_order": False,
+                                            "shape": (rows, array.shape[1])})
+    return out.getvalue() + array.tobytes()
+
+
+#: Data files that save cannot write, each made from the (n, B + 1) array of
+#: a saved dataset with n > 1, and the start of load's refusal after the path
+DATA_FILE_FAULTS = {
+    "bad-magic": (lambda a: b"\x93NUMPX" + _npy(a)[6:],
+                  r"not a \.npy array: the magic string is not correct"),
+    "npz": (_npz, r"not a \.npy array: the magic string is not correct"),
+    "version-3": (lambda a: _npy(a)[:6] + b"\x03" + _npy(a)[7:],
+                  r"not a \.npy array: unsupported \.npy version \(3, 0\)"),
+    # a version 2.0 header length of 4 GiB - 1, which numpy's reader would try to read
+    "4-GiB-header": (lambda a: b"\x93NUMPY\x02\x00\xff\xff\xff\xff" + _npy(a)[10:],
+                     r"not a \.npy array: EOF: reading array header"),
+    "object-dtype": (lambda a: _npy(a.astype(object), allow_pickle=True),
+                     r"expected a C-order <f8 array of shape \(\d+, \d+\), got a C-order \|O "),
+    "big-endian": (lambda a: _npy(a.astype(">f8")), r"expected .*, got a C-order >f8 array"),
+    "fortran-order": (lambda a: _npy(np.asfortranarray(a)),
+                      r"expected .*, got a Fortran-order <f8 array"),
+    "rank-1": (lambda a: _npy(a.ravel()),
+               r"expected .*, got a C-order <f8 array of shape \(\d+,\)$"),
+    "row-count": (lambda a: _npy(a[:-1]), r"expected .*\(\d+, \d+\), got .*\(\d+, \d+\)$"),
+    "10**12-rows": (lambda a: _claiming_rows(10**12, a),
+                    r"expected .*, got a C-order <f8 array of shape \(1000000000000, \d+\)$"),
+    "truncated": (lambda a: _npy(a)[:-8], r"data ends after \d+ of its \d+ bytes$"),
+    "trailing-bytes": (lambda a: _npy(a) + b"\0", r"bytes follow the \d+ records$"),
+}
 
 
 # --- training ----------------------------------------------------------------

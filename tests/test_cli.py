@@ -2,6 +2,8 @@ import errno
 import json
 import multiprocessing
 import os
+import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -14,11 +16,12 @@ import pytest
 import cewlab
 from cewlab import cli, dataset, evaluate, pool
 from cewlab.cli import main, run_sweep
-from cewlab.errors import DivergedTraining, WorkerDied
+from cewlab.errors import DivergedTraining, DrawBudgetExhausted, WorkerDied
 from cewlab.measure import preset_by_name
 from cewlab.model import (TrainConfig, init_mlp, load_model, predict_negativity,
                           save_model, train)
 from cewlab.states import SystemKind
+from oracles import DATA_FILE_FAULTS
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -388,8 +391,7 @@ def test_eval_of_overflowing_predictions_prints_only_its_error(workspace, tmp_pa
 
 def test_eval_svg_escapes_a_preset_name_with_xml_specials(workspace, tmp_path, capsys):
     test = str(tmp_path / "odd.csv")
-    with open(workspace["test"]) as src, open(test, "w") as dst:
-        dst.write(src.read())
+    shutil.copyfile(workspace["test"], test)
     with open(workspace["test"] + ".meta") as fh:
         meta = json.load(fh)
     meta["preset"]["name"] = "B3 <&>"
@@ -405,23 +407,36 @@ def test_eval_svg_escapes_a_preset_name_with_xml_specials(workspace, tmp_path, c
 
 def test_an_undecodable_dataset_exits_1_naming_its_path(workspace, tmp_path, capsys):
     bad = str(tmp_path / "bad.csv")
-    with open(workspace["val"] + ".meta") as src, open(bad + ".meta", "w") as dst:
-        dst.write(src.read())
+    shutil.copyfile(workspace["val"] + ".meta", bad + ".meta")
+    # a byte that is not UTF-8 in place of the first byte of numpy's magic string
     with open(workspace["val"], "rb") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    # one byte that is not UTF-8 at the start of line 4: it is reported at its
-    # line as a byte no saved cell holds
+        data = fh.read()
     with open(bad, "wb") as fh:
-        fh.write(b"".join(lines[:3]) + b"\xff" + b"".join(lines[3:]))
+        fh.write(b"\xff" + data[1:])
     rc = main(["train", "--train", workspace["train"], "--val", bad,
                "--out", str(tmp_path / "x.mlp.json")])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {bad}:4: a cell must be ASCII without space, tab, '_' or '+', "
-                          r"got '\\xff0.")
+    assert err.startswith(f"error: {bad}: not a .npy array: the magic string is not correct; "
+                          r"expected b'\x93NUMPY', got b'\xffNUMPY'")
     assert err.count("\n") == 1
     assert not os.path.exists(tmp_path / "x.mlp.json")
+
+
+@pytest.mark.parametrize("fault", list(DATA_FILE_FAULTS))
+def test_a_data_file_save_cannot_write_exits_1_with_one_line(workspace, tmp_path, capsys, fault):
+    make, message = DATA_FILE_FAULTS[fault]
+    bad = str(tmp_path / "bad.csv")
+    shutil.copyfile(workspace["val"] + ".meta", bad + ".meta")
+    with open(bad, "wb") as fh:
+        fh.write(make(np.load(workspace["val"])))
+    out = tmp_path / "x.mlp.json"
+    assert main(["train", "--train", workspace["train"], "--val", bad, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert re.match(f"error: {re.escape(bad)}: {message}", err)
+    assert not out.exists()
 
 
 def test_baselines_table(capsys):
@@ -582,6 +597,24 @@ def test_sweep_refuses_an_out_dir_it_cannot_make_before_generating(tmp_path, cap
     assert str(taken) in err
 
 
+@pytest.mark.parametrize("error", [
+    DrawBudgetExhausted("class quota not reached within 17408 draws"), MemoryError(""),
+    WorkerDied("a worker process ended before returning its job")], ids=lambda e: type(e).__name__)
+def test_a_sweep_whose_generation_fails_leaves_no_out_dir_it_made(
+        tmp_path, capsys, monkeypatch, error):
+    def generate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "generate", generate)
+    argv = ["sweep", "--kind", "two-qubit", "--presets", "B1", "--sizes", "600", "200", "200"]
+    # the directories this run made go, a directory that was there stays
+    assert main(argv + ["--out-dir", str(tmp_path / "made" / "sweep")]) == 1
+    assert capsys.readouterr()[0] == "" and os.listdir(tmp_path) == []
+    (tmp_path / "there").mkdir()
+    assert main(argv + ["--out-dir", str(tmp_path / "there")]) == 1
+    assert os.listdir(tmp_path) == ["there"] and os.listdir(tmp_path / "there") == []
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "sweep", "baselines"])
 def test_each_artifact_command_writes_one_manifest(workspace, tmp_path, capsys, command):
     out = str(tmp_path / "out")
@@ -615,15 +648,15 @@ def test_each_artifact_command_writes_one_manifest(workspace, tmp_path, capsys, 
 
 
 def test_a_dataset_that_measures_no_pair_exits_1_naming_its_sidecar(workspace, tmp_path, capsys):
-    # a sidecar with no pairs and a CSV of only negativity and label: gen cannot write it
+    # a sidecar with no pairs and an array of only the negativities: gen cannot write it
     bare = str(tmp_path / "bare.csv")
     with open(workspace["val"] + ".meta") as fh:
         meta = json.load(fh)
     meta["preset"]["pairs"] = []
     with open(bare + ".meta", "w") as fh:
         json.dump(meta, fh)
-    with open(workspace["val"]) as src, open(bare, "w") as dst:
-        dst.writelines(",".join(line.split(",")[-2:]) for line in src)
+    with open(bare, "wb") as fh:
+        np.save(fh, np.load(workspace["val"])[:, -1:])
     out = tmp_path / "x.mlp.json"
     rc = main(["train", "--train", bare, "--val", bare, "--out", str(out)])
     assert rc == 1
@@ -779,7 +812,7 @@ def test_the_blas_kernel_is_named_where_numpy_uses_openblas():
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
-    # a 200-record gen fits in generate's first chunk and save's first block,
+    # a 200-record gen fits in generate's first chunk, and save uses no pool,
     # so it runs in this process and starts no pool either, even where a BLAS
     # thread count of 1 would let one run
     env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
@@ -903,21 +936,19 @@ def test_gen_whose_worker_is_killed_exits_1_with_one_line_and_no_file(
     assert os.listdir(tmp_path) == []
 
 
-def _fail_to_format(*_) -> None:
-    """A save job that kills its pool worker, or that finds the disk full in this test process."""
-    if os.getpid() == _TEST_PID:
-        raise OSError(errno.ENOSPC, "No space left on device")
-    os.kill(os.getpid(), signal.SIGKILL)
+def _disk_full(*_) -> None:
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 @pytest.mark.parametrize("n_cpus, message", [
-    (1, "No space left on device"), (2, "a worker process ended before returning its job")])
+    (1, "No space left on device"), (2, "No space left on device")])
 def test_gen_whose_save_fails_exits_1_and_leaves_no_file(
         tmp_path, cpus, monkeypatch, capsys, n_cpus, message):
-    # 4096 records are four blocks to format, pool jobs on 2 CPUs
+    # 4096 records are several chunks, pool jobs on 2 CPUs; save runs in this
+    # process either way, and the disk fills once the data file is written
     cpus(n_cpus)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(dataset, "_format_rows", _fail_to_format)
+    monkeypatch.setattr(dataset, "_write_json", _disk_full)
     assert main(gen_args(tmp_path / "d.csv", n=4096)) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and message in err

@@ -1,12 +1,10 @@
 import dataclasses
-import functools
-import itertools
+import io
 import json
 import os
 import pickle
 import re
-import tempfile
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cewlab import dataset, pool
-from cewlab.dataset import (CHUNK, LOAD_BLOCK, generate, load, regenerate_states, restrict, save,
-                            split)
+from cewlab.dataset import CHUNK, generate, load, regenerate_states, restrict, save, split
 from cewlab.errors import DegenerateLabels, DrawBudgetExhausted, EmptyDataset, FormatError
 from cewlab.measure import MeasurementPreset, preset_by_name
+from cewlab.model import TrainConfig, init_mlp, predict_negativity, save_model, train
 from cewlab.states import SystemKind, negativity_stack, sample_density_stack
-from oracles import load_by_line
+from oracles import DATA_FILE_FAULTS
 
 KIND = SystemKind.TWO_QUBIT
 B1 = preset_by_name(KIND, "B1")
@@ -356,36 +354,59 @@ def test_save_load_round_trip(tmp_path):
         assert np.array_equal(back.stream_indices, ds.stream_indices)
 
 
+def test_save_writes_the_path_and_its_sidecar_only(tmp_path):
+    # no ".npy" appended to the name, and no temporary left
+    ds = generate(KIND, B1, 20, seed=59)
+    save(ds, str(tmp_path / "x.csv"))
+    assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.csv.meta"]
+    assert np.array_equal(np.load(tmp_path / "x.csv"),
+                          np.column_stack((ds.features, ds.negativities)))
+
+
+def test_save_starts_no_pool(tmp_path, monkeypatch, cpus):
+    # three chunks of rows and a partial one, on two CPUs, as np.save writes them
+    ds = generate(KIND, preset_by_name(KIND, "B10"), 3 * CHUNK + 10, seed=68, balanced=False)
+    cpus(2)
+    workers = _record_pool_workers(monkeypatch)
+    path = str(tmp_path / "d.csv")
+    save(ds, path)
+    assert workers == []
+    expected = io.BytesIO()
+    np.save(expected, np.column_stack((ds.features, ds.negativities)))
+    assert _file_bytes(path) == expected.getvalue()
+
+
 def test_an_empty_dataset_round_trips_and_a_count_it_lacks_is_refused(tmp_path):
     preset = preset_by_name(KIND, "B3")
     empty = dataset.Dataset(preset, np.empty((0, preset.b)), np.empty(0), 62,
                             np.empty(0, dtype=np.int64))
     path = str(tmp_path / "empty.csv")
     save(empty, path)
-    assert _file_bytes(path) == b"f1,f2,f3,negativity,label\n"
+    assert np.load(path).shape == (0, preset.b + 1)
     assert json.loads(_file_bytes(path + ".meta"))["count"] == 0
     back = load(path)
     assert back.count == 0 and back.features.shape == (0, preset.b) and back.seed == 62
-    # a header-only CSV whose sidecar says 2 records, and 2 records whose
+    # an empty array whose sidecar says 2 records, and 2 records whose
     # sidecar says none
     two = str(tmp_path / "two.csv")
     save(generate(KIND, preset, 2, seed=62), two)
-    for csv, meta in ((path, two), (two, path)):
+    for data, meta in ((path, two), (two, path)):
         mixed = str(tmp_path / "mixed.csv")
         with open(mixed, "wb") as fh:
-            fh.write(_file_bytes(csv))
+            fh.write(_file_bytes(data))
         with open(mixed + ".meta", "wb") as fh:
             fh.write(_file_bytes(meta + ".meta"))
         count = json.loads(_file_bytes(meta + ".meta"))["count"]
-        with pytest.raises(FormatError, match=f"mixed.csv: record count does not match sidecar "
-                                              f"count {count}$"):
+        rows = np.load(data).shape[0]
+        with pytest.raises(FormatError, match=re.escape(
+                f"mixed.csv: expected a C-order <f8 array of shape ({count}, 4), got a C-order "
+                f"<f8 array of shape ({rows}, 4)")):
             load(mixed)
 
 
 def test_save_is_byte_stable(tmp_path):
     ds = generate(KIND, preset_by_name(KIND, "B3"), 100, seed=60)
-    # extremes of the 17-digit cells: exact 0 and 1, exponent notation, the
-    # smallest subnormal, and a negative zero
+    # exact 0 and 1, a small and the smallest subnormal feature, a negative zero
     ds.features[:4, 1] = [0.0, 1.0, 1e-05, 5e-324]
     negs = ds.negativities.copy()
     negs[4] = -0.0
@@ -393,23 +414,13 @@ def test_save_is_byte_stable(tmp_path):
     p1 = str(tmp_path / "a.csv")
     p2 = str(tmp_path / "b.csv")
     save(ds, p1)
-    with open(p1, "rb") as fh:
-        text = fh.read()
-    rows = [line.split(",") for line in text.decode().splitlines()[1:]]
-    assert [row[1] for row in rows[:4]] == ["0", "1", "1.0000000000000001e-05",
-                                           "4.9406564584124654e-324"]
-    assert rows[4][3:] == ["-0", "0"]
-    lines = ["f1,f2,f3,negativity,label"] + [
-        ",".join(["%.17g" % v for v in row] + ["%.17g" % neg, str(int(lab))])
-        for row, neg, lab in zip(ds.features, ds.negativities, ds.labels)]
-    assert text == ("\n".join(lines) + "\n").encode()
+    # what np.save writes for the C-order little-endian float64 records
+    expected = io.BytesIO()
+    np.save(expected, np.column_stack((ds.features, ds.negativities)).astype("<f8"))
+    assert _file_bytes(p1) == expected.getvalue()
     save(load(p1), p2)
     for suffix in ("", ".meta"):
-        with open(p1 + suffix, "rb") as fh:
-            first = fh.read()
-        with open(p2 + suffix, "rb") as fh:
-            second = fh.read()
-        assert first == second
+        assert _file_bytes(p1 + suffix) == _file_bytes(p2 + suffix)
 
 
 # sign, an exponent field short of 0x7ff (inf and NaN), and the mantissa: every
@@ -418,397 +429,155 @@ _FINITE_BITS = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent 
                          st.integers(0, 1), st.integers(0, 0x7fe), st.integers(0, 2**52 - 1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_FINITE_BITS, min_size=1, max_size=40))
-@example([0, 1 << 63, 1, 2**52 - 1, 0x7fefffffffffffff, 0x3ff0000000000000, 0x3fb999999999999a])
-def test_every_finite_double_reads_back_with_its_bits(bits):
-    values = np.array(bits, dtype=np.uint64).view(np.float64)
-    rows = _format_two_columns(values)
-    back = np.array([[float(row[0]), float(row[1])] for row in rows])
-    assert np.array_equal(back.view(np.int64), np.column_stack((values, values)).view(np.int64))
+def _bits_up_to(top: float):
+    """Bit patterns of the doubles in [-0.0, top]: -0.0, and +0.0 and the subnormals upwards."""
+    return st.one_of(st.integers(0, int(np.float64(top).view(np.uint64))), st.just(1 << 63))
 
 
-def _format_two_columns(values):
-    """_format_rows' cells of values as a feature and a negativity column, checked against %."""
-    labels = np.arange(len(values)) % 2 == 1
-    text = dataset._format_rows(values[:, None], values, labels).decode()
-    rows = [line.split(",") for line in text.splitlines()]
-    assert text.endswith("\n") and len(rows) == len(values)
-    reference = ["%.17g" % v for v in values.tolist()]
-    assert [row[0] for row in rows] == [row[1] for row in rows] == reference
-    assert [row[2] for row in rows] == ["1" if lab else "0" for lab in labels]
-    return rows
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[_bits_up_to(1.0)] * 3, _bits_up_to(0.5)), min_size=1, max_size=30),
+       st.none() | st.tuples(st.integers(0, 29), st.integers(0, 3), _FINITE_BITS))
+@example([(0, 1 << 63, 1, 1 << 63), (0x3ff0000000000000, 2**52 - 1, 0x3ee4f8b588e368f1,
+                                      0x3fe0000000000000)], None)
+@example([(0, 0, 0, 0)] * 3, (1, 3, 0x3fe0000000000001))  # one ulp above 0.5 is in range
+@example([(0, 0, 0, 0)] * 3, (2, 0, 0x3ff0000000000001))  # one ulp above 1 is not
+def test_every_finite_double_reads_back_with_its_bits(tmp_path_factory, rows, stray):
+    # every double load takes (a feature in [0, 1], a negativity in [0, 0.5],
+    # -0.0 and the subnormals included) reads back with its bits, and a stray
+    # finite double outside them is refused at its row
+    bits = np.array(rows, dtype=np.uint64)
+    if stray is not None:
+        row, column, value = stray
+        bits[row % len(bits), column] = value
+    values = bits.view(np.float64)
+    feats, negs = values[:, :3].copy(), values[:, 3].copy()
+    ds = dataset.Dataset(preset_by_name(KIND, "B3"), feats, negs, 7, np.arange(len(values)))
+    path = str(tmp_path_factory.getbasetemp() / "bits.csv")
+    save(ds, path)
+    taken = ((feats >= 0) & (feats <= 1)).all(axis=1) & (negs >= 0) & (negs <= 0.5 + 1e-12)
+    if not taken.all():
+        with pytest.raises(FormatError, match=f": row {np.argmin(taken)}: "):
+            load(path)
+        return
+    back = load(path)
+    assert back.features.view(np.uint64).tolist() == bits[:, :3].tolist()
+    assert back.negativities.view(np.uint64).tolist() == bits[:, 3].tolist()
 
 
-# the doubles 0 to 3 ulps either side of the double nearest each 10**-j, j = 0..4
-_NEAR_POWERS = sorted({float(v) for j in range(5) for toward in (0.0, 2.0)
-                       for v in itertools.accumulate(range(3), lambda v, _: np.nextafter(v, toward),
-                                                     initial=float(f"1e-{j}"))})
+def test_a_csv_from_an_earlier_version_is_refused(tmp_path):
+    # earlier versions wrote a CSV beside the same sidecar; gen with its seed
+    # writes the same records again
+    ds = generate(KIND, B1, 4, seed=61)
+    path = str(tmp_path / "old.csv")
+    save(ds, path)
+    with open(path, "w") as fh:
+        fh.write("f1,negativity,label\n" + "".join(
+            f"{f!r},{n!r},{int(label)}\n" for f, n, label in zip(
+                ds.features[:, 0].tolist(), ds.negativities.tolist(), ds.labels.tolist())))
+    with pytest.raises(FormatError, match=f"^{re.escape(path)}: not a .npy array: the magic "
+                                          "string is not correct"):
+        load(path)
 
 
-def _tie(j: int, i: int) -> float:
-    """An odd multiple of 2**-(17 + j) in [10**-j, 10**(1 - j)): its 18th digit is a final 5.
-
-    Its decimal expansion ends at the (17 + j)th place after the point, in a
-    5, and its first j - 1 places are zeros, so its 17 significant digits
-    are an exact tie, which %.17g rounds to the even digit.
-    """
-    t = 17 + j
-    first, end = -(-2**t // 10**j) // 2, 2**t * 10 // 10**j // 2
-    return (2 * (first + i % (end - first)) + 1) * 2.0**-t
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(st.floats(1e-4, 1.0, exclude_max=True), st.sampled_from(_NEAR_POWERS),
-                          st.builds(_tie, st.integers(1, 4), st.integers(0, 2**20))),
-                min_size=1, max_size=200))
-@example([_tie(1, 0), _tie(4, 0), 1e-4, 0.1, float(np.nextafter(0.1, 0.0)), 0.5 + 2**-18])
-def test_fast_path_cells_are_the_reference_text(values):
-    # one block: its cells near 1e-4 and 1 and at ties take the fast path,
-    # and its two zeros the per-bit-pattern fallback
-    _format_two_columns(np.array(values + [0.0, -0.0]))
+def test_load_converts_a_clean_block_in_one_call(tmp_path):
+    # the records are read into one (n, B + 1) array, and the features and
+    # negativities are column views of it, not copies
+    ds = generate(KIND, preset_by_name(KIND, "B10"), 400, seed=64)
+    path = str(tmp_path / "d.csv")
+    save(ds, path)
+    back = load(path)
+    block = back.features.base
+    assert block is back.negativities.base and block.shape == (400, 11)
+    assert np.shares_memory(back.features, block) and np.shares_memory(back.negativities, block)
+    assert np.array_equal(block, np.load(path))
 
 
-def test_a_csv_written_with_repr_cells_loads_to_the_same_arrays(tmp_path):
-    # CSVs written before the 17-digit cells spell every cell with repr
-    ds = generate(KIND, preset_by_name(KIND, "B10"), 300, seed=61)
-    ds.features[:3, 0] = [0.0, 1.0, 5e-324]
-    now, old = str(tmp_path / "now.csv"), str(tmp_path / "old.csv")
-    save(ds, now)
-    lines = [dataset._header(ds.preset.b)] + [
-        ",".join([repr(v) for v in row] + [repr(neg), str(int(lab))])
-        for row, neg, lab in zip(ds.features.tolist(), ds.negativities.tolist(), ds.labels.tolist())]
-    with open(old, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(now + ".meta", "rb") as src, open(old + ".meta", "wb") as dst:
-        dst.write(src.read())
-    assert _file_bytes(old) != _file_bytes(now)
-    a, b = load(old), load(now)
-    for field in ("features", "negativities", "stream_indices", "labels"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert np.array_equal(a.features.view(np.int64), ds.features.view(np.int64))
-    assert np.array_equal(a.negativities.view(np.int64), ds.negativities.view(np.int64))
+@pytest.mark.parametrize("fault", list(DATA_FILE_FAULTS))
+def test_load_refuses_a_data_file_save_cannot_write(tmp_path, fault):
+    make, message = DATA_FILE_FAULTS[fault]
+    path = str(tmp_path / "d.csv")
+    save(generate(KIND, preset_by_name(KIND, "B3"), 10, seed=67), path)
+    data = make(np.load(path))
+    with open(path, "wb") as fh:
+        fh.write(data)
+    # refused without allocating what a header claims (10**12 rows, say):
+    # numpy reports its array allocations to tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: {message}"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
-def test_pooled_save_writes_the_same_bytes(tmp_path, monkeypatch, cpus):
-    # three full blocks and a partial one
-    ds = generate(KIND, preset_by_name(KIND, "B10"), 3 * CHUNK + 10, seed=68, balanced=False)
-    ds.features[CHUNK:CHUNK + 4, 1] = [0.0, 1.0, 1e-05, 5e-324]
-    workers = _record_pool_workers(monkeypatch)
-    paths = [str(tmp_path / "alone.csv"), str(tmp_path / "pooled.csv")]
-    cpus(1)
-    save(ds, paths[0])
-    cpus(2)
-    save(ds, paths[1])
-    assert workers == [1, 2]
-    for suffix in ("", ".meta"):
-        alone, pooled = (_file_bytes(path + suffix) for path in paths)
-        assert alone == pooled, suffix
-    assert _file_bytes(paths[1]).count(b"\n") == ds.count + 1
+def test_load_reports_bad_rows(tmp_path):
+    # several features per row, so a bad value must be caught beside good ones
+    ds = generate(KIND, preset_by_name(KIND, "B5"), 10, seed=61)
+    path = str(tmp_path / "d.csv")
+    save(ds, path)
+    block = np.load(path)
+
+    def rewrite(rows):
+        with open(path, "wb") as fh:
+            np.save(fh, rows)
+
+    feature = "a feature is NaN or outside [0, 1]"
+    negativity = "negativity is NaN or outside [0, 0.5]"
+    entangled = int(np.flatnonzero(ds.labels)[0])
+    separable = int(np.flatnonzero(~ds.labels)[0])
+    for row, column, value, message in [
+        (3, 0, np.nan, feature),
+        (4, 1, 1.0000001, feature),
+        (5, 3, -1e-300, feature),
+        (entangled, -1, 0.50001, negativity),
+        (separable, -1, -1e-09, negativity),
+        (separable, -1, np.nan, negativity),
+    ]:
+        bad = block.copy()
+        bad[row, column] = value
+        rewrite(bad)
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: row {row}: "
+                                              f"{re.escape(message)}$"):
+            load(path)
+    # the first bad row is named, whichever check it fails
+    bad = block.copy()
+    bad[7, 0], bad[6, -1] = 2.0, 0.75
+    rewrite(bad)
+    with pytest.raises(FormatError, match=f": row 6: {re.escape(negativity)}$"):
+        load(path)
+    rewrite(block)
+    assert load(path).count == ds.count
+
+
+@pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
+def test_a_loaded_dataset_trains_and_predicts_as_the_generated_one(tmp_path, kind):
+    # load's features are strided column views; training on them and scoring
+    # them give the bits the generated C-order arrays give
+    preset = preset_by_name(kind, "B10" if kind is SystemKind.TWO_QUBIT else "B45")
+    pieces = split(generate(kind, preset, 400, seed=69), (0.6, 0.2, 0.2))
+    loaded = []
+    for name, piece in zip(("train", "val", "test"), pieces):
+        path = str(tmp_path / f"{name}.csv")
+        save(piece, path)
+        loaded.append(load(path))
+    assert not loaded[0].features.flags.c_contiguous
+    cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=69)
+    fitted = [train(init_mlp(preset.b, cfg), train_ds, val_ds, cfg).model
+              for train_ds, val_ds, _ in (pieces, loaded)]
+    paths = [str(tmp_path / f"{name}.mlp.json") for name in ("generated", "loaded")]
+    for m, path in zip(fitted, paths):
+        save_model(m, path)
+    assert _file_bytes(paths[0]) == _file_bytes(paths[1])
+    scores = [predict_negativity(m, test.features)
+              for m in fitted for test in (pieces[2], loaded[2])]
+    assert all(s.tobytes() == scores[0].tobytes() for s in scores)
 
 
 def _file_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def _midpoint(x: float) -> Decimal:
-    """The exact midpoint between the double x and the next double above it."""
-    return (Decimal(x) + Decimal(float(np.nextafter(x, 2.0)))) / 2
-
-
-def _near_midpoint(x: float, places: int, up: bool) -> str:
-    """_midpoint(x) rounded down or up to places digits after the point: within 10**-places."""
-    return format(_midpoint(x).quantize(Decimal(10) ** -places,
-                                         rounding=ROUND_CEILING if up else ROUND_FLOOR), "f")
-
-
-# the decade edges and the binade edges 2**-j the exact reader meets, each
-# with its nextafter neighbours, as %.17g and repr write them
-_EDGES = [text for edge in [1e-4, 1e-3, 0.01, 0.1] + [2.0**-j for j in range(1, 15)]
-          for v in (float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, 2.0)))
-          for text in ("%.17g" % v, repr(v))]
-_UNIT = st.floats(1e-4, 1.0, exclude_max=True)
-
-# cell text: digits, ".", "e", signs, "_", spaces, non-ASCII digits and
-# spaces, arbitrary text, the repr and %.17g of any double and of doubles in
-# [1e-4, 1), the cells the exact reader reads, "0." and 18-25 digits (more
-# than 19 significant ones overflow 64 bits), text within 1e-20 of the
-# midpoint between two adjacent doubles, and exact midpoints (ties)
-_CELL_TEXT = st.one_of(
-    st.text(st.sampled_from("0123456789.eE+-_ \t\u0660\u0969\uff11\u00a0"), max_size=10),
-    st.text(max_size=10),
-    st.floats().map(repr),
-    st.floats().map(lambda v: "%.17g" % v),
-    _UNIT.map(repr),
-    _UNIT.map(lambda v: "%.17g" % v),
-    st.sampled_from(_EDGES + ["0", "1", "5e-324", "nan", "-0"]),
-    st.text(st.sampled_from("0123456789"), min_size=18, max_size=25).map("0.".__add__),
-    st.builds(_near_midpoint, _UNIT, st.integers(20, 25), st.booleans()),
-    _UNIT.map(lambda v: format(_midpoint(v), "f")),
-)
-
-
-def _cell_values(cells: list[str]) -> np.ndarray:
-    """dataset._cell_values of the cells, laid out after its pad and one separator apart."""
-    encoded = [cell.encode() for cell in cells]
-    ends = len(dataset._PAD) + np.cumsum([len(cell) + 1 for cell in encoded]) - 1
-    raw = dataset._PAD + b"".join(cell + b"," for cell in encoded)
-    return dataset._cell_values(raw, ends - [len(cell) for cell in encoded], ends)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_CELL_TEXT, min_size=1, max_size=10))
-@example(["0.25", "1_0", " 0.5", "+1", "\u0660.25", "\uff11", "-nan", "1e999"])
-@example(["0.5", "x", "0.5\x00"])
-@example(["0.5", ""])
-# 19 significant digits and the 20-digit cells just above 2**64 / 10**20
-@example(["0.9999999999999999999", "0.18446744073709551617", "0.19999999999999999999"])
-def test_numpy_converts_cell_text_as_float_does(cells):
-    # the premise of dataset._parse_rows: its one numpy pass over the cells
-    # (_cell_values) gives each cell the bits float() gives it, or fails with
-    # float()'s message for the first cell float() refuses
-    try:
-        want = np.array([float(c) for c in cells])
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            _cell_values(cells)
-        assert str(got.value) == str(exc)
-    else:
-        assert _cell_values(cells).view(np.uint64).tolist() == want.view(np.uint64).tolist()
-
-
-def test_load_reports_bad_lines(tmp_path):
-    # several features per row, so a bad cell must be caught beside good ones
-    ds = generate(KIND, preset_by_name(KIND, "B5"), 10, seed=61)
-    path = str(tmp_path / "d.csv")
-    save(ds, path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-
-    def rewrite(new_lines, target=path):
-        with open(target, "w") as fh:
-            fh.write("\n".join(new_lines) + "\n")
-
-    rewrite(["bogus,header"] + lines[1:])
-    with pytest.raises(FormatError, match=":1"):
-        load(path)
-
-    rewrite(lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:])
-    with pytest.raises(FormatError, match=":6"):
-        load(path)
-
-    cells = lines[3].split(",")
-    cells[-1] = "2"
-    rewrite(lines[:3] + [",".join(cells)] + lines[4:])
-    with pytest.raises(FormatError, match="label"):
-        load(path)
-
-    cells = lines[7].split(",")
-    cells[0] = "not-a-number"
-    rewrite(lines[:7] + [",".join(cells)] + lines[8:])
-    with pytest.raises(FormatError, match=":8"):
-        load(path)
-
-    rewrite(lines[:-1])
-    with pytest.raises(FormatError, match="count"):
-        load(path)
-
-    # cells that parse but that generate cannot write
-    entangled = next(i for i, lab in enumerate(ds.labels, start=1) if lab)
-    separable = next(i for i, lab in enumerate(ds.labels, start=1) if not lab)
-    for row, column, value, message in [
-        (4, 1, "nan", "feature"),
-        (5, 2, "1.0000001", "feature"),
-        (6, 4, "-1e-300", "feature"),
-        (entangled, -2, "0.50001", "negativity"),
-        (separable, -2, "-1e-09", "negativity"),
-        (entangled, -2, "5e-08", "label"),
-        (separable, -1, "1", "label"),
-    ]:
-        cells = lines[row].split(",")
-        cells[column] = value
-        rewrite(lines[:row] + [",".join(cells)] + lines[row + 1:])
-        with pytest.raises(FormatError, match=f":{row + 1}: .*{message}"):
-            load(path)
-
-    # cells float() reads as 0.25 or 1.0 but save never writes: the line is
-    # ASCII and holds no space, tab, "_" or "+"
-    for row, value in enumerate(["0.2_5", " 0.25", "+0.25", "\u0660.25", "\uff11"], start=2):
-        cells = lines[row].split(",")
-        cells[1] = value
-        rewrite(lines[:row] + [",".join(cells)] + lines[row + 1:])
-        with pytest.raises(FormatError, match=f":{row + 1}: a cell must be ASCII without space, "
-                                              f"tab, '_' or '\\+', got {re.escape(repr(value))}$"):
-            load(path)
-
-    # faults are reported in file order: a bad line before a missing record
-    # at its line, and a record past the sidecar's count before a bad line
-    # after it
-    cells = lines[2].split(",")
-    cells[0] = "not-a-number"
-    rewrite(lines[:2] + [",".join(cells)] + lines[3:-1])
-    with pytest.raises(FormatError, match=":3: could not convert string "):
-        load(path)
-    rewrite(lines + [lines[1], ",".join(cells)])
-    with pytest.raises(FormatError, match=": record count does not match sidecar count 10$"):
-        load(path)
-    # lines end where bytes.splitlines ends them: "\r\n" ends one, and a form
-    # feed after a cell, which float() would skip, is a byte no saved cell holds
-    with open(path, "w", newline="\r\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    assert load(path).count == ds.count
-    cells = lines[4].split(",")
-    cells[0] += "\x0c"
-    rewrite(lines[:4] + [",".join(cells)] + lines[5:])
-    with pytest.raises(FormatError, match=f":5: a cell must be ASCII without space, tab, '_' or "
-                                          f"'\\+', got {re.escape(repr(cells[0]))}$"):
-        load(path)
-    rewrite(lines)
-    assert load(path).count == ds.count
-
-
-BLOCK_RECORDS = 400  # three load blocks, the last one partial
-
-
-@functools.cache
-def _block_set() -> tuple[list[bytes], bytes, list[int]]:
-    """A saved B10 set's lines (bytes, without newlines) and sidecar, and each load block's first record.
-
-    A load block is the lines readlines(LOAD_BLOCK) returns: lines up to
-    the first that takes their length past LOAD_BLOCK characters.
-    """
-    ds = generate(KIND, preset_by_name(KIND, "B10"), BLOCK_RECORDS, seed=64)
-    with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "base.csv")
-        save(ds, path)
-        lines = _file_bytes(path).split(b"\n")[:-1]
-        meta = _file_bytes(path + ".meta")
-    offsets = np.cumsum([0] + [len(line) + 1 for line in lines])  # each line's start, and the end
-    starts = [0]  # line indices, the header being line 0
-    while starts[-1] < len(lines):
-        starts.append(int(np.searchsorted(offsets, offsets[starts[-1]] + LOAD_BLOCK, side="right")))
-    return lines, meta, [0] + [start - 1 for start in starts[1:-1]]
-
-
-@pytest.fixture(scope="module")
-def block_csv(tmp_path_factory):
-    """_block_set's lines, and a path sharing its sidecar."""
-    lines, meta, firsts = _block_set()
-    assert len(firsts) == 3 and BLOCK_RECORDS - firsts[2] < firsts[2] - firsts[1]
-    path = str(tmp_path_factory.mktemp("blocks") / "copy.csv")
-    with open(path + ".meta", "wb") as fh:
-        fh.write(meta)
-    return lines, path
-
-
-# a cell's replacements; "0.25,0.25" adds a field, which a "drop" elsewhere in
-# the block can balance
-_CELLS = [b"nan", b"1_0", b" 0.5", b"x", b"0.25,0.25"]
-
-
-@st.composite
-def corruption(draw):
-    """(edit, record index, position or replacement) of one corruption of one line."""
-    last = BLOCK_RECORDS - 1
-    # a block's first record, a record of the partial last block, or any
-    row = draw(st.one_of(st.deferred(lambda: st.sampled_from(_block_set()[2])),
-                         st.deferred(lambda: st.integers(_block_set()[2][-1], last)),
-                         st.integers(0, last)))
-    edit = draw(st.sampled_from(["insert", "crlf", "delete", "duplicate", "cut", "cell", "drop",
-                                 "label"]))
-    if edit == "insert":
-        # form feed, vertical tab, file separator, NEL, line separator, lone
-        # CR, a byte that is not UTF-8: str.splitlines would end a line at
-        # all but the last, bytes.splitlines only at CR
-        arg = (draw(st.sampled_from([b"\x0c", b"\x0b", b"\x1c", "\x85".encode(),
-                                     "\u2028".encode(), b"\r", b"\xff"])),
-               draw(st.integers(0, 200)))
-    elif edit in ("cut", "cell", "drop"):
-        arg = (draw(st.integers(0, 200)), draw(st.sampled_from(_CELLS)))
-    elif edit == "label":
-        arg = draw(st.sampled_from([b"2", b"1.0"]))
-    else:
-        arg = None
-    return edit, row, arg
-
-
-def _corrupt(lines: list[bytes], edits) -> bytes:
-    rows = [line + b"\n" for line in lines[1:]]
-    # edits apply from the last row up, so each names a row of the saved file;
-    # a row's delete comes after its other edits, which then still find it
-    for edit, row, arg in sorted(edits, key=lambda e: (-e[1], e[0] == "delete")):
-        line = rows[row][:-1]
-        if edit == "insert":
-            text, at = arg
-            at %= len(line) + 1
-            rows[row] = line[:at] + text + line[at:] + b"\n"
-        elif edit == "crlf":
-            rows[row] = line + b"\r\n"
-        elif edit == "delete":
-            del rows[row]
-        elif edit == "duplicate":
-            rows.insert(row, rows[row])
-        elif edit == "cut":
-            rows[row] = line[:arg[0] % (len(line) + 1)] + b"\n"
-        elif edit in ("cell", "drop"):
-            cells = line.split(b",")
-            cells[arg[0] % len(cells): arg[0] % len(cells) + 1] = [arg[1]] if edit == "cell" else []
-            rows[row] = b",".join(cells) + b"\n"
-        else:
-            rows[row] = line.rsplit(b",", 1)[0] + b"," + arg + b"\n"
-    return lines[0] + b"\n" + b"".join(rows)
-
-
-def _outcome(loader, path):
-    try:
-        ds = loader(path)
-    except FormatError as exc:
-        return "error", str(exc)
-    return "dataset", (ds.preset, ds.seed, ds.features.tolist(), ds.negativities.tolist(),
-                       ds.labels.tolist(), ds.stream_indices.tolist())
-
-
-def _one_delete_per_row(edits) -> bool:
-    deleted = [row for edit, row, _ in edits if edit == "delete"]
-    return len(deleted) == len(set(deleted))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(corruption(), max_size=3).filter(_one_delete_per_row))
-@example([("cell", 3, (0, b"0.25,0.25")), ("drop", 9, (0, None))])
-@example([("delete", BLOCK_RECORDS - 1, None), ("crlf", BLOCK_RECORDS - 1, None)])
-@example([("insert", 5, (b"\x0b", 0))])  # float() would skip it before a cell
-def test_load_parses_blocks_as_the_per_line_parser_does(block_csv, edits):
-    lines, path = block_csv
-    with open(path, "wb") as fh:
-        fh.write(_corrupt(lines, edits))
-    assert _outcome(load, path) == _outcome(load_by_line, path)
-
-
-def test_load_converts_a_clean_block_in_one_call(block_csv, monkeypatch):
-    # a block is parsed again line by line only when it fails, up to its bad line
-    lines, path = block_csv
-    firsts = _block_set()[2]
-    sizes = np.diff(firsts + [BLOCK_RECORDS]).tolist()
-    calls = []
-    parse = dataset._parse_rows
-
-    def counted(block, *rows):
-        calls.append(len(block))
-        return parse(block, *rows)
-
-    monkeypatch.setattr(dataset, "_parse_rows", counted)
-    with open(path, "wb") as fh:
-        fh.write(_corrupt(lines, []))
-    assert load(path).count == BLOCK_RECORDS
-    assert calls == sizes
-    calls.clear()
-    with open(path, "wb") as fh:
-        fh.write(_corrupt(lines, [("cell", firsts[1] + 5, (0, b"x"))]))
-    with pytest.raises(FormatError, match=f":{firsts[1] + 7}: could not convert string "):
-        load(path)
-    assert calls == sizes[:2] + [1] * 6
 
 
 @pytest.mark.parametrize("streams, message", [

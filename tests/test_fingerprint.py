@@ -1,4 +1,4 @@
-"""Byte fingerprint of the pipeline: gen CSV and sidecar, a trained model, its ROC table.
+"""Byte fingerprint of the pipeline: gen's dataset and sidecar, a trained model, its ROC table.
 
 A refactor must leave these digests unchanged, or re-pin them and record
 the deviation in CHANGES.md. The last bits of the QR, eigensolve and
@@ -8,10 +8,11 @@ docstring), so the digests are pinned per kernel, by the name
 AVX2 and FMA runs under OPENBLAS_CORETYPE=Haswell. A kernel with no digests
 fails, never skips. A mismatch is reported with the kernel's name, the
 largest feature and negativity deviation and the number of label flips,
-measured against the reference CSV under `tests/fingerprint/`, which is the
-SkylakeX CSV. Deviations of order 1e-15 with no label flip point to a
-platform difference; anything larger, or any flip, is a change of behaviour.
-The digests were pinned on the machine named in the README.
+measured against the reference CSV under `tests/fingerprint/`: the SkylakeX
+records as text, frozen with their own digest, which np.loadtxt reads back
+to the same doubles. Deviations of order 1e-15 with no label flip point to
+a platform difference; anything larger, or any flip, is a change of
+behaviour. The digests were pinned on the machine named in the README.
 """
 import hashlib
 import os
@@ -31,16 +32,22 @@ N = 200
 SEED = 1
 PRESET = {SystemKind.TWO_QUBIT: "B10", SystemKind.QUBIT_QUTRIT: "B13"}
 REFERENCE_KERNEL = "SkylakeX"
+# the reference CSVs: the REFERENCE_KERNEL records as "%.17g" text, features,
+# negativity and label, under a header line
+REFERENCE_SHA256 = {
+    SystemKind.TWO_QUBIT: "c0d9fab85bddf89b157402d83af8d59db2f31be2f5d2250c008fe6e841db054e",
+    SystemKind.QUBIT_QUTRIT: "c2e2c95d9818dc00d25820f25fcc18263c615bf5115fb0c4310deb46b6159b06",
+}
 PINNED = {
     "SkylakeX": {
         SystemKind.TWO_QUBIT: {
-            "csv": "c0d9fab85bddf89b157402d83af8d59db2f31be2f5d2250c008fe6e841db054e",
+            "dataset": "f3a3b2f8e4bb6003c203e5bd62c9d0120f972d5fe088d8ddf220bfeeae4c3b49",
             "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
             "model": "9098d58cb1964b0e89afcb119bdd6fbca7f7cb52b9a1aaae2a2eed1ce0561ea7",
             "roc": "454c0dcc623b879e071bfee267f5942bc888c1075fde019c0c462406b8c28d11",
         },
         SystemKind.QUBIT_QUTRIT: {
-            "csv": "c2e2c95d9818dc00d25820f25fcc18263c615bf5115fb0c4310deb46b6159b06",
+            "dataset": "8d05b704b799d5b9946249d3badab317b26a6a4f86ad18380d418cc399c9b143",
             "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
             "model": "a9fdfb1439144481cc6ee41b8ea3de4723d71165244e10b43e9f05e20b5f215a",
             "roc": "41be2f2e695661704369d5b58200cf725633b1563386e22af90d066b061109a2",
@@ -48,13 +55,13 @@ PINNED = {
     },
     "Haswell": {
         SystemKind.TWO_QUBIT: {
-            "csv": "3f6572ef50af09bbe46b6be0cca81a86e7628b9e1fd05f14c4c4be98f4c3e32e",
+            "dataset": "a1e796e6769200dac8203bee74bf586999b184dd7928ec6646cbf2d553959aef",
             "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
             "model": "e20709cfaad55090056ff87d6a8b5f9713256a684cedd4778970447e06bec38b",
             "roc": "a400379126c6c56592d163a906943d5d1449ba514892958f09e6b7116a5c19ee",
         },
         SystemKind.QUBIT_QUTRIT: {
-            "csv": "1d83624eb8ad95f3f9d13a8674f1fbfe674eb822d741c77311e3e217ca770d53",
+            "dataset": "786f19ccefae5677c0ba0673e92a6ab798dea04f808c67faaeed7cc9addc1b10",
             "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
             "model": "f4bde9508f87d9e2d316832c6719f40b68b829bc2a66cbe70ebf11f132d4a1e4",
             "roc": "43ff8121e100d43a9dc4da22fbcb7d78ea2ec8aa666c7d02eb62e0a342c96d50",
@@ -76,8 +83,8 @@ def pipeline_digests(kind, out_dir):
     """gen, then a three-epoch model on a split of it and the model's ROC table."""
     preset = preset_by_name(kind, PRESET[kind])
     ds = generate(kind, preset, N, SEED)
-    csv = os.path.join(out_dir, "gen.csv")
-    save(ds, csv)
+    data = os.path.join(out_dir, "gen.npy")
+    save(ds, data)
     train_ds, val_ds, test_ds = split(ds, (0.6, 0.2, 0.2))
     cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=SEED)
     result = train(init_mlp(preset.b, cfg), train_ds, val_ds, cfg)
@@ -86,7 +93,7 @@ def pipeline_digests(kind, out_dir):
     save_model(result.model, model_path)
     write_roc(roc_curve(predict_negativity(result.model, test_ds.features), test_ds.labels),
               roc_path)
-    digests = {"csv": sha256_file(csv), "meta": sha256_file(csv + ".meta"),
+    digests = {"dataset": sha256_file(data), "meta": sha256_file(data + ".meta"),
                "model": sha256_file(model_path), "roc": sha256_file(roc_path)}
     return ds, digests
 
@@ -106,7 +113,7 @@ def deviation_report(ds, kind):
 
 @pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
 def test_reference_csv_is_the_pinned_one(kind):
-    assert sha256_file(reference_path(kind)) == PINNED[REFERENCE_KERNEL][kind]["csv"]
+    assert sha256_file(reference_path(kind)) == REFERENCE_SHA256[kind]
 
 
 @pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
