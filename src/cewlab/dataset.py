@@ -10,7 +10,6 @@ sidecar of everything else (save, load).
 """
 from __future__ import annotations
 
-import io
 import json
 import os
 from contextlib import closing, suppress
@@ -280,11 +279,6 @@ def _write_json(doc: dict, path: str) -> None:
 
 # the keys of the .meta sidecar save writes, and the only ones load reads
 _META_KEYS = {"kind", "preset", "seed", "count", "prevalence", "stream_indices"}
-# the .npy header readers load takes, by format version, and the bytes load
-# reads for a header: the magic string, a 2.0 header's 4-byte length and the
-# longest header the readers accept
-_READ_HEADER = {(1, 0): npy_format.read_array_header_1_0, (2, 0): npy_format.read_array_header_2_0}
-_HEAD_BYTES = npy_format.MAGIC_LEN + 4 + 10000
 
 
 def load(path: str) -> Dataset:
@@ -296,15 +290,17 @@ def load(path: str) -> Dataset:
     indices the kind lacks, a preset name that is not a string, a seed
     outside [0, 2**64), a count that is not a non-negative integer,
     stream_indices that are not count distinct non-negative int64 draw
-    indices). Then the data file's .npy header: a magic string or version
-    numpy's reader refuses (a .npz or a CSV among them), or any header but
-    a C-order little-endian float64 array of shape (count, B + 1), which is
-    refused before the array is allocated (an object dtype, big-endian
-    data, Fortran order, another rank or row count). Then data shorter than
-    that array or bytes after it, the first row whose feature is NaN or
-    outside [0, 1] or whose negativity is NaN or outside [0, 0.5], and last
-    a sidecar prevalence other than the labels' mean. The features and
-    negativities are column views of the one array read.
+    indices). Then the data file's .npy header: a magic string numpy's
+    reader refuses (a .npz or a CSV among them), any version but the 1.0
+    that save writes, which is refused before a header length is read, or
+    any header but a C-order little-endian float64 array of shape
+    (count, B + 1), which is refused before the array is allocated (an
+    object dtype, big-endian data, Fortran order, another rank or row
+    count). Then data shorter than that array or bytes after it, the first
+    row whose feature is NaN or outside [0, 1] or whose negativity is NaN
+    or outside [0, 0.5], and last a sidecar prevalence other than the
+    labels' mean. The features and negativities are column views of the
+    one array read.
     """
     try:
         with open(path + ".meta") as fh:
@@ -349,14 +345,13 @@ def load(path: str) -> Dataset:
         raise FormatError(f"{path}.meta: {exc}") from exc
 
     with open(path, "rb") as fh:
-        # numpy's header reader reads as many bytes as a version 2.0 header
-        # claims, up to 4 GiB; from this buffer, no more than it holds
-        head = io.BytesIO(fh.read(_HEAD_BYTES))
+        # a 1.0 header's length is 2 bytes, so no more than 64 KiB is read for
+        # it, and numpy refuses a header over 10,000 bytes
         try:
-            version = npy_format.read_magic(head)
-            if version not in _READ_HEADER:
+            version = npy_format.read_magic(fh)
+            if version != (1, 0):
                 raise ValueError(f"unsupported .npy version {version}")
-            shape, fortran_order, dtype = _READ_HEADER[version](head)
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
         except ValueError as exc:
             raise FormatError(f"{path}: not a .npy array: {exc}") from exc
         if (shape, fortran_order, dtype) != ((count, preset.b + 1), False, np.dtype("<f8")):
@@ -364,7 +359,6 @@ def load(path: str) -> Dataset:
             raise FormatError(f"{path}: expected a C-order <f8 array of shape "
                               f"{(count, preset.b + 1)}, got a {order}-order {dtype.str} array "
                               f"of shape {shape}")
-        fh.seek(head.tell())
         block = np.empty(shape, dtype="<f8")
         read = fh.readinto(block)
         if read != block.nbytes:

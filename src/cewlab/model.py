@@ -288,7 +288,11 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
         raise ValueError("train_many needs at least one model")
     _check_splits(train_ds, val_ds, cfg)
     presets, models = list(models), list(models.values())
-    x_trains, x_vals = ([restrict(ds, p).features for p in presets] for ds in (train_ds, val_ds))
+    # np.take copies a source that is not C-contiguous (load's column views)
+    # whole before each gather, so the training arrays are made C-contiguous
+    # once here (y_train too), which copies nothing that already is
+    x_trains = [np.ascontiguousarray(restrict(train_ds, p).features) for p in presets]
+    x_vals = [restrict(val_ds, p).features for p in presets]
     for preset, m, x in zip(presets, models, x_trains):
         if x.shape[1] != m.input_dim:
             raise DimensionMismatch(
@@ -297,7 +301,7 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
     if any(m.layer_sizes[1:] != sizes for m in models):
         raise DimensionMismatch("lockstep members must share every layer after the first")
 
-    y_train, y_val = train_ds.negativities, val_ds.negativities
+    y_train, y_val = np.ascontiguousarray(train_ds.negativities), val_ds.negativities
     n = len(y_train)
     rng = make_rng(cfg.seed, _SHUFFLE_STREAM)
     active = list(range(len(models)))  # members still training, in stack order

@@ -55,8 +55,9 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream).
 
     Identical (seed, stream) pairs reproduce identical sequences bit for
-    bit; distinct streams are statistically independent, which lets the
-    dataset layer hand one stream to every sample index.
+    bit, and distinct streams are statistically independent. It serves only
+    model initialisation and the training shuffle; samples draw their
+    streams through philox_uniforms.
     """
     key = np.array([_as_u64(seed, "seed"), _as_u64(stream, "stream")])
     return np.random.Generator(np.random.Philox(key=key))

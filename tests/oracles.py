@@ -261,6 +261,12 @@ def _npy(array: np.ndarray, allow_pickle: bool = False) -> bytes:
     return out.getvalue()
 
 
+def _npy_2_0(array: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    npy_format.write_array(out, array, version=(2, 0))
+    return out.getvalue()
+
+
 def _npz(array: np.ndarray) -> bytes:
     out = io.BytesIO()
     np.savez(out, array)
@@ -283,9 +289,10 @@ DATA_FILE_FAULTS = {
     "npz": (_npz, r"not a \.npy array: the magic string is not correct"),
     "version-3": (lambda a: _npy(a)[:6] + b"\x03" + _npy(a)[7:],
                   r"not a \.npy array: unsupported \.npy version \(3, 0\)"),
+    "version-2.0": (_npy_2_0, r"not a \.npy array: unsupported \.npy version \(2, 0\)"),
     # a version 2.0 header length of 4 GiB - 1, which numpy's reader would try to read
     "4-GiB-header": (lambda a: b"\x93NUMPY\x02\x00\xff\xff\xff\xff" + _npy(a)[10:],
-                     r"not a \.npy array: EOF: reading array header"),
+                     r"not a \.npy array: unsupported \.npy version \(2, 0\)"),
     "object-dtype": (lambda a: _npy(a.astype(object), allow_pickle=True),
                      r"expected a C-order <f8 array of shape \(\d+, \d+\), got a C-order \|O "),
     "big-endian": (lambda a: _npy(a.astype(">f8")), r"expected .*, got a C-order >f8 array"),

@@ -212,8 +212,8 @@ def test_criterion_8_determinism(unbalanced_datasets, sweeps, tmp_path_factory):
     gen_dir = tmp_path_factory.mktemp("regen")
     for kind, first in datasets.items():
         again = generate(kind, preset_by_name(kind, "B1"), 10000, seed=1, balanced=False)
-        a = str(gen_dir / f"{kind.value}-a.csv")
-        b = str(gen_dir / f"{kind.value}-b.csv")
+        a = str(gen_dir / f"{kind.value}-a.npy")
+        b = str(gen_dir / f"{kind.value}-b.npy")
         save(first, a)
         save(again, b)
         for suffix in ("", ".meta"):

@@ -39,9 +39,9 @@ def workspace(tmp_path_factory):
     """Datasets and a trained model shared by the round-trip tests."""
     root = tmp_path_factory.mktemp("cli")
     paths = {
-        "train": str(root / "train.csv"),
-        "val": str(root / "val.csv"),
-        "test": str(root / "test.csv"),
+        "train": str(root / "train.npy"),
+        "val": str(root / "val.npy"),
+        "test": str(root / "test.npy"),
         "model": str(root / "m.mlp.json"),
         "root": root,
     }
@@ -81,15 +81,15 @@ def test_python_dash_m_runs_the_command_line(module):
 
 
 def test_gen_reports_shape_and_prevalence(tmp_path, capsys):
-    out = str(tmp_path / "d.csv")
+    out = str(tmp_path / "d.npy")
     assert main(gen_args(out, preset="B5", n=100, seed=3)) == 0
     line = capsys.readouterr().out.strip()
     assert line == f"wrote {out}: 100 records, 5 features, prevalence 0.5000"
 
 
 def test_gen_writes_identical_bytes_per_seed(tmp_path):
-    a = str(tmp_path / "a.csv")
-    b = str(tmp_path / "b.csv")
+    a = str(tmp_path / "a.npy")
+    b = str(tmp_path / "b.npy")
     assert main(gen_args(a, n=200, seed=7)) == 0
     assert main(gen_args(b, n=200, seed=7)) == 0
     for suffix in ("", ".meta"):
@@ -168,7 +168,7 @@ def test_eval_refuses_a_model_of_another_kind(workspace, tmp_path, capsys):
         meta = json.load(fh)["meta"]
     assert (meta["kind"], meta["preset"]) == ("two-qubit", "B3")
     assert meta["pairs"] == [[1, 1], [2, 2], [3, 3]]
-    paths = {name: str(tmp_path / f"{name}.csv") for name in ("qq", "qq_val", "tq")}
+    paths = {name: str(tmp_path / f"{name}.npy") for name in ("qq", "qq_val", "tq")}
     assert main(gen_args(paths["qq"], preset="B5", n=200, seed=93, kind="qubit-qutrit")) == 0
     assert main(gen_args(paths["qq_val"], preset="B5", n=100, seed=94, kind="qubit-qutrit")) == 0
     assert main(gen_args(paths["tq"], preset="B5", n=100, seed=95)) == 0
@@ -197,7 +197,7 @@ def test_eval_refuses_a_model_of_another_kind(workspace, tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
-    out = str(tmp_path / "d.csv")
+    out = str(tmp_path / "d.npy")
     assert main(gen_args(out, preset="B99")) == 2
     assert "B99" in capsys.readouterr().err
     assert main(gen_args(out, n=601)) == 2  # balanced generation needs even n
@@ -218,7 +218,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 def test_seed_out_of_range_exits_2(tmp_path, capsys, seed):
     rc = main(["gen", "--kind", "two-qubit", "--preset", "B1", "--n", "10",
-               "--seed", seed, "--out", str(tmp_path / "d.csv")])
+               "--seed", seed, "--out", str(tmp_path / "d.npy")])
     assert rc == 2
     assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
 
@@ -271,13 +271,13 @@ def test_a_diverging_train_prints_only_its_error(workspace, tmp_path):
 
 def test_quota_exhaustion_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dataset, "negativity_stack", lambda mats, kind: np.zeros(len(mats)))
-    assert main(gen_args(tmp_path / "d.csv", preset="B1", n=10)) == 1
+    assert main(gen_args(tmp_path / "d.npy", preset="B1", n=10)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: class quota not reached") and err.count("\n") == 1
 
 
 def test_train_on_fewer_records_than_a_batch_exits_1(tmp_path, capsys):
-    small = str(tmp_path / "small.csv")
+    small = str(tmp_path / "small.npy")
     assert main(gen_args(small, n=40, seed=4)) == 0
     capsys.readouterr()
     rc = main(["train", "--train", small, "--val", small, "--batch-size", "500",
@@ -290,7 +290,7 @@ def test_train_on_fewer_records_than_a_batch_exits_1(tmp_path, capsys):
 
 
 def test_data_errors_exit_1(workspace, tmp_path, capsys):
-    other = str(tmp_path / "b1.csv")
+    other = str(tmp_path / "b1.npy")
     assert main(gen_args(other, preset="B1", n=100, seed=1)) == 0
     capsys.readouterr()
 
@@ -309,7 +309,7 @@ def test_data_errors_exit_1(workspace, tmp_path, capsys):
     assert rc == 1
     capsys.readouterr()
 
-    broken = str(tmp_path / "broken.csv")
+    broken = str(tmp_path / "broken.npy")
     with open(broken, "w") as fh:
         fh.write("not,a,dataset\n")
     with open(broken + ".meta", "w") as fh:
@@ -390,7 +390,7 @@ def test_eval_of_overflowing_predictions_prints_only_its_error(workspace, tmp_pa
 
 
 def test_eval_svg_escapes_a_preset_name_with_xml_specials(workspace, tmp_path, capsys):
-    test = str(tmp_path / "odd.csv")
+    test = str(tmp_path / "odd.npy")
     shutil.copyfile(workspace["test"], test)
     with open(workspace["test"] + ".meta") as fh:
         meta = json.load(fh)
@@ -406,7 +406,7 @@ def test_eval_svg_escapes_a_preset_name_with_xml_specials(workspace, tmp_path, c
 
 
 def test_an_undecodable_dataset_exits_1_naming_its_path(workspace, tmp_path, capsys):
-    bad = str(tmp_path / "bad.csv")
+    bad = str(tmp_path / "bad.npy")
     shutil.copyfile(workspace["val"] + ".meta", bad + ".meta")
     # a byte that is not UTF-8 in place of the first byte of numpy's magic string
     with open(workspace["val"], "rb") as fh:
@@ -427,7 +427,7 @@ def test_an_undecodable_dataset_exits_1_naming_its_path(workspace, tmp_path, cap
 @pytest.mark.parametrize("fault", list(DATA_FILE_FAULTS))
 def test_a_data_file_save_cannot_write_exits_1_with_one_line(workspace, tmp_path, capsys, fault):
     make, message = DATA_FILE_FAULTS[fault]
-    bad = str(tmp_path / "bad.csv")
+    bad = str(tmp_path / "bad.npy")
     shutil.copyfile(workspace["val"] + ".meta", bad + ".meta")
     with open(bad, "wb") as fh:
         fh.write(make(np.load(workspace["val"])))
@@ -649,7 +649,7 @@ def test_each_artifact_command_writes_one_manifest(workspace, tmp_path, capsys, 
 
 def test_a_dataset_that_measures_no_pair_exits_1_naming_its_sidecar(workspace, tmp_path, capsys):
     # a sidecar with no pairs and an array of only the negativities: gen cannot write it
-    bare = str(tmp_path / "bare.csv")
+    bare = str(tmp_path / "bare.npy")
     with open(workspace["val"] + ".meta") as fh:
         meta = json.load(fh)
     meta["preset"]["pairs"] = []
@@ -823,14 +823,14 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
         "                  if m.split('.')[0] in ('multiprocessing', 'concurrent'))",
         "print(pool_modules())",
         "args = ['gen', '--kind', 'qubit-qutrit', '--preset', 'B45', '--n', '200',",
-        f"        '--seed', '1', '--out', {str(tmp_path / 'd.csv')!r}]",
+        f"        '--seed', '1', '--out', {str(tmp_path / 'd.npy')!r}]",
         "assert cewlab.cli.main(args) == 0",
         "print(pool_modules())",
     ])
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "wrote " + str(tmp_path / "d.csv")
+    assert proc.stdout.splitlines() == ["[]", "wrote " + str(tmp_path / "d.npy")
                                         + ": 200 records, 45 features, prevalence 0.5000", "[]"]
 
 
@@ -931,7 +931,7 @@ def test_gen_whose_worker_is_killed_exits_1_with_one_line_and_no_file(
     cpus(2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(dataset, "_draw_chunk", _kill_own_worker)
-    assert main(gen_args(tmp_path / "d.csv", n=4096)) == 1
+    assert main(gen_args(tmp_path / "d.npy", n=4096)) == 1
     assert capsys.readouterr() == ("", "error: a worker process ended before returning its job\n")
     assert os.listdir(tmp_path) == []
 
@@ -949,7 +949,7 @@ def test_gen_whose_save_fails_exits_1_and_leaves_no_file(
     cpus(n_cpus)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(dataset, "_write_json", _disk_full)
-    assert main(gen_args(tmp_path / "d.csv", n=4096)) == 1
+    assert main(gen_args(tmp_path / "d.npy", n=4096)) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and message in err
     assert os.listdir(tmp_path) == []
@@ -965,7 +965,7 @@ def test_gen_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys, 
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "generate", refuse)
-    assert main(gen_args(tmp_path / "d.csv", n=10**10)) == 1
+    assert main(gen_args(tmp_path / "d.npy", n=10**10)) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message or 'out of memory'}\n"
@@ -995,7 +995,7 @@ def test_a_pooled_sweep_process_never_imports_numpy_random(tmp_path):
 
 def test_every_json_artifact_has_the_one_layout(tmp_path):
     # 2-space indentation and a final newline, for the files no digest covers too
-    data, model, roc = (str(tmp_path / name) for name in ("d.csv", "m.mlp.json", "m.roc.csv"))
+    data, model, roc = (str(tmp_path / name) for name in ("d.npy", "m.mlp.json", "m.roc.csv"))
     assert main(gen_args(data, n=600)) == 0
     assert main(["train", "--train", data, "--val", data, "--max-epochs", "2",
                  "--batch-size", "64", "--seed", "1", "--out", model]) == 0

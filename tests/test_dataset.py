@@ -342,7 +342,7 @@ def test_split_needs_both_classes():
 def test_save_load_round_trip(tmp_path):
     for kind, name in ((SystemKind.TWO_QUBIT, "B5"), (SystemKind.QUBIT_QUTRIT, "B13")):
         ds = generate(kind, preset_by_name(kind, name), 200, seed=59)
-        path = str(tmp_path / f"{kind.value}.csv")
+        path = str(tmp_path / f"{kind.value}.npy")
         save(ds, path)
         back = load(path)
         assert back.kind is ds.kind is kind
@@ -368,7 +368,7 @@ def test_save_starts_no_pool(tmp_path, monkeypatch, cpus):
     ds = generate(KIND, preset_by_name(KIND, "B10"), 3 * CHUNK + 10, seed=68, balanced=False)
     cpus(2)
     workers = _record_pool_workers(monkeypatch)
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(ds, path)
     assert workers == []
     expected = io.BytesIO()
@@ -380,7 +380,7 @@ def test_an_empty_dataset_round_trips_and_a_count_it_lacks_is_refused(tmp_path):
     preset = preset_by_name(KIND, "B3")
     empty = dataset.Dataset(preset, np.empty((0, preset.b)), np.empty(0), 62,
                             np.empty(0, dtype=np.int64))
-    path = str(tmp_path / "empty.csv")
+    path = str(tmp_path / "empty.npy")
     save(empty, path)
     assert np.load(path).shape == (0, preset.b + 1)
     assert json.loads(_file_bytes(path + ".meta"))["count"] == 0
@@ -388,10 +388,10 @@ def test_an_empty_dataset_round_trips_and_a_count_it_lacks_is_refused(tmp_path):
     assert back.count == 0 and back.features.shape == (0, preset.b) and back.seed == 62
     # an empty array whose sidecar says 2 records, and 2 records whose
     # sidecar says none
-    two = str(tmp_path / "two.csv")
+    two = str(tmp_path / "two.npy")
     save(generate(KIND, preset, 2, seed=62), two)
     for data, meta in ((path, two), (two, path)):
-        mixed = str(tmp_path / "mixed.csv")
+        mixed = str(tmp_path / "mixed.npy")
         with open(mixed, "wb") as fh:
             fh.write(_file_bytes(data))
         with open(mixed + ".meta", "wb") as fh:
@@ -399,7 +399,7 @@ def test_an_empty_dataset_round_trips_and_a_count_it_lacks_is_refused(tmp_path):
         count = json.loads(_file_bytes(meta + ".meta"))["count"]
         rows = np.load(data).shape[0]
         with pytest.raises(FormatError, match=re.escape(
-                f"mixed.csv: expected a C-order <f8 array of shape ({count}, 4), got a C-order "
+                f"mixed.npy: expected a C-order <f8 array of shape ({count}, 4), got a C-order "
                 f"<f8 array of shape ({rows}, 4)")):
             load(mixed)
 
@@ -411,8 +411,8 @@ def test_save_is_byte_stable(tmp_path):
     negs = ds.negativities.copy()
     negs[4] = -0.0
     ds = dataclasses.replace(ds, negativities=negs)
-    p1 = str(tmp_path / "a.csv")
-    p2 = str(tmp_path / "b.csv")
+    p1 = str(tmp_path / "a.npy")
+    p2 = str(tmp_path / "b.npy")
     save(ds, p1)
     # what np.save writes for the C-order little-endian float64 records
     expected = io.BytesIO()
@@ -452,7 +452,7 @@ def test_every_finite_double_reads_back_with_its_bits(tmp_path_factory, rows, st
     values = bits.view(np.float64)
     feats, negs = values[:, :3].copy(), values[:, 3].copy()
     ds = dataset.Dataset(preset_by_name(KIND, "B3"), feats, negs, 7, np.arange(len(values)))
-    path = str(tmp_path_factory.getbasetemp() / "bits.csv")
+    path = str(tmp_path_factory.getbasetemp() / "bits.npy")
     save(ds, path)
     taken = ((feats >= 0) & (feats <= 1)).all(axis=1) & (negs >= 0) & (negs <= 0.5 + 1e-12)
     if not taken.all():
@@ -483,7 +483,7 @@ def test_load_converts_a_clean_block_in_one_call(tmp_path):
     # the records are read into one (n, B + 1) array, and the features and
     # negativities are column views of it, not copies
     ds = generate(KIND, preset_by_name(KIND, "B10"), 400, seed=64)
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(ds, path)
     back = load(path)
     block = back.features.base
@@ -495,7 +495,7 @@ def test_load_converts_a_clean_block_in_one_call(tmp_path):
 @pytest.mark.parametrize("fault", list(DATA_FILE_FAULTS))
 def test_load_refuses_a_data_file_save_cannot_write(tmp_path, fault):
     make, message = DATA_FILE_FAULTS[fault]
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(generate(KIND, preset_by_name(KIND, "B3"), 10, seed=67), path)
     data = make(np.load(path))
     with open(path, "wb") as fh:
@@ -515,7 +515,7 @@ def test_load_refuses_a_data_file_save_cannot_write(tmp_path, fault):
 def test_load_reports_bad_rows(tmp_path):
     # several features per row, so a bad value must be caught beside good ones
     ds = generate(KIND, preset_by_name(KIND, "B5"), 10, seed=61)
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(ds, path)
     block = np.load(path)
 
@@ -559,7 +559,7 @@ def test_a_loaded_dataset_trains_and_predicts_as_the_generated_one(tmp_path, kin
     pieces = split(generate(kind, preset, 400, seed=69), (0.6, 0.2, 0.2))
     loaded = []
     for name, piece in zip(("train", "val", "test"), pieces):
-        path = str(tmp_path / f"{name}.csv")
+        path = str(tmp_path / f"{name}.npy")
         save(piece, path)
         loaded.append(load(path))
     assert not loaded[0].features.flags.c_contiguous
@@ -573,6 +573,30 @@ def test_a_loaded_dataset_trains_and_predicts_as_the_generated_one(tmp_path, kin
     scores = [predict_negativity(m, test.features)
               for m in fitted for test in (pieces[2], loaded[2])]
     assert all(s.tobytes() == scores[0].tobytes() for s in scores)
+
+
+def test_training_on_loaded_splits_gathers_each_batch_from_c_contiguous_arrays(tmp_path,
+                                                                              monkeypatch):
+    # np.take copies a source that is not C-contiguous whole before it
+    # gathers, so a batch from load's column views would copy every record
+    preset = preset_by_name(KIND, "B10")
+    loaded = []
+    for name, piece in zip(("train", "val"), split(generate(KIND, preset, 200, seed=70),
+                                                   (0.6, 0.2, 0.2))):
+        path = str(tmp_path / f"{name}.npy")
+        save(piece, path)
+        loaded.append(load(path))
+    contiguous = []
+    take = np.take
+
+    def recording_take(a, *args, **kwargs):
+        contiguous.append(a.flags.c_contiguous)
+        return take(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording_take)
+    cfg = TrainConfig(batch_size=32, max_epochs=1, patience=1, seed=70)
+    train(init_mlp(preset.b, cfg), loaded[0], loaded[1], cfg)
+    assert contiguous and all(contiguous)
 
 
 def _file_bytes(path) -> bytes:
@@ -590,7 +614,7 @@ def _file_bytes(path) -> bytes:
 ])
 def test_load_rejects_streams_generate_cannot_write(tmp_path, streams, message):
     ds = generate(KIND, B1, 4, seed=64)
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(ds, path)
     with open(path + ".meta") as fh:
         meta = json.load(fh)
@@ -608,7 +632,7 @@ def test_load_rejects_streams_generate_cannot_write(tmp_path, streams, message):
 def test_load_rejects_seeds_and_counts_generate_cannot_write(tmp_path, field, value):
     # the largest seed generate takes loads; the corrupted sidecar does not
     ds = generate(KIND, B1, 4, seed=2**64 - 1)
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(ds, path)
     assert load(path).seed == 2**64 - 1
     with open(path + ".meta") as fh:
@@ -627,7 +651,7 @@ def test_load_rejects_seeds_and_counts_generate_cannot_write(tmp_path, field, va
 def test_load_rejects_pairs_generate_cannot_write(tmp_path, kind, pairs):
     # effect indices run 1-4 for two-qubit and 1-9 for qubit-qutrit
     ds = generate(kind, preset_by_name(kind, "B1"), 4, seed=65)
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(ds, path)
     with open(path + ".meta") as fh:
         meta = json.load(fh)
@@ -650,7 +674,7 @@ def test_load_rejects_pairs_generate_cannot_write(tmp_path, kind, pairs):
         "extra-preset-key"])
 def test_load_rejects_names_and_prevalences_save_cannot_write(tmp_path, edit, message):
     # a balanced set: save writes its prevalence as the float 0.5
-    path = str(tmp_path / "d.csv")
+    path = str(tmp_path / "d.npy")
     save(generate(KIND, B1, 4, seed=66), path)
     with open(path + ".meta") as fh:
         meta = json.load(fh)
@@ -662,7 +686,7 @@ def test_load_rejects_names_and_prevalences_save_cannot_write(tmp_path, edit, me
 
 
 def test_load_missing_sidecar(tmp_path):
-    path = str(tmp_path / "missing.csv")
+    path = str(tmp_path / "missing.npy")
     with pytest.raises(FileNotFoundError):
         load(path)
 
