@@ -236,11 +236,8 @@ def _train_group(train_ds: Dataset, val_ds: Dataset, group: list,
     """Train one group of presets in lockstep; returns train_many's results and the seconds taken.
 
     train_many projects each preset's columns from the group's splits. Runs
-    in a pool worker, so it is a module-level function of picklable arguments.
-    The models are built here, in the worker, so a pooled sweep process never
-    imports numpy.random: importing it and making one draw raises a fresh
-    process's peak RSS by 5.5 MB, and building the models in the sweep
-    process raised the sweep-tq benchmark's peak RSS from 44.2 to 46.9 MB.
+    in a pool worker, so it is a module-level function of picklable
+    arguments, and the seconds it reports are the group's time in its worker.
     """
     started = time.perf_counter()
     results = train_many({p: init_mlp(p.b, cfg) for p in group}, train_ds, val_ds, cfg)

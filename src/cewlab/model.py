@@ -17,14 +17,16 @@ import numpy as np
 from .dataset import Dataset, _write_json, restrict
 from .errors import (DimensionMismatch, DivergedTraining, EmptyDataset, FormatError,
                      ModelMismatch, TooFewRecords)
-from .qlinalg import make_rng, standard_normals
+from .qlinalg import philox_raw, philox_uniforms
 
 HIDDEN_SIZES = (32, 16)
 
-# RNG stream ids far above any dataset draw index, so a shared seed never
-# reuses dataset randomness for weights or shuffling.
+# RNG streams in two reserved ranges far above any dataset draw index, so a
+# shared seed never reuses dataset randomness: inits take [2**62, 2**62 +
+# 2**61) from _INIT_STREAM up, epoch e's shuffle takes _SHUFFLE_STREAM + e
+# in [2**62 + 2**61, 2**63).
 _INIT_STREAM = 1 << 62
-_SHUFFLE_STREAM = (1 << 62) + 1
+_SHUFFLE_STREAM = (1 << 62) + (1 << 61)
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 BETA1 = 0.9
@@ -66,18 +68,39 @@ class TrainResult:
 
 
 def init_mlp(input_dim: int, cfg: TrainConfig) -> Mlp:
-    """He-scaled normal weights, zero biases, deterministic in cfg.seed."""
+    """He-scaled normal weights, zero biases, deterministic in cfg.seed.
+
+    The normals are Box-Muller on stream _INIT_STREAM's uniforms: each
+    layer in turn takes a block of u1 and then one of u2.
+    """
     if input_dim < 1:
         raise ValueError("input_dim must be at least 1")
-    rng = make_rng(cfg.seed, _INIT_STREAM)
     sizes = (input_dim, *HIDDEN_SIZES, 1)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        scale = np.sqrt(2.0 / fan_in)
-        weights.append(standard_normals(rng, (fan_in, fan_out)) * scale)
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases, {"seed": cfg.seed})
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    u = philox_uniforms(cfg.seed, [_INIT_STREAM], 2 * sum(i * o for i, o in shapes))[0]
+    weights, lo = [], 0
+    for fan_in, fan_out in shapes:
+        u1, u2 = u[lo:lo + 2 * fan_in * fan_out].reshape(2, fan_in, fan_out)
+        lo += 2 * fan_in * fan_out
+        normals = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)  # 1 - u1 in (0, 1]
+        weights.append(normals * np.sqrt(2.0 / fan_in))
+    return Mlp(weights, [np.zeros(o) for o in sizes[1:]], {"seed": cfg.seed})
+
+
+def _shuffle(seed: int, epoch: int, n: int) -> np.ndarray:
+    """Epoch `epoch`'s order of n records, from stream _SHUFFLE_STREAM + epoch.
+
+    Record i's key is the stream's i-th word with its low b bits replaced
+    by i, b = max(1, (n - 1).bit_length()) being enough bits for any index,
+    and the records go in ascending key order. The keys are distinct,
+    so every sort gives the same order, and records whose words agree above
+    those bits keep index order.
+    """
+    b = max(1, (n - 1).bit_length())
+    keys = philox_raw(seed, [_SHUFFLE_STREAM + epoch], n)[0] >> b << b
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    return (keys & ((1 << b) - 1)).astype(np.intp)
 
 
 class _Stack:
@@ -303,7 +326,6 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
 
     y_train, y_val = np.ascontiguousarray(train_ds.negativities), val_ds.negativities
     n = len(y_train)
-    rng = make_rng(cfg.seed, _SHUFFLE_STREAM)
     active = list(range(len(models)))  # members still training, in stack order
     net = _Stack([m.input_dim for m in models], sizes, [(*m.weights, *m.biases) for m in models])
     mom1, mom2 = _Stack(net.dims, sizes), _Stack(net.dims, sizes)
@@ -316,7 +338,7 @@ def train_many(models: dict, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
     rows = {min(cfg.batch_size, n - lo) for lo in range(0, n, cfg.batch_size)}
     work = _Work(net.dims, sizes, rows, len(y_val))
     for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(n)
+        perm = _shuffle(cfg.seed, epoch, n)
         sq_err_sum = np.zeros(len(active))
         for lo in range(0, n, cfg.batch_size):
             batch = perm[lo: lo + cfg.batch_size]
@@ -378,8 +400,8 @@ def train(m: Mlp, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
           on_epoch=None) -> TrainResult:
     """Mini-batch Adam on MSE; returns the best-validation-epoch snapshot.
 
-    Deterministic given cfg.seed: shuffling uses a dedicated stream and
-    every reduction has a fixed order. `on_epoch(epoch, train_mse, val_mse)`
+    Deterministic given cfg.seed: each epoch's shuffle draws its own stream
+    and every reduction has a fixed order. `on_epoch(epoch, train_mse, val_mse)`
     is called after each epoch when given. Datasets of two presets raise
     ModelMismatch. The model's meta records the preset's kind, name and pairs.
     This is train_many with one member.

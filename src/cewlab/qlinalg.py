@@ -1,11 +1,11 @@
 """Seeded randomness and dense Hermitian linear algebra on small complex matrices.
 
-Random draws come from Philox4x64-10 (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11), keyed by (seed, stream). `make_rng`
-wraps numpy's implementation in a Generator for sequential draws;
-`philox_uniforms` computes the same words for a whole array of streams at
-once in plain uint64 numpy, so a stack of samples costs one vectorized pass
-and any subset of streams can be drawn alone, bit for bit.
+Every random draw in the package comes from `philox_raw`: Philox4x64-10
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+keyed by (seed, stream), computed for a whole array of streams at once in
+plain uint64 numpy. A stack of samples costs one vectorized pass, and any
+subset of streams can be drawn alone, bit for bit. The package never
+imports numpy.random.
 
 Matrices are plain complex numpy arrays (nothing here exceeds 6 x 6).
 Every eigenvalue in the package comes from `hermitian_eigenvalues_stack`,
@@ -51,18 +51,6 @@ def _as_u64(values, name: str) -> np.ndarray:
     return np.array(items.tolist(), dtype=np.uint64).reshape(items.shape)
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream).
-
-    Identical (seed, stream) pairs reproduce identical sequences bit for
-    bit, and distinct streams are statistically independent. It serves only
-    model initialisation and the training shuffle; samples draw their
-    streams through philox_uniforms.
-    """
-    key = np.array([_as_u64(seed, "seed"), _as_u64(stream, "stream")])
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _mulhilo(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products m * x, from 32-bit halves.
 
@@ -86,7 +74,7 @@ def _mulhilo(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def philox_raw(seed: int, streams, words: int) -> np.ndarray:
     """First `words` raw outputs of each stream, shape (len(streams), words).
 
-    Row k equals np.random.Philox(key=[seed, streams[k]]).random_raw(words).
+    Row k equals numpy's Philox(key=[seed, streams[k]]).random_raw(words).
     numpy increments the counter before it generates a block, so block j
     of every stream is Philox4x64-10 of the counter [j + 1, 0, 0, 0].
     """
@@ -110,8 +98,9 @@ def philox_raw(seed: int, streams, words: int) -> np.ndarray:
 def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
     """First `count` uniforms in [0, 1) of each stream, shape (len(streams), count).
 
-    Row k equals make_rng(seed, streams[k]).random(count) bit for bit:
-    numpy's Generator.random maps a raw word to (raw >> 11) * 2**-53.
+    Row k equals numpy's Generator(Philox(key=[seed, streams[k]])).random(count)
+    bit for bit, as the tests check: Generator.random maps a raw word to
+    (raw >> 11) * 2**-53.
     """
     return (philox_raw(seed, streams, count) >> 11).astype(np.float64) * 2.0**-53
 
@@ -119,13 +108,6 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
 def complex_normals_from_uniforms(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Standard complex Gaussians (E|z|^2 = 1) from two uniform arrays, polar Box-Muller."""
     return np.sqrt(-np.log(1.0 - u1)) * np.exp(2j * np.pi * u2)  # 1 - u1 in (0, 1]
-
-
-def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal draws via Box-Muller on the uniform stream."""
-    u1 = 1.0 - rng.random(shape)  # (0, 1], keeps the log finite
-    u2 = rng.random(shape)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:

@@ -11,15 +11,8 @@ import enum
 
 import numpy as np
 
-# make_rng is re-exported unused: perfbench's test_tracer_restores_every_name
-# checks that the tracer wraps it here and puts it back
-from .qlinalg import (  # noqa: F401
-    complex_normals_from_uniforms,
-    haar_from_ginibre,
-    hermitian_eigenvalues_stack,
-    make_rng,
-    philox_uniforms,
-)
+from .qlinalg import (complex_normals_from_uniforms, haar_from_ginibre,
+                      hermitian_eigenvalues_stack, philox_uniforms)
 
 #: Negativity above this labels a state entangled. Far above eigensolver
 #: noise (~1e-15), far below any physically meaningful negativity.

@@ -1,7 +1,10 @@
 """Reference forms the tests check the package against.
 
 The package computes every quantity as a stack, the form its command line
-runs. These are the one-state forms: the Generator-path sampler, checked
+runs, and draws every random number from `qlinalg.philox_raw`. Here are
+numpy's own Philox Generator keyed the package's way, the Box-Muller
+normals on it that the model's init must equal bit for bit, and the epoch
+shuffle's literal definition. Then the one-state forms: the Generator-path sampler, checked
 scalar wrappers, and the literal two-copy collective state with the
 singlet projector, against which the conditional-state features are
 checked. Beside them are the forms the package's faster paths replaced:
@@ -23,7 +26,7 @@ from cewlab.errors import CewlabError, DimensionMismatch, EmptyDataset
 from cewlab.evaluate import _MAGIC, chsh_m_value_stack, fef_stack
 from cewlab.measure import (DENOM_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, MeasurementPreset,
                             conditional_probabilities, feature_traces_stack)
-from cewlab.qlinalg import (complex_normals_from_uniforms, haar_from_ginibre,
+from cewlab.qlinalg import (_as_u64, complex_normals_from_uniforms, haar_from_ginibre,
                             hermitian_eigenvalues_stack)
 from cewlab.states import (ENTANGLE_EPS, SystemKind, _density_from_uniforms, _state_uniforms,
                            negativity_stack, partial_transpose_stack)
@@ -39,6 +42,35 @@ class NotHermitian(CewlabError):
 
 class DegenerateConditioning(CewlabError):
     """Conditional probability undefined: local projections have vanishing weight."""
+
+
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """numpy's Philox Generator keyed by (seed, stream), refused like philox_raw's keys.
+
+    Its raw words are philox_raw's row for that (seed, stream), and its
+    random() is philox_uniforms' row.
+    """
+    key = np.array([_as_u64(seed, "seed"), _as_u64(stream, "stream")])
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard normal draws via Box-Muller on the uniform stream: all of u1, then all of u2."""
+    u1 = 1.0 - rng.random(shape)  # (0, 1], keeps the log finite
+    u2 = rng.random(shape)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def literal_shuffle(seed: int, stream: int, n: int) -> list[int]:
+    """range(n) sorted by (word >> b, i), with b = max(1, (n - 1).bit_length()).
+
+    The words are numpy's own Philox(key=[seed, stream]).random_raw(n), and
+    the sort is Python's, so records whose words agree above the low b bits
+    keep index order.
+    """
+    words = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(n).tolist()
+    b = max(1, (n - 1).bit_length())
+    return sorted(range(n), key=lambda i: (words[i] >> b, i))
 
 
 def complex_normals(rng: np.random.Generator, shape) -> np.ndarray:

@@ -14,10 +14,10 @@ from cewlab.dataset import generate, save
 from cewlab.evaluate import Witness, baseline_rates, roc_curve
 from cewlab.measure import local_effects, qubit_tetrahedron, qutrit_nine
 from cewlab.model import TrainConfig, forward, init_mlp
-from cewlab.qlinalg import make_rng
 from cewlab.states import SystemKind
 from cewlab.measure import preset_by_name
-from oracles import DensityMatrix, collective_state, gradient, negativity, p_xy, sample_density
+from oracles import (DensityMatrix, collective_state, gradient, make_rng, negativity, p_xy,
+                     sample_density)
 
 TQ = SystemKind.TWO_QUBIT
 QQ = SystemKind.QUBIT_QUTRIT

@@ -972,19 +972,24 @@ def test_gen_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys, 
     assert os.listdir(tmp_path) == []
 
 
-def test_a_pooled_sweep_process_never_imports_numpy_random(tmp_path):
-    # the models are built in the workers (cli._train_group), and numpy.random
-    # is what building one imports
+def test_gen_train_eval_and_a_pooled_sweep_never_import_numpy_random(tmp_path):
+    # every draw comes from qlinalg.philox_raw, so no command needs numpy.random,
+    # whose import alone costs a fresh process about 6 MB of RSS
+    data, mlp, roc = (str(tmp_path / name) for name in ("d.npy", "m.mlp.json", "m.roc.csv"))
     code = "\n".join([
         "import os, sys",
         "os.sched_getaffinity = lambda pid: {0, 1}",
         "from cewlab import pool",
-        "from cewlab.cli import run_sweep",
+        "from cewlab.cli import main, run_sweep",
         "from cewlab.model import TrainConfig",
         "from cewlab.states import SystemKind",
+        f"assert main({gen_args(data)!r}) == 0",
+        f"assert main(['train', '--train', {data!r}, '--val', {data!r}, '--max-epochs', '2',",
+        f"             '--batch-size', '64', '--out', {mlp!r}]) == 0",
+        f"assert main(['eval', '--model', {mlp!r}, '--test', {data!r}, '--out', {roc!r}]) == 0",
         "assert pool.worker_count(2) == 2",
         "run_sweep(SystemKind.TWO_QUBIT, ['B1', 'B3'], (1200, 400, 400), 8,",
-        f"          {str(tmp_path)!r}, cfg=TrainConfig(batch_size=64, max_epochs=2, seed=8))",
+        f"          {str(tmp_path / 'sweep')!r}, cfg=TrainConfig(batch_size=64, max_epochs=2, seed=8))",
         "assert 'numpy.random' not in sys.modules",
     ])
     env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")

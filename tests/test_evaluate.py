@@ -20,10 +20,10 @@ from cewlab.evaluate import (
     write_roc,
 )
 from cewlab.measure import preset_by_name
-from cewlab.qlinalg import make_rng
 from cewlab.states import ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_streams
 from oracles import (DensityMatrix, baseline_rates_by_count, chsh_m_value_by_einsum,
-                     chsh_violation, fef, fef_by_einsum, haar_unitary, sample_density)
+                     chsh_violation, fef, fef_by_einsum, haar_unitary, make_rng,
+                     sample_density)
 
 
 def singlet_matrix():

@@ -43,28 +43,28 @@ PINNED = {
         SystemKind.TWO_QUBIT: {
             "dataset": "f3a3b2f8e4bb6003c203e5bd62c9d0120f972d5fe088d8ddf220bfeeae4c3b49",
             "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
-            "model": "9098d58cb1964b0e89afcb119bdd6fbca7f7cb52b9a1aaae2a2eed1ce0561ea7",
-            "roc": "454c0dcc623b879e071bfee267f5942bc888c1075fde019c0c462406b8c28d11",
+            "model": "5d25c8f26183579b3ab0a63980bed5f12759e2fcda63a75e5d80f637396cdefc",
+            "roc": "ffec89cc7217d938b11dfb5bc5e5a3d90faa6a4ec89a2ccb65127330e8fab6d8",
         },
         SystemKind.QUBIT_QUTRIT: {
             "dataset": "8d05b704b799d5b9946249d3badab317b26a6a4f86ad18380d418cc399c9b143",
             "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
-            "model": "a9fdfb1439144481cc6ee41b8ea3de4723d71165244e10b43e9f05e20b5f215a",
-            "roc": "41be2f2e695661704369d5b58200cf725633b1563386e22af90d066b061109a2",
+            "model": "915714dc7ee1aef44e824da3f3437b16fa6f1eea907d59a8f5b364cc5b54ce07",
+            "roc": "9282a32e7ac76a8f1a6ef52fa574a0dcbb664e55093fd3e90d7ea8b83048d854",
         },
     },
     "Haswell": {
         SystemKind.TWO_QUBIT: {
             "dataset": "a1e796e6769200dac8203bee74bf586999b184dd7928ec6646cbf2d553959aef",
             "meta": "e0284fe022106eed6899118fd5027691e24b58dc8cef218515467389afe44ea9",
-            "model": "e20709cfaad55090056ff87d6a8b5f9713256a684cedd4778970447e06bec38b",
-            "roc": "a400379126c6c56592d163a906943d5d1449ba514892958f09e6b7116a5c19ee",
+            "model": "5b67af4012395af23b63be3c04f9b2cd858886ee3ee40897f034ea7168ac6cf9",
+            "roc": "e8eaf5a019a0087e768c6018f9ade9aeb53735cf23b53bd6e8c572b97b3ee0a1",
         },
         SystemKind.QUBIT_QUTRIT: {
             "dataset": "786f19ccefae5677c0ba0673e92a6ab798dea04f808c67faaeed7cc9addc1b10",
             "meta": "2d88fce250a01ce4b7087c2eda3075cd15091458cc44cbe59705b2c001a990a0",
-            "model": "f4bde9508f87d9e2d316832c6719f40b68b829bc2a66cbe70ebf11f132d4a1e4",
-            "roc": "43ff8121e100d43a9dc4da22fbcb7d78ea2ec8aa666c7d02eb62e0a342c96d50",
+            "model": "f811635e902f0b46319e081d4957026018bbd9c95a1da2332d2c979c5d444cd9",
+            "roc": "ff6a9398039007ccabb367270a71cbcfbc94241a5a064df4d0f94f36c1d3c6e5",
         },
     },
 }

@@ -9,10 +9,10 @@ from cewlab.measure import (MeasurementPreset, builtin_presets,
                             conditional_probabilities, feature_traces_stack,
                             local_effects, preset_by_name,
                             qubit_tetrahedron, qutrit_nine)
-from cewlab.qlinalg import make_rng
 from cewlab.states import SystemKind, sample_density_stack, sample_density_streams
 from oracles import (CollectiveState, DegenerateConditioning, DensityMatrix, bell_singlet,
-                     collective_state, features, haar_unitary, p_xy, sample_density)
+                     collective_state, features, haar_unitary, make_rng, p_xy,
+                     sample_density)
 
 
 def singlet_state():

@@ -21,9 +21,8 @@ from cewlab.model import (
     train,
     train_many,
 )
-from cewlab.qlinalg import make_rng
 from cewlab.states import SystemKind
-from oracles import EarlyStopper, gradient
+from oracles import EarlyStopper, gradient, literal_shuffle, make_rng, standard_normals
 
 
 def as_dataset(x, y):
@@ -63,6 +62,16 @@ def test_init_deterministic_in_seed():
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     assert not np.array_equal(a.weights[0], c.weights[0])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+@pytest.mark.parametrize("width", [1, 10, 13, 45])
+def test_init_keeps_the_generator_paths_bits(width, seed):
+    # each layer in turn takes its u1 block, then its u2 block, of the one init stream
+    m = init_mlp(width, TrainConfig(seed=seed))
+    rng = make_rng(seed, model._INIT_STREAM)
+    for w, fan_in in zip(m.weights, m.layer_sizes):
+        assert np.array_equal(w, standard_normals(rng, w.shape) * np.sqrt(2.0 / fan_in))
 
 
 def test_init_he_scale():
@@ -232,12 +241,28 @@ def test_train_restores_best_epoch_snapshot():
     assert result.best_epoch <= result.epochs_run
 
 
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 40000])
+def test_the_shuffle_is_its_literal_definition(n):
+    for seed, epoch in ((0, 1), (2**64 - 1, 7)):
+        perm = model._shuffle(seed, epoch, n)
+        assert perm.dtype == np.intp
+        assert np.array_equal(np.sort(perm), np.arange(n))
+        assert perm.tolist() == literal_shuffle(seed, model._SHUFFLE_STREAM + epoch, n)
+
+
+def test_equal_words_shuffle_to_index_order(monkeypatch):
+    # all-ones words: the index bits must replace the word's low bits, not mix with them
+    monkeypatch.setattr(model, "philox_raw", lambda seed, streams, words: np.full(
+        (len(streams), words), 2**64 - 1, dtype=np.uint64))
+    for n in (1, 2, 3, 256, 257):
+        assert model._shuffle(5, 1, n).tolist() == list(range(n))
+
+
 def per_array_adam_train(m, train_data, val_data, cfg):
     """Test-only oracle: train() as it was with one Adam update per array."""
     x_train, y_train = train_data.features, train_data.negativities
     x_val, y_val = val_data.features, val_data.negativities
     n = len(x_train)
-    rng = make_rng(cfg.seed, model._SHUFFLE_STREAM)
     adam_mw = [np.zeros_like(w) for w in m.weights]
     adam_vw = [np.zeros_like(w) for w in m.weights]
     adam_mb = [np.zeros_like(b) for b in m.biases]
@@ -248,7 +273,7 @@ def per_array_adam_train(m, train_data, val_data, cfg):
     best_biases = [b.copy() for b in m.biases]
     history = []
     for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(n)
+        perm = np.array(literal_shuffle(cfg.seed, model._SHUFFLE_STREAM + epoch, n))
         sq_err_sum = 0.0
         for lo in range(0, n, cfg.batch_size):
             batch = perm[lo: lo + cfg.batch_size]
@@ -344,7 +369,7 @@ def test_lockstep_training_matches_separate_training(tmp_path):
     names = ["B1", "B3", "B5", "B10"]
     presets = two_qubit_presets(names)
     tr, va = two_qubit_splits()
-    cfg = TrainConfig(batch_size=64, max_epochs=40, patience=2, seed=8)
+    cfg = TrainConfig(batch_size=64, max_epochs=40, patience=2, seed=11)
     histories = [[] for _ in names]
     # train_many projects the unprojected B10 split itself; train is given projected copies
     results = train_many({p: init_mlp(p.b, cfg) for p in presets}, tr, va, cfg,

@@ -3,14 +3,13 @@ import pytest
 
 from cewlab.dataset import CHUNK
 from cewlab.errors import DimensionMismatch
-from cewlab.qlinalg import (hermitian_eigenvalues_stack, make_rng, philox_raw,
-                            philox_uniforms, standard_normals)
+from cewlab.qlinalg import hermitian_eigenvalues_stack, philox_raw, philox_uniforms
 from cewlab.states import SystemKind, partial_transpose_stack, sample_density_stack
 from oracles import (NotHermitian, complex_normals, haar_unitary, hermitian_eigenvalues,
-                     swap_operator)
+                     make_rng, standard_normals, swap_operator)
 
-#: The model's init and shuffle streams sit at 2**62 and 2**62 + 1.
-EDGE_STREAMS = [0, 1, 2**62, 2**62 + 1, 2**63, 2**64 - 1]
+#: The model's init streams start at 2**62 and its shuffle streams at 2**62 + 2**61.
+EDGE_STREAMS = [0, 1, 2**62, 2**62 + 1, 2**62 + 2**61 + 1, 2**63, 2**64 - 1]
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cewlab.dataset import CHUNK
-from cewlab.qlinalg import haar_from_ginibre, make_rng
+from cewlab.qlinalg import haar_from_ginibre
 from cewlab.states import (SystemKind, negativity_stack, partial_transpose_stack,
                            sample_density_stack, sample_density_streams)
 from cewlab.states import _state_inputs, _state_uniforms
 from oracles import (DensityMatrix, NotHermitian, collective_state, collective_state_stack,
                      complex_normals, haar_unitary, hermitian_eigenvalues, is_entangled,
-                     negativity, partial_transpose, sample_density)
+                     make_rng, negativity, partial_transpose, sample_density)
 
 
 def singlet_matrix():
