@@ -135,9 +135,10 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     worker, the longer ones last, and the groups trained in parallel
     (pool.ordered_map), one forked worker process per usable CPU (at most
     one per preset), each with one BLAS thread, training its group in
-    lockstep. A worker receives the training and validation splits
+    lockstep. A worker inherits the training and validation splits
     restricted to its group's widest preset (the built-in presets are
-    nested), and model.train_many projects each preset's columns from them.
+    nested), and model.train_many projects each preset's columns from them;
+    only its trained models are pickled, back to this process.
     Workers only train: this process generates and splits, then scores each
     model on the test split and writes every artifact, the first groups'
     while the last ones train. Every artifact has the same bytes as a
@@ -197,9 +198,10 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     starts = [g * size + max(0, g - workers + extra) for g in range(workers + 1)]
     groups = [presets[a:b] for a, b in zip(starts, starts[1:])]
     # built-in presets are nested, so a group's widest preset holds every
-    # column the group trains on, and a worker receives only those: on 2
-    # CPUs this lowers the peak RSS of this process in the two-qubit desk
-    # sweep (64 to 56.5 MB), though not in the qubit-qutrit one (113.5 to 115 MB)
+    # column the group trains on, and a worker trains on only those. The
+    # workers inherit their splits, so this does not lower the peak RSS of
+    # this process (on 2 CPUs the two-qubit desk sweep peaks at 44.9 MB,
+    # and at 43.5 MB with the full splits)
     widest = [max(group, key=lambda p: p.b) for group in groups]
     jobs = [(restrict(train_ds, w), restrict(val_ds, w), group, cfg)
             for group, w in zip(groups, widest)]
@@ -236,8 +238,8 @@ def _train_group(train_ds: Dataset, val_ds: Dataset, group: list,
     """Train one group of presets in lockstep; returns train_many's results and the seconds taken.
 
     train_many projects each preset's columns from the group's splits. Runs
-    in a pool worker, so it is a module-level function of picklable
-    arguments, and the seconds it reports are the group's time in its worker.
+    in a pool worker, so the seconds it reports are the group's time in its
+    worker.
     """
     started = time.perf_counter()
     results = train_many({p: init_mlp(p.b, cfg) for p in group}, train_ds, val_ds, cfg)

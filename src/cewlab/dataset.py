@@ -33,9 +33,9 @@ from .states import (ENTANGLE_EPS, SystemKind, negativity_stack, sample_density_
 #: chunk 0 in the calling process only when n <= CHUNK, and otherwise every
 #: chunk in the pool. Batch composition does not change any record's bytes
 #: (each stream, each eigensolve and each state's feature traces are
-#: independent of the batch), so CHUNK only bounds transient memory and the
-#: size of a pool job and, through generate's chunk budget, the draws spent
-#: on a quota.
+#: independent of the batch), so CHUNK only bounds transient memory, the
+#: size of the result a pool job sends back and, through generate's chunk
+#: budget, the draws spent on a quota.
 CHUNK = 1024
 
 
@@ -61,7 +61,7 @@ class Dataset:
         self.stream_indices.flags.writeable = False
 
     def __getstate__(self) -> dict:
-        # a copy regenerates its own states; a pool job ships none
+        # a copy regenerates its own states
         return {k: v for k, v in self.__dict__.items() if k != "states"}
 
     def __setstate__(self, state: dict) -> None:
@@ -101,7 +101,7 @@ class Dataset:
 def _draw_chunk(preset: MeasurementPreset, seed: int, chunk_index: int):
     """Features, negativities, labels, and validity for draw indices in one chunk.
 
-    Runs in a pool worker, so it is a module-level function of picklable arguments.
+    Runs in a pool worker, which pickles only the arrays it returns.
     """
     kind = preset.kind
     mats = sample_density_stack(kind, seed, chunk_index * CHUNK, CHUNK)
@@ -125,6 +125,8 @@ def generate(kind: SystemKind, preset: MeasurementPreset, n: int, seed: int,
     parallel (pool.ordered_map). Otherwise every chunk, chunk 0 included,
     is a pool job, so this process draws none while the workers run.
     Records are selected here, in draw order, so the result is the same.
+    Once the quota is filled the pool is closed, which kills the workers
+    without waiting for the chunks they were drawing.
     The dataset's kind is its preset's, so a preset of another kind raises
     ValueError.
     """

@@ -1,18 +1,22 @@
-"""The package's one process pool: an ordered, windowed map over forked workers.
+"""The package's one process pool: an ordered map over forked workers.
 
 `ordered_map` runs the sweep's training groups and `generate`'s chunks
-(after the first, for a request one chunk could hold). Every job is a call
-of a module-level function with picklable arguments, so a job's result does
-not depend on where it ran and the bytes of every artifact match a
-one-process run. The BLAS library's functions are looked up here too: its
-thread setter, which pins each worker, and `blas_kernel`, the name of the
-kernel it runs.
+(after the first, for a request one chunk could hold). Each worker is
+forked with the job list in its memory and runs its share of the jobs from
+there, so a job's function and arguments are never pickled: only its
+result, or its error, comes back, through a pipe. A job's result does not
+depend on where it ran, so the bytes of every artifact match a one-process
+run. The BLAS library's functions are looked up here too: its thread
+setter, which pins each worker, and `blas_kernel`, the name of the kernel
+it runs.
 """
 from __future__ import annotations
 
 import os
-from collections import deque
-from itertools import islice, starmap
+import pickle
+import signal
+import traceback
+from itertools import starmap
 
 from .errors import WorkerDied
 
@@ -23,55 +27,140 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def ordered_map(fn, jobs):
     """Yield fn(*job) for each argument tuple `job` of the sequence `jobs`, in job order.
 
-    The job count caps the worker count (see `worker_count`). Where that
-    count is 1, this is `itertools.starmap`. Otherwise jobs run in forked
-    worker processes, submitted in order with at most one more in flight
-    than there are workers; closing the generator, or an error in a job or
-    in the consumer, cancels the jobs not yet started. A job's exception is
-    raised here with its own type, and a worker that ends before returning
-    its job (killed by a signal, say) raises WorkerDied. Close the generator
-    (`contextlib.closing`) where the consumer may stop early, so that the
-    workers stop then and not when it is collected.
+    The job count caps the worker count W (see `worker_count`). Where W is
+    1, this is `itertools.starmap`. Otherwise W workers are forked, each
+    holding fn and jobs as this process held them, and worker w runs jobs
+    w, w + W, w + 2W, ...: only results are pickled, so fn and the jobs
+    need not be. A worker starts a job only on a token from this generator:
+    one for its first job, and one for its next each time the consumer asks
+    for the result after its last, so at most one job per worker runs ahead
+    of the consumer. Closing the generator, or an error in a job or in the
+    consumer, kills every worker (SIGKILL) and reaps it without waiting for
+    the jobs in flight, so no worker outlives the generator. A job's
+    exception, or the error pickling its result, is raised here with its
+    own type and the worker's traceback as its cause, and a worker that
+    ends before returning its job (killed by a signal, say) raises
+    WorkerDied. Close the generator (`contextlib.closing`) where the
+    consumer may stop early, so that the workers stop then and not when it
+    is collected.
     """
     workers = worker_count(len(jobs))
     if workers == 1:
         yield from starmap(fn, jobs)
         return
-    import multiprocessing
-    from concurrent import futures
-    # fork, not the platform default: spawn and forkserver re-import the
-    # caller's main module, which breaks a script without a __main__ guard,
-    # and a forked worker sees the functions its caller's module holds. The
-    # executor forks every worker before it starts its threads, and OpenBLAS
-    # stops its own thread pool at each fork.
-    pool = futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_init_worker,
-                                       initargs=(os.getpid(), _blas_thread_setter()))
+    # fork, not spawn or forkserver: those re-import the caller's main
+    # module, which breaks a script without a __main__ guard, and a forked
+    # worker sees the functions its caller's module holds. OpenBLAS stops
+    # its own thread pool at each fork.
+    parent, pin_blas = os.getpid(), _blas_thread_setter()
+    pids, tokens, outcomes = [], [], []  # per worker: its pid and this process's ends of its pipes
     try:
-        jobs = iter(jobs)
-        pending = deque(pool.submit(fn, *job) for job in islice(jobs, workers + 1))
-        while pending:
-            # the next job is submitted once the consumer asks for more, so a
-            # consumer that stops leaves only one job per worker to finish
-            yield pending.popleft().result()
-            pending.extend(pool.submit(fn, *job) for job in islice(jobs, 1))
-    except futures.BrokenExecutor:
-        # the executor has already stopped the other workers
-        raise WorkerDied("a worker process ended before returning its job")
+        for w in range(workers):
+            token_r, token_w = os.pipe()
+            outcome_r, outcome_w = os.pipe()
+            tokens.append(open(token_w, "wb", buffering=0))
+            outcomes.append(open(outcome_r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, jobs[w::workers], parent, pin_blas, token_r, outcome_w,
+                          tokens + outcomes)
+            finally:  # the worker's ends, which _work never leaves
+                os.close(token_r)
+                os.close(outcome_w)
+            pids.append(pid)
+            tokens[w].write(b"\0")  # its first job
+        for k in range(len(jobs)):
+            w = k % workers
+            error, detail, result = _receive(outcomes[w])
+            if error is not None:
+                raise error from _RemoteTraceback(detail)
+            yield result
+            if k + workers < len(jobs):
+                try:
+                    tokens[w].write(b"\0")  # its next job, k + workers
+                except BrokenPipeError:
+                    raise WorkerDied("a worker process ended before returning its job") from None
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for pipe in tokens + outcomes:
+            pipe.close()
+
+
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, the cause of the error `ordered_map` raises for it."""
+
+    def __init__(self, detail: str) -> None:
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return self.detail
+
+
+def _receive(outcomes) -> tuple:
+    """The next (error, traceback, result) a worker sent; WorkerDied where it ended first."""
+    head = outcomes.read(8)
+    size = int.from_bytes(head, "little")
+    body = outcomes.read(size)
+    if len(head) < 8 or len(body) < size:
+        raise WorkerDied("a worker process ended before returning its job")
+    return pickle.loads(body)
+
+
+def _work(fn, jobs, parent: int, pin_blas, token_r: int, outcome_w: int, inherited) -> None:
+    """A forked worker's whole life: run `jobs`, one per token read from token_r, then exit.
+
+    It first closes `inherited`, the parent's ends of its own pipes and of
+    those of every worker forked before it, so that only the parent holds
+    them and a worker's pipe closes when that worker ends. Each job's
+    outcome is written to outcome_w as an 8-byte length and a pickle. It
+    never returns, and leaves through os._exit, so no cleanup of the
+    caller's runs twice.
+    """
+    try:
+        for pipe in inherited:
+            pipe.close()
+        _init_worker(parent, pin_blas)
+        with open(outcome_w, "wb") as out:
+            for job in jobs:
+                if not os.read(token_r, 1):
+                    break  # the parent is gone
+                data = _outcome(fn, job)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+                out.flush()
+    finally:
+        os._exit(0)
+
+
+def _outcome(fn, job) -> bytes:
+    """The pickled (None, None, fn(*job)), or (error, its traceback, None) where that raised.
+
+    The error is the job's own, or the one pickling its result raised; an
+    error that does not pickle is replaced by the one pickling it raised.
+    """
+    try:
+        return pickle.dumps((None, None, fn(*job)), pickle.HIGHEST_PROTOCOL)
+    except BaseException as error:  # sent back, where the caller sees it
+        detail = "".join(traceback.format_exception(error))
+        try:
+            return pickle.dumps((error, detail, None), pickle.HIGHEST_PROTOCOL)
+        except Exception as unpicklable:
+            return pickle.dumps((unpicklable, detail, None), pickle.HIGHEST_PROTOCOL)
 
 
 def _init_worker(parent: int, pin_blas) -> None:
     """Make a forked worker die with its parent, then pin its BLAS to one thread.
 
-    A worker blocks on the call queue, whose write end it inherited, so it
-    would outlive a parent killed by a signal. On Linux the kernel kills it
-    when the thread that forked it (the first to advance `ordered_map`)
-    exits; a parent gone before that leaves it reparented, so it exits now.
+    A worker in the middle of a job would outlive a parent killed by a
+    signal. On Linux the kernel kills it when the thread that forked it
+    (the first to advance `ordered_map`) exits; a parent gone before that
+    leaves it reparented, so it exits now.
     """
     import ctypes
-    import signal
     prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux's C library only
     if prctl is not None:
         prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
@@ -99,8 +188,7 @@ def worker_count(jobs: int) -> int:
     workers = min(jobs, cpus)
     if workers < 2:
         return 1
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return 1
     if _blas_thread_setter() is None and "1" not in map(os.environ.get, _BLAS_THREAD_VARS):
         return 1

@@ -1,12 +1,13 @@
 import errno
 import json
-import multiprocessing
 import os
+import pickle
 import re
 import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 
@@ -767,7 +768,7 @@ def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, cpus):
     with pytest.raises(DivergedTraining) as raised:
         run_sweep(SystemKind.TWO_QUBIT, ["B1", "B3"], (300, 100, 100), 3,
                   str(tmp_path), cfg=cfg)
-    # the executor chains the worker's formatted traceback onto what it re-raises
+    # the pool chains the worker's formatted traceback onto what it re-raises
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
 
 
@@ -782,22 +783,71 @@ def test_the_pool_needs_a_blas_thread_pin(monkeypatch, cpus):
     assert pool.worker_count(1) == 1
 
 
+def test_the_pool_needs_fork(monkeypatch, cpus):
+    cpus(2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert pool.worker_count(5) == 2
+    monkeypatch.delattr(os, "fork")
+    assert pool.worker_count(5) == 1
+
+
+def _assert_no_child() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _start_and_sleep(directory: str, index: int) -> int:
+    """A pool job that notes its start in `directory`; every job but the first then sleeps 20 s."""
     open(os.path.join(directory, str(index)), "w").close()
-    time.sleep(0.2)
+    if index:
+        time.sleep(20)
     return index
 
 
-def test_closing_the_pool_early_starts_at_most_one_job_more_than_it_has_workers(
+def test_closing_the_pool_early_kills_its_jobs_in_flight_and_started_one_per_worker(
         tmp_path, monkeypatch, cpus):
     # a consumer that stops after one result, as generate does at its quota,
-    # waits for every job already started; the window bounds how many
+    # waits for no job in flight, and each worker had started one job at most
     cpus(2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     results = pool.ordered_map(_start_and_sleep, [(str(tmp_path), i) for i in range(20)])
     assert next(results) == 0
+    started = time.monotonic()
     results.close()
-    assert len(os.listdir(tmp_path)) <= 3
+    assert time.monotonic() - started < 5
+    assert len(os.listdir(tmp_path)) <= 2
+    _assert_no_child()
+
+
+def _local_function(index: int):
+    """A pool job whose result, a local function, cannot be pickled."""
+    return lambda: index
+
+
+def test_a_result_that_cannot_be_pickled_raises_its_pickling_error_and_leaves_no_child(
+        monkeypatch, cpus):
+    cpus(2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with pytest.raises(Exception) as pickling:
+        pickle.dumps(_local_function(0))
+    with pytest.raises(pickling.type) as raised:
+        list(pool.ordered_map(_local_function, [(i,) for i in range(4)]))
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+    _assert_no_child()
+
+
+def test_a_job_whose_function_and_arguments_cannot_be_pickled_runs_in_the_pool(
+        monkeypatch, cpus):
+    # the workers inherit their jobs, so only results are pickled
+    cpus(2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    lock = threading.Lock()
+    results = list(pool.ordered_map(lambda held, i: (os.getpid(), held is lock, i * i),
+                                    [(lock, i) for i in range(5)]))
+    assert [result[1:] for result in results] == [(True, i * i) for i in range(5)]
+    assert len({pid for pid, *_ in results} - {os.getpid()}) == 2
+    _assert_no_child()
 
 
 def test_the_blas_thread_setter_is_found_where_numpy_uses_openblas():
@@ -811,27 +861,38 @@ def test_the_blas_kernel_is_named_where_numpy_uses_openblas():
     assert "openblas" not in blas.lower() or (isinstance(kernel, str) and kernel)
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded(tmp_path):
+def test_a_one_chunk_gen_never_forks_and_no_pool_loads_multiprocessing(tmp_path):
     # a 200-record gen fits in generate's first chunk, and save uses no pool,
-    # so it runs in this process and starts no pool either, even where a BLAS
-    # thread count of 1 would let one run
-    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
+    # so it forks no worker, even where a BLAS thread count of 1 would let a
+    # pool run; a pooled gen and a pooled sweep fork their workers with
+    # os.fork alone, two each for gen and for the sweep's generate and training
+    one, pooled = (str(tmp_path / name) for name in ("one.npy", "pooled.npy"))
     code = "\n".join([
-        "import sys, cewlab.cli",
-        "def pool_modules():",
-        "    return sorted(m for m in sys.modules",
-        "                  if m.split('.')[0] in ('multiprocessing', 'concurrent'))",
-        "print(pool_modules())",
-        "args = ['gen', '--kind', 'qubit-qutrit', '--preset', 'B45', '--n', '200',",
-        f"        '--seed', '1', '--out', {str(tmp_path / 'd.npy')!r}]",
-        "assert cewlab.cli.main(args) == 0",
-        "print(pool_modules())",
+        "import os, sys",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "from cewlab.cli import main, run_sweep",
+        "from cewlab.model import TrainConfig",
+        "from cewlab.states import SystemKind",
+        "fork, forks = os.fork, []",
+        "def refuse():",
+        "    raise AssertionError('a one-chunk gen forked')",
+        "def counted():",
+        "    forks.append(1)",
+        "    return fork()",
+        "os.fork = refuse",
+        f"assert main({gen_args(one, preset='B45', n=200, seed=1, kind='qubit-qutrit')!r}) == 0",
+        "os.fork = counted",
+        f"assert main({gen_args(pooled, preset='B45', n=4096, seed=1, kind='qubit-qutrit')!r}) == 0",
+        "run_sweep(SystemKind.TWO_QUBIT, ['B1', 'B3'], (1200, 400, 400), 8,",
+        f"          {str(tmp_path / 'sweep')!r}, cfg=TrainConfig(batch_size=64, max_epochs=2, seed=8))",
+        "print(len(forks), sorted(m for m in sys.modules",
+        "                         if m.split('.')[0] in ('multiprocessing', 'concurrent')))",
     ])
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "wrote " + str(tmp_path / "d.npy")
-                                        + ": 200 records, 45 features, prevalence 0.5000", "[]"]
+    assert proc.stdout.splitlines()[-1] == "6 []"
 
 
 def _alive(pid: int) -> bool:
@@ -922,7 +983,7 @@ def test_a_killed_worker_raises_worker_died_and_leaves_no_child(cpus, monkeypatc
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with pytest.raises(WorkerDied):
         list(pool.ordered_map(_kill_own_worker, [()] * 4))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_gen_whose_worker_is_killed_exits_1_with_one_line_and_no_file(
