@@ -135,10 +135,9 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     worker, the longer ones last, and the groups trained in parallel
     (pool.ordered_map), one forked worker process per usable CPU (at most
     one per preset), each with one BLAS thread, training its group in
-    lockstep. A worker inherits the training and validation splits
-    restricted to its group's widest preset (the built-in presets are
-    nested), and model.train_many projects each preset's columns from them;
-    only its trained models are pickled, back to this process.
+    lockstep. A worker inherits the full training and validation splits,
+    and model.train_many projects each preset's columns from them; only its
+    trained models are pickled, back to this process.
     Workers only train: this process generates and splits, then scores each
     model on the test split and writes every artifact, the first groups'
     while the last ones train. Every artifact has the same bytes as a
@@ -197,14 +196,7 @@ def run_sweep(kind: SystemKind, preset_names: list[str], sizes: tuple[int, int, 
     size, extra = divmod(len(presets), workers)
     starts = [g * size + max(0, g - workers + extra) for g in range(workers + 1)]
     groups = [presets[a:b] for a, b in zip(starts, starts[1:])]
-    # built-in presets are nested, so a group's widest preset holds every
-    # column the group trains on, and a worker trains on only those. The
-    # workers inherit their splits, so this does not lower the peak RSS of
-    # this process (on 2 CPUs the two-qubit desk sweep peaks at 44.9 MB,
-    # and at 43.5 MB with the full splits)
-    widest = [max(group, key=lambda p: p.b) for group in groups]
-    jobs = [(restrict(train_ds, w), restrict(val_ds, w), group, cfg)
-            for group, w in zip(groups, widest)]
+    jobs = [(train_ds, val_ds, group, cfg) for group in groups]
 
     rows: list[dict] = []
     with closing(ordered_map(_train_group, jobs)) as trained:
@@ -237,7 +229,7 @@ def _train_group(train_ds: Dataset, val_ds: Dataset, group: list,
                  cfg: TrainConfig) -> tuple[list, float]:
     """Train one group of presets in lockstep; returns train_many's results and the seconds taken.
 
-    train_many projects each preset's columns from the group's splits. Runs
+    train_many projects each preset's columns from the sweep's splits. Runs
     in a pool worker, so the seconds it reports are the group's time in its
     worker.
     """

@@ -47,8 +47,7 @@ class Dataset:
     states and labels (negativities, stream_indices) are made read-only, so
     no write through the Dataset makes the states memo stale.
     dataclasses.replace, split and restrict (onto another preset) build new
-    Datasets, each regenerating its own states, and a pickled copy carries
-    no states and keeps both arrays read-only. Features stay writable.
+    Datasets, each regenerating its own states. Features stay writable.
     """
     preset: MeasurementPreset
     features: np.ndarray  # (n, B) float64, values in [0, 1]
@@ -59,15 +58,6 @@ class Dataset:
     def __post_init__(self) -> None:
         self.negativities.flags.writeable = False
         self.stream_indices.flags.writeable = False
-
-    def __getstate__(self) -> dict:
-        # a copy regenerates its own states
-        return {k: v for k, v in self.__dict__.items() if k != "states"}
-
-    def __setstate__(self, state: dict) -> None:
-        # unpickled arrays are writable under some protocols
-        self.__dict__.update(state)
-        self.__post_init__()
 
     @cached_property
     def states(self) -> np.ndarray:

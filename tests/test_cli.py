@@ -739,27 +739,34 @@ def test_the_sweep_trains_one_contiguous_group_per_worker(tmp_path, cpus, monkey
     assert all(len({times[name] for name in group}) == 1 for group in groups)
 
 
-@pytest.mark.parametrize("count, presets, widths", [
-    (2, ["B1", "B3", "B10"], [1, 10]),  # groups [B1] and [B3 B10]
-    (1, ["B1", "B3"], [3]),  # one group, trained in this process
+@pytest.mark.parametrize("count, presets", [
+    (2, ["B1", "B3", "B10"]),  # groups [B1] and [B3 B10]
+    (1, ["B1", "B3"]),  # one group, trained in this process
 ])
-def test_a_sweep_job_holds_only_its_groups_widest_columns(tmp_path, cpus, monkeypatch,
-                                                           count, presets, widths):
+def test_every_sweep_job_holds_the_sweeps_own_full_splits(tmp_path, cpus, monkeypatch,
+                                                          count, presets):
     cpus(count)
-    sent = []
+    splits, sent = [], []
+
+    def kept_split(*args):
+        splits.extend(dataset.split(*args))
+        return tuple(splits)
 
     def in_this_process(fn, jobs):
         sent.extend(jobs)
         return (fn(*job) for job in jobs)
+    monkeypatch.setattr(cli, "split", kept_split)
     monkeypatch.setattr(cli, "ordered_map", in_this_process)
     run_sweep(SystemKind.TWO_QUBIT, presets, (256, 50, 50), 6, str(tmp_path),
               cfg=TrainConfig(max_epochs=1, seed=6))
-    for train_ds, val_ds, group, _ in sent:
-        widest = max(group, key=lambda p: p.b)
+    assert len(sent) == count
+    master = preset_by_name(SystemKind.TWO_QUBIT, "B10")
+    for train_ds, val_ds, _, _ in sent:
+        # the workers inherit the splits, so no job copies them
+        assert train_ds is splits[0] and val_ds is splits[1]
         for part in (train_ds, val_ds):
-            assert part.preset == widest
-            assert part.features.shape == (part.count, widest.b)
-    assert [job[0].preset.b for job in sent] == widths
+            assert part.preset == master
+            assert part.features.shape == (part.count, master.b)
 
 
 def test_a_diverging_preset_raises_out_of_the_pool(tmp_path, cpus):

@@ -2,7 +2,6 @@ import dataclasses
 import io
 import json
 import os
-import pickle
 import re
 import tracemalloc
 
@@ -85,23 +84,6 @@ def test_a_dataset_is_frozen():
     ds = generate(KIND, B1, 20, seed=64)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ds.seed = 2
-
-
-@pytest.mark.parametrize("protocol", [4, 5])
-def test_a_pickled_dataset_drops_its_states_and_stays_read_only(protocol):
-    ds = generate(KIND, B1, 20, seed=64)
-    bare = pickle.dumps(ds, protocol=protocol)
-    assert "states" not in vars(ds) and ds.states.size and "states" in vars(ds)
-    shipped = pickle.dumps(ds, protocol=protocol)
-    assert len(shipped) == len(bare)
-    copy = pickle.loads(shipped)
-    assert "states" not in vars(copy)
-    for field in ("negativities", "stream_indices"):
-        assert np.array_equal(getattr(copy, field), getattr(ds, field))
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(copy, field)[0] = 0
-    copy.features[0, 0] = 0.5
-    assert np.array_equal(copy.states, ds.states)
 
 
 def test_a_replaced_dataset_regenerates_its_own_states():

@@ -265,6 +265,20 @@ def test_feature_traces_match_the_collective_state_oracle(seed, stream, kind):
                           values)
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), kind=st.sampled_from(list(SystemKind)), data=st.data())
+def test_any_sub_preset_is_the_largest_presets_columns_bit_for_bit(seed, kind, data):
+    # every sweep worker projects its presets' columns from the master split
+    pairs = builtin_presets(kind)[-1].pairs
+    columns = data.draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1,
+                                 max_size=2 * len(pairs)))
+    mats = sample_density_stack(kind, seed, 0, 256)
+    values, _ = conditional_probabilities(*feature_traces_stack(mats, kind, pairs))
+    sub, _ = conditional_probabilities(
+        *feature_traces_stack(mats, kind, tuple(pairs[c] for c in columns)))
+    assert np.array_equal(sub, values[:, columns])
+
+
 def _every_pair(kind: SystemKind) -> tuple[tuple[int, int], ...]:
     k = len(local_effects(kind))
     return tuple((x, y) for x in range(1, k + 1) for y in range(1, k + 1))
