@@ -73,10 +73,10 @@ def operating_point(curve: RocCurve, prefix: np.ndarray) -> tuple[float, float]:
 
 
 def write_roc(curve: RocCurve, path: str) -> None:
-    rows = "".join(f"{f!r},{t!r},{th!r}\n" for f, t, th in zip(
-        curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist()))
+    columns = (map(repr, a.tolist()) for a in (curve.fpr, curve.tpr, curve.thresholds))
+    rows = "\n".join(map(",".join, zip(*columns)))
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"fpr,tpr,threshold\n{rows}# auc={curve.auc!r}\n")
+        fh.write(f"fpr,tpr,threshold\n{rows}\n# auc={curve.auc!r}\n")
 
 
 def write_roc_svg(curve: RocCurve, path: str, title: str = "") -> None:
@@ -142,7 +142,6 @@ def chsh_m_value_stack(mats: np.ndarray) -> np.ndarray:
     """Horodecki criterion: sum of the two largest eigenvalues of T^T T."""
     t = _pauli_correlations(mats)
     m = np.einsum("kji,kjl->kil", t, t)
-    m = 0.5 * (m + m.transpose(0, 2, 1))
     eigs = hermitian_eigenvalues_stack(m)
     return eigs[:, -1] + eigs[:, -2]
 

@@ -143,7 +143,7 @@ def feature_traces_stack(mats: np.ndarray, kind: SystemKind,
     sigma = rho @ effects.transpose(0, 2, 1).reshape(len(effects), d2 * d2).T
     ix = [x - 1 for x, _ in pairs]
     iy = [y - 1 for _, y in pairs]
-    trace = sigma[:, ::d1 + 1].real.sum(axis=1)
+    trace = sigma[:, 0].real + sigma[:, d1 + 1].real  # each sigma is 2x2
     den = trace[:, ix] * trace[:, iy]
     # Re Tr[sigma_x sigma_y] of Hermitian sigmas is the dot product of their
     # entries' real and imaginary parts; summing it in one fixed order makes

@@ -4,11 +4,12 @@
 (after the first, for a request one chunk could hold). Each worker is
 forked with the job list in its memory and runs its share of the jobs from
 there, so a job's function and arguments are never pickled: only its
-result, or its error, comes back, through a pipe. A job's result does not
-depend on where it ran, so the bytes of every artifact match a one-process
-run. The BLAS library's functions are looked up here too: its thread
-setter, which pins each worker, and `blas_kernel`, the name of the kernel
-it runs.
+result, or its error, comes back, as one pickle on the worker's pipe. A
+worker runs ahead of the consumer only as far as its pipe holds its
+outcomes. A job's result does not depend on where it ran, so the bytes of
+every artifact match a one-process run. The BLAS library's functions are
+looked up here too: its thread setter, which pins each worker, and
+`blas_kernel`, the name of the kernel it runs.
 """
 from __future__ import annotations
 
@@ -30,19 +31,18 @@ def ordered_map(fn, jobs):
     The job count caps the worker count W (see `worker_count`). Where W is
     1, this is `itertools.starmap`. Otherwise W workers are forked, each
     holding fn and jobs as this process held them, and worker w runs jobs
-    w, w + W, w + 2W, ...: only results are pickled, so fn and the jobs
-    need not be. A worker starts a job only on a token from this generator:
-    one for its first job, and one for its next each time the consumer asks
-    for the result after its last, so at most one job per worker runs ahead
-    of the consumer. Closing the generator, or an error in a job or in the
-    consumer, kills every worker (SIGKILL) and reaps it without waiting for
-    the jobs in flight, so no worker outlives the generator. A job's
-    exception, or the error pickling its result, is raised here with its
-    own type and the worker's traceback as its cause, and a worker that
-    ends before returning its job (killed by a signal, say) raises
-    WorkerDied. Close the generator (`contextlib.closing`) where the
-    consumer may stop early, so that the workers stop then and not when it
-    is collected.
+    w, w + W, w + 2W, ... back to back: only results are pickled, so fn and
+    the jobs need not be. A worker blocks only when its pipe is full, so it
+    runs ahead of the consumer by as many outcomes as the pipe holds (at
+    least the job it is running). Closing the generator, or an error in a
+    job or in the consumer, kills every worker (SIGKILL) and reaps it
+    without waiting for the jobs in flight, so no worker outlives the
+    generator. A job's exception, or the error pickling its result, is
+    raised here with its own type and the worker's traceback as its cause,
+    and a worker that ends before returning its job whole (killed by a
+    signal, say) raises WorkerDied. Close the generator
+    (`contextlib.closing`) where the consumer may stop early, so that the
+    workers stop then and not when it is collected.
     """
     workers = worker_count(len(jobs))
     if workers == 1:
@@ -53,40 +53,32 @@ def ordered_map(fn, jobs):
     # worker sees the functions its caller's module holds. OpenBLAS stops
     # its own thread pool at each fork.
     parent, pin_blas = os.getpid(), _blas_thread_setter()
-    pids, tokens, outcomes = [], [], []  # per worker: its pid and this process's ends of its pipes
+    pids, outcomes = [], []  # per worker: its pid and this process's end of its pipe
     try:
         for w in range(workers):
-            token_r, token_w = os.pipe()
             outcome_r, outcome_w = os.pipe()
-            tokens.append(open(token_w, "wb", buffering=0))
             outcomes.append(open(outcome_r, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(fn, jobs[w::workers], parent, pin_blas, token_r, outcome_w,
-                          tokens + outcomes)
-            finally:  # the worker's ends, which _work never leaves
-                os.close(token_r)
+                    _work(fn, jobs[w::workers], parent, pin_blas, outcome_w, outcomes)
+            finally:  # the worker's end, which _work never leaves
                 os.close(outcome_w)
             pids.append(pid)
-            tokens[w].write(b"\0")  # its first job
         for k in range(len(jobs)):
-            w = k % workers
-            error, detail, result = _receive(outcomes[w])
+            try:
+                error, detail, result = pickle.load(outcomes[k % workers])
+            except (EOFError, pickle.UnpicklingError):  # no outcome, or a truncated one
+                raise WorkerDied("a worker process ended before returning its job") from None
             if error is not None:
                 raise error from _RemoteTraceback(detail)
             yield result
-            if k + workers < len(jobs):
-                try:
-                    tokens[w].write(b"\0")  # its next job, k + workers
-                except BrokenPipeError:
-                    raise WorkerDied("a worker process ended before returning its job") from None
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
-        for pipe in tokens + outcomes:
+        for pipe in outcomes:
             pipe.close()
 
 
@@ -100,25 +92,15 @@ class _RemoteTraceback(Exception):
         return self.detail
 
 
-def _receive(outcomes) -> tuple:
-    """The next (error, traceback, result) a worker sent; WorkerDied where it ended first."""
-    head = outcomes.read(8)
-    size = int.from_bytes(head, "little")
-    body = outcomes.read(size)
-    if len(head) < 8 or len(body) < size:
-        raise WorkerDied("a worker process ended before returning its job")
-    return pickle.loads(body)
+def _work(fn, jobs, parent: int, pin_blas, outcome_w: int, inherited) -> None:
+    """A forked worker's whole life: run `jobs` back to back, then exit.
 
-
-def _work(fn, jobs, parent: int, pin_blas, token_r: int, outcome_w: int, inherited) -> None:
-    """A forked worker's whole life: run `jobs`, one per token read from token_r, then exit.
-
-    It first closes `inherited`, the parent's ends of its own pipes and of
+    It first closes `inherited`, the parent's ends of its own pipe and of
     those of every worker forked before it, so that only the parent holds
-    them and a worker's pipe closes when that worker ends. Each job's
-    outcome is written to outcome_w as an 8-byte length and a pickle. It
-    never returns, and leaves through os._exit, so no cleanup of the
-    caller's runs twice.
+    them and a worker whose parent is gone stops at its next write
+    (BrokenPipeError). Each job's outcome is written to outcome_w as one
+    pickle. It never returns, and leaves through os._exit, so no cleanup of
+    the caller's runs twice.
     """
     try:
         for pipe in inherited:
@@ -126,11 +108,7 @@ def _work(fn, jobs, parent: int, pin_blas, token_r: int, outcome_w: int, inherit
         _init_worker(parent, pin_blas)
         with open(outcome_w, "wb") as out:
             for job in jobs:
-                if not os.read(token_r, 1):
-                    break  # the parent is gone
-                data = _outcome(fn, job)
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
+                out.write(_outcome(fn, job))
                 out.flush()
     finally:
         os._exit(0)

@@ -55,7 +55,7 @@ def _density_from_uniforms(u: np.ndarray, dim: int) -> np.ndarray:
     """States from rows of uniforms: flat simplex spectra conjugated by Haar unitaries."""
     diags, ginibre = _state_inputs(u, dim)
     v = haar_from_ginibre(ginibre)
-    return np.einsum('mji,mj,mjk->mik', v.conj(), diags, v)
+    return np.einsum('mji,mjk->mik', v.conj() * diags[:, :, None], v)
 
 
 def sample_density_streams(kind: SystemKind, seed: int, streams) -> np.ndarray:

@@ -812,10 +812,10 @@ def _start_and_sleep(directory: str, index: int) -> int:
     return index
 
 
-def test_closing_the_pool_early_kills_its_jobs_in_flight_and_started_one_per_worker(
-        tmp_path, monkeypatch, cpus):
+def test_closing_the_pool_early_kills_its_jobs_in_flight(tmp_path, monkeypatch, cpus):
     # a consumer that stops after one result, as generate does at its quota,
-    # waits for no job in flight, and each worker had started one job at most
+    # waits for no job in flight; started are each worker's running job and
+    # worker 0's second, which starts once its first outcome is in its pipe
     cpus(2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     results = pool.ordered_map(_start_and_sleep, [(str(tmp_path), i) for i in range(20)])
@@ -823,7 +823,7 @@ def test_closing_the_pool_early_kills_its_jobs_in_flight_and_started_one_per_wor
     started = time.monotonic()
     results.close()
     assert time.monotonic() - started < 5
-    assert len(os.listdir(tmp_path)) <= 2
+    assert len(os.listdir(tmp_path)) <= 3
     _assert_no_child()
 
 
@@ -990,6 +990,29 @@ def test_a_killed_worker_raises_worker_died_and_leaves_no_child(cpus, monkeypatc
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     with pytest.raises(WorkerDied):
         list(pool.ordered_map(_kill_own_worker, [()] * 4))
+    _assert_no_child()
+
+
+def _result_then_die(index: int) -> np.ndarray:
+    """A pool job whose result outgrows a pipe; a worker's second job kills it."""
+    if index >= 2:
+        _kill_own_worker()
+    return np.zeros(50_000)
+
+
+def test_a_worker_killed_after_writing_part_of_an_outcome_raises_worker_died_and_leaves_no_child(
+        cpus, monkeypatch):
+    cpus(2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    outcome = pool._outcome
+
+    def half_outcome(fn, job) -> bytes:
+        data = outcome(fn, job)
+        return data[:len(data) // 2]
+
+    monkeypatch.setattr(pool, "_outcome", half_outcome)
+    with pytest.raises(WorkerDied, match="ended before returning its job"):
+        list(pool.ordered_map(_result_then_die, [(i,) for i in range(4)]))
     _assert_no_child()
 
 
